@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verification plus a TSan pass over the concurrency
-# tests (thread pool, results DB single-flight, parallel sweep, obs counters).
+# CI entry point: tier-1 verification, a TSan pass over the concurrency
+# tests (thread pool, results DB single-flight, parallel sweep, obs counters),
+# full-suite ASan and UBSan passes, the artifact gates, and the hostbench
+# smoke test.
 #
 # Usage: scripts/ci.sh            # from the repo root
 #   JOBS=8 scripts/ci.sh          # override parallelism (default: nproc)
@@ -21,6 +23,16 @@ cmake --build build-tsan -j "$JOBS" --target vlacnn_tests
 # whole grid. VLACNN_THREADS forces real interleaving even on 1-core CI.
 VLACNN_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'ThreadPool|ResultsDb|SingleFlight|Parallel|Concurrent|Obs'
+
+echo "== asan/ubsan: the full suite under VLACNN_SANITIZE=address|undefined ===="
+# Every test, not a subset: the serving loop's index arithmetic and every file
+# reader run under both. UBSan builds with -fno-sanitize-recover
+# (CMakeLists.txt), so the first report aborts its test instead of scrolling by.
+for san in address undefined; do
+  cmake -B "build-$san" -S . -DVLACNN_SANITIZE="$san" >/dev/null
+  cmake --build "build-$san" -j "$JOBS" --target vlacnn_tests
+  ctest --test-dir "build-$san" --output-on-failure -j "$JOBS"
+done
 
 echo "== report: perf-regression gate vs BENCH_report_baseline.json =========="
 # A warm run (the committed results/sweep_cache.csv covers the fig01 grid with
@@ -148,5 +160,13 @@ echo "== obs: disabled-path overhead budget (<2% or sub-noise) ==============="
 # if the measured selector cost escapes the committed default
 # (BENCH_dispatch_overhead.json pairs with kDefaultDispatchCyclesPerLayer).
 ./build/bench/bench_dispatch_overhead
+
+echo "== hostbench: every benchmark workload briefly, untraced and traced ====="
+# Checks every metric and unit, zero failed operations, an unchanged
+# results/sweep_cache.csv and byte-reproducible inputs. The plan workloads
+# re-simulate every fleet answer with a request log: its stats must reproduce
+# byte for byte and the four-span latency split must be exact — the serving
+# loop's contract, exercised on the same build the benchmark times.
+python3 hostbench/smoke_test.py
 
 echo "== ci.sh: all green ===================================================="

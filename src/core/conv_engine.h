@@ -24,7 +24,7 @@ class ConvEngine {
  public:
   explicit ConvEngine(VpuConfig vpu = {}, std::uint64_t l2_bytes = 1u << 20);
 
-  /// Replace the default HeuristicSelector (e.g. with a trained ForestSelector).
+  /// Replace the default HeuristicSelector with any AlgorithmSelector.
   void set_selector(std::shared_ptr<const AlgorithmSelector> selector);
 
   const VpuConfig& vpu() const { return vpu_; }

@@ -1,7 +1,5 @@
 #include "core/selector.h"
 
-#include "ml/dataset.h"
-
 namespace vlacnn {
 
 Algo HeuristicSelector::select(const ConvLayerDesc& d, std::uint32_t vlen_bits,
@@ -19,28 +17,6 @@ Algo HeuristicSelector::select(const ConvLayerDesc& d, std::uint32_t vlen_bits,
   // Skinny matrices with many channels: blocked GEMM; otherwise 3-loop GEMM.
   if (d.gemm_n() < 4096 || d.gemm_k() >= 256) return Algo::kGemm6;
   return Algo::kGemm3;
-}
-
-ForestSelector ForestSelector::train(SweepDriver& driver,
-                                     const std::vector<const Network*>& nets,
-                                     const std::vector<std::uint32_t>& vlens,
-                                     const std::vector<std::uint64_t>& l2_sizes,
-                                     const ForestParams& params) {
-  const Dataset ds = build_selection_dataset(driver, nets, vlens, l2_sizes);
-  std::vector<std::size_t> all(ds.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  RandomForest forest;
-  forest.fit(ds, all, params);
-  return ForestSelector(std::move(forest));
-}
-
-Algo ForestSelector::select(const ConvLayerDesc& d, std::uint32_t vlen_bits,
-                            std::uint64_t l2_bytes) const {
-  const int label =
-      forest_.predict(selection_features(vlen_bits, l2_bytes, d));
-  Algo a = kAllAlgos[static_cast<std::size_t>(label) % kAllAlgos.size()];
-  if (!algo_applicable(a, d)) a = Algo::kGemm6;
-  return a;
 }
 
 }  // namespace vlacnn

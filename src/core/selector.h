@@ -2,22 +2,16 @@
 // serving: pick the fastest convolution algorithm per layer given the layer's
 // dimensions and the hardware's (vector length, L2 size).
 //
-// Two selectors are provided:
-//  * HeuristicSelector — the rule-of-thumb baseline from the papers' analysis
-//    (Winograd for 3x3 stride-1, Direct for high-resolution/low-channel, GEMM
-//    for skinny matrices),
-//  * ForestSelector — the random-forest classifier of Paper II Section 4.3
-//    (12 features, depth-10 bagged CART trees, ~92.8% accuracy), trained from
-//    the co-design sweep.
+// HeuristicSelector is the rule-of-thumb baseline from the papers' analysis
+// (Winograd for 3x3 stride-1, Direct for high-resolution/low-channel, GEMM
+// for skinny matrices). The random-forest classifier of Paper II Section 4.3
+// lives in src/dispatch (FlatForest, LearnedDispatcher), where the serving
+// path uses it.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <cstdint>
 
 #include "algos/conv_args.h"
-#include "ml/random_forest.h"
-#include "sweep/sweep.h"
-#include "vpu/vpu_config.h"
 
 namespace vlacnn {
 
@@ -35,28 +29,6 @@ class HeuristicSelector final : public AlgorithmSelector {
  public:
   Algo select(const ConvLayerDesc& desc, std::uint32_t vlen_bits,
               std::uint64_t l2_bytes) const override;
-};
-
-/// Random-forest selector. Train once per deployment (or load a pre-built
-/// forest); selection itself is microseconds.
-class ForestSelector final : public AlgorithmSelector {
- public:
-  ForestSelector(RandomForest forest) : forest_(std::move(forest)) {}
-
-  /// Train on the co-design sweep of the given networks and hardware grid.
-  static ForestSelector train(SweepDriver& driver,
-                              const std::vector<const Network*>& nets,
-                              const std::vector<std::uint32_t>& vlens,
-                              const std::vector<std::uint64_t>& l2_sizes,
-                              const ForestParams& params = {});
-
-  Algo select(const ConvLayerDesc& desc, std::uint32_t vlen_bits,
-              std::uint64_t l2_bytes) const override;
-
-  const RandomForest& forest() const { return forest_; }
-
- private:
-  RandomForest forest_;
 };
 
 }  // namespace vlacnn

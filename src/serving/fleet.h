@@ -1,12 +1,14 @@
-// Multi-chip fleet serving simulator (DESIGN.md §15).
+// Multi-chip fleet serving simulator (DESIGN.md §15) — and the repo's only
+// serving event loop: simulate_requests (request_sim.h) is this loop run as a
+// one-chip, one-model, zero-hop fleet.
 //
 // Composes N single-chip request simulators — each chip a ServingPoint with
 // its own instances, per-(chip,model) FIFO queues, and batching policies —
 // behind a front-end router (fleet_router.h) into ONE deterministic
-// discrete-event loop on the same simulated cycle clock as
-// serving/request_sim. Traffic is a seeded mix over several models (YOLOv3 +
-// VGG-16 in the paper's co-location study); per-model placement restricts
-// which chips host which model, and the router picks among the hosts.
+// discrete-event loop on the §10 simulated cycle clock. Traffic is a seeded
+// mix over several models (YOLOv3 + VGG-16 in the paper's co-location
+// study); per-model placement restricts which chips host which model, and
+// the router picks among the hosts.
 //
 // Determinism contract (the §10 guarantee, extended fleet-wide): simulated
 // time is a cycle counter, arrivals/mix/router draw only from seeded
@@ -14,17 +16,16 @@
 //   completions < queue-joins (router-hop delivery) < arrivals < flushes,
 // with completions popping (chip, instance) ascending and dispatch scanning
 // (chip, model) ascending. Same seeds ⇒ byte-identical FleetStats JSON,
-// regardless of VLACNN_THREADS (the loop itself is single-threaded; the fleet
-// planner parallelizes across *fleets*, never within one).
+// regardless of VLACNN_THREADS (the loop itself is single-threaded; the
+// planners parallelize across *simulations*, never within one).
 //
-// Latency attribution extends the Sterbenz-exact single-chip fold with a
-// router-hop span. For every completed request, evaluated left-to-right in
-// floating point:
+// Latency attribution is a chain of Sterbenz exact_split()s. For every
+// completed request, evaluated left-to-right in floating point:
 //   (router_hop + (queue_wait + formation_wait)) + service
 //     == completion - arrival
-// bit-exactly — a chain of exact_split()s, so the existing identity is the
-// hop == 0 special case (0.0 + x == x in IEEE 754). The hop lands in
-// per-request traces as its own span (obs/reqtrace.h router_hop/chip fields).
+// bit-exactly; the single-chip identity is the hop == 0 case by
+// construction (0.0 + x == x in IEEE 754). The hop lands in per-request
+// traces as its own span (obs/reqtrace.h router_hop/chip fields).
 //
 // Units: all latencies and timestamps are **cycles**; conversions to
 // milliseconds happen only at the CLI edge (2 GHz presentation clock).
@@ -37,6 +38,10 @@
 
 #include "serving/fleet_router.h"
 #include "serving/request_sim.h"
+
+namespace vlacnn::obs {
+struct TimelineConfig;
+}
 
 namespace vlacnn::serving {
 
@@ -67,6 +72,11 @@ struct FleetChip {
   /// Indexed by model id; size = number of models in the mix. Entries for
   /// models the chip does not host are never read.
   std::vector<BatchCostModel> costs;
+  /// Optional per-model ServiceModels indexed like `costs` (not owned; one
+  /// per (chip, model) queue, since models may be stateful). A non-null entry
+  /// overrides that `costs` entry and owns its validation — the learned
+  /// dispatcher's hook. Empty = every hosted model uses `costs`.
+  std::vector<ServiceModel*> services;
   double area_mm2 = 0;  ///< AreaModel::chip_mm2 of spec.point
 };
 
@@ -147,15 +157,23 @@ struct FleetConfig {
   /// request (drops produce no record). Product output, always filled.
   std::vector<FleetRequestRecord>* request_log = nullptr;
 
-  /// Label prefix for obs sink blocks (timeline blocks are recorded per chip
-  /// as "<label>/chip<ii>", the request-trace block as "<label>"). Empty =
-  /// sink auto-labels; parallel drivers (the fleet planner) must label.
+  /// Caller-owned recorders, RequestSimConfig's hooks lifted fleet-wide: the
+  /// loop feeds each one every chip's events, calls finish(), and sinks
+  /// nothing (size a timeline recorder with the fleet's total instances).
+  /// When null and the knob is on, the loop owns one timeline recorder per
+  /// chip and one trace recorder, and sinks them under `label`.
+  obs::TimelineRecorder* timeline = nullptr;
+  obs::RequestTraceRecorder* reqtrace = nullptr;
+
+  /// Label prefix for the loop's own sink blocks (timeline blocks are
+  /// recorded per chip as "<label>/chip<ii>", the request-trace block as
+  /// "<label>"). Empty = sink auto-labels; parallel drivers (the fleet
+  /// planner) must label.
   std::string label;
 
-  /// Expected simulated horizon in cycles (requests * mean interarrival).
-  /// When positive and VLACNN_TIMELINE_INTERVAL was not pinned, per-chip
-  /// timeline cadence is coarsened to ~256 snapshots per chip, mirroring the
-  /// capacity planner's bound. 0 = use the default cadence as-is.
+  /// Expected simulated horizon in cycles (requests * mean interarrival),
+  /// which bounds the loop's own timeline cadence (chip_timeline_config).
+  /// 0 = use the default cadence as-is.
   double expected_horizon_cycles = 0;
 };
 
@@ -166,5 +184,14 @@ struct FleetConfig {
 /// inconsistent config (no chips, hostless model, bad mix/costs, negative
 /// hop). ~O(requests * (chips * models + log instances)).
 FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals);
+
+/// One chip's timeline config: default_timeline_config plus the attainment
+/// target and — when the horizon is positive and VLACNN_TIMELINE_INTERVAL
+/// was not pinned — a cadence coarsened to ~256 snapshots over it (a pure
+/// function of the query). The loop's own recorders and the capacity
+/// planner's both use it.
+obs::TimelineConfig chip_timeline_config(int instances, double slo_cycles,
+                                         double attainment_target,
+                                         double expected_horizon_cycles);
 
 }  // namespace vlacnn::serving

@@ -187,13 +187,8 @@ FleetCandidate FleetPlanner::evaluate_composition(
                 cand.label.c_str(), router_kind_name(q.router.kind));
   fc.label = label;
 
-  ArrivalSpec as;
-  as.kind = ArrivalSpec::Kind::kPoisson;
-  as.mean_interarrival_cycles = q.clock_hz / q.load_rps;
-  as.requests = q.requests;
-  const auto arrivals = make_arrivals(as, q.seed);
-
-  cand.stats = simulate_fleet(fc, *arrivals);
+  PoissonArrivals arrivals(q.clock_hz / q.load_rps, q.requests, q.seed);
+  cand.stats = simulate_fleet(fc, arrivals);
   cand.total_area_mm2 = cand.stats.total_area_mm2;
   cand.simulated = true;
   cand.meets_slo =

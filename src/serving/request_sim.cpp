@@ -2,36 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <limits>
-#include <queue>
-#include <set>
 #include <stdexcept>
 
 #include "common/thread_pool.h"
 #include "algos/conv_args.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/reqtrace.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "report/collector.h"
 #include "report/json.h"
+#include "serving/fleet.h"
 
 namespace vlacnn::serving {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Trace events per simulation are capped so a planner run over hundreds of
-/// grid points cannot balloon the in-memory trace buffer; the cap is logged
-/// when hit.
-constexpr std::uint64_t kMaxBatchTraceEvents = 4096;
-
-/// Simulated cycles -> trace microseconds at the repo's 2 GHz presentation
-/// clock, so a Perfetto timeline of batches reads in real service time.
-constexpr double kTraceCyclesPerUs = 2000.0;
 
 /// Per-conv-layer (label, cycles-per-image) weights for the request tracer's
 /// service-span segmentation at one grid point: the per-layer cycles of the
@@ -68,6 +53,37 @@ std::vector<std::pair<std::string, double>> reqtrace_service_layers(
     std::snprintf(name, sizeof name, "conv%zu/%s", l + 1, to_string(a));
     out.emplace_back(name, std::isnan(c) ? 0.0 : c);
   }
+  return out;
+}
+
+/// Shared body of both evaluate_grid() flavours: `eval` over every grid
+/// point, fanned out into pre-sized slots. `dispatch` labels the obs span.
+std::vector<CapacityCandidate> evaluate_points(
+    const Network& net, const CapacityQuery& q, const char* dispatch,
+    ThreadPool* pool,
+    const std::function<CapacityCandidate(const ServingPoint&)>& eval) {
+  const std::vector<ServingPoint> points = ServingSimulator::grid_points();
+  obs::Span span("serving.capacity_grid");
+  if (span.active()) {
+    span.arg("net", net.name());
+    span.arg("points", std::to_string(points.size()));
+    span.arg("load_rps", std::to_string(q.load_rps));
+    span.arg("requests", std::to_string(q.requests));
+    span.arg("dispatch", dispatch);
+  }
+  obs::log(obs::LogLevel::kInfo, "serving", "capacity_grid",
+           {{"net", net.name()},
+            {"points", std::to_string(points.size())},
+            {"load_rps", std::to_string(q.load_rps)},
+            {"dispatch", dispatch}});
+  // One task per point into its pre-sized slot: each simulation depends only
+  // on (point, query) — a factory-built service model only on the point — so
+  // the result vector is byte-identical whether the pool has 1 worker or 64
+  // (§7's guarantee, extended to request-level stats).
+  std::vector<CapacityCandidate> out(points.size());
+  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
+  p.parallel_for(points.size(),
+                 [&](std::size_t i) { out[i] = eval(points[i]); });
   return out;
 }
 
@@ -177,355 +193,6 @@ std::string ServingStats::to_json() const {
   return out;
 }
 
-namespace {
-
-/// The event loop proper. kObs compiles the observability hooks (metrics,
-/// trace, timeline) in or out via if constexpr — the no-obs twin is the
-/// baseline side of bench_obs_overhead's serving gate, so its hot path must
-/// not even test the knobs. Latency attribution and request_log are product
-/// output and exist in both instantiations.
-template <bool kObs>
-ServingStats run_request_loop(const RequestSimConfig& cfg,
-                              ArrivalProcess& arrivals,
-                              BatchingPolicy& policy) {
-  if (cfg.instances < 1) {
-    throw std::invalid_argument("simulate_requests: need >= 1 instance");
-  }
-  if (cfg.service == nullptr &&
-      (!(cfg.cost.first_image_cycles > 0) ||
-       !(cfg.cost.marginal_image_cycles >= 0))) {
-    throw std::invalid_argument(
-        "simulate_requests: batch cost model must have positive first-image "
-        "and non-negative marginal cycles");
-  }
-
-  // One in-flight batch per instance, ordered by completion time; ties pop
-  // the lowest instance id first (std::greater on the pair).
-  struct InFlight {
-    double completion;
-    int instance;
-    bool operator>(const InFlight& o) const {
-      return completion != o.completion ? completion > o.completion
-                                        : instance > o.instance;
-    }
-  };
-  // A queued request carries the value of the instance-idle time integral at
-  // its arrival; the delta to dispatch time is its formation wait (time it
-  // waited while capacity sat idle, i.e. the batching policy's choice).
-  struct Queued {
-    double arrival;
-    double idle_at_arrival;
-    std::uint64_t seq;  ///< 1-based offered-arrival order = trace id
-  };
-  struct Member {
-    double arrival;
-    double formation_wait;  ///< measured at dispatch, clamped to [0, wait]
-    std::uint64_t seq;
-  };
-  std::priority_queue<InFlight, std::vector<InFlight>, std::greater<InFlight>>
-      busy;
-  std::vector<std::vector<Member>> batch_members(
-      static_cast<std::size_t>(cfg.instances));
-  std::vector<double> batch_dispatch(static_cast<std::size_t>(cfg.instances),
-                                     0.0);
-  std::set<int> idle;
-  for (int i = 0; i < cfg.instances; ++i) idle.insert(i);
-
-  std::deque<Queued> queue;  // FIFO
-  ServingStats s;
-  s.slo = cfg.slo_cycles;
-  std::vector<double> latencies;
-  double wait_sum = 0, queue_area = 0, busy_cycles = 0, batch_images = 0;
-  double queue_wait_sum = 0, formation_sum = 0, service_sum = 0;
-  double idle_time = 0;  ///< integral of [some instance idle] over sim time
-  double now = 0;
-  std::optional<double> pending;
-  if (cfg.request_log != nullptr) cfg.request_log->clear();
-
-  bool metrics = false;
-  obs::Histogram* lat_hist = nullptr;
-  obs::Counter* completed_ctr = nullptr;
-  obs::Counter* dropped_ctr = nullptr;
-  obs::Counter* batches_ctr = nullptr;
-  obs::Tracer* tracer = nullptr;
-  obs::TimelineRecorder* rec = nullptr;
-  std::unique_ptr<obs::TimelineRecorder> owned_rec;
-  obs::RequestTraceRecorder* rrec = nullptr;
-  std::unique_ptr<obs::RequestTraceRecorder> owned_rrec;
-  // Dispatch annotations captured per instance at dispatch time, attached to
-  // every member of the batch at completion. Sized only when tracing.
-  std::vector<std::vector<obs::TraceNote>> batch_notes;
-  if constexpr (kObs) {
-    metrics = obs::metrics_enabled();
-    if (metrics) {
-      auto& reg = obs::Registry::global();
-      lat_hist = &reg.histogram("serving.request_latency_cycles");
-      completed_ctr = &reg.counter("serving.requests_completed");
-      dropped_ctr = &reg.counter("serving.requests_dropped");
-      batches_ctr = &reg.counter("serving.batches_dispatched");
-    }
-    tracer = &obs::Tracer::global();
-    rec = cfg.timeline;
-    if (rec == nullptr && obs::timeline_enabled()) {
-      owned_rec = std::make_unique<obs::TimelineRecorder>(
-          obs::default_timeline_config(cfg.instances, cfg.slo_cycles));
-      rec = owned_rec.get();
-    }
-    rrec = cfg.reqtrace;
-    if (rrec == nullptr && obs::reqtrace_enabled()) {
-      owned_rrec = std::make_unique<obs::RequestTraceRecorder>(
-          obs::default_reqtrace_config(cfg.slo_cycles));
-      rrec = owned_rrec.get();
-    }
-    if (rrec != nullptr) {
-      batch_notes.resize(static_cast<std::size_t>(cfg.instances));
-    }
-  }
-  std::uint64_t traced_batches = 0;
-
-  auto poll = [&] {
-    if (!pending.has_value()) pending = arrivals.next_arrival();
-  };
-  auto advance = [&](double t_new) {
-    const double dt = t_new - now;
-    queue_area += static_cast<double>(queue.size()) * dt;
-    if (!idle.empty()) idle_time += dt;
-    now = t_new;
-  };
-  auto try_dispatch = [&]() -> bool {
-    bool dispatched = false;
-    while (!queue.empty() && !idle.empty()) {
-      int n = policy.dispatch_size(queue.size(), queue.front().arrival, now);
-      if (n <= 0) break;
-      if (static_cast<std::size_t>(n) > queue.size()) {
-        n = static_cast<int>(queue.size());
-      }
-      const int inst = *idle.begin();
-      idle.erase(idle.begin());
-      auto& members = batch_members[static_cast<std::size_t>(inst)];
-      members.clear();
-      for (int i = 0; i < n; ++i) {
-        const Queued& q = queue.front();
-        const double wait = now - q.arrival;
-        wait_sum += wait;
-        double fw = idle_time - q.idle_at_arrival;
-        if (fw < 0) fw = 0;
-        if (fw > wait) fw = wait;
-        members.push_back({q.arrival, fw, q.seq});
-        queue.pop_front();
-      }
-      batch_dispatch[static_cast<std::size_t>(inst)] = now;
-      const double service = cfg.service != nullptr
-                                 ? cfg.service->service_cycles(n)
-                                 : cfg.cost.service_cycles(n);
-      if (!(service > 0) || !std::isfinite(service)) {
-        throw std::logic_error(
-            "simulate_requests: service model returned a non-positive or "
-            "non-finite batch time");
-      }
-      busy.push({now + service, inst});
-      busy_cycles += service;
-      ++s.batches;
-      batch_images += n;
-      dispatched = true;
-      if constexpr (kObs) {
-        if (rec != nullptr) rec->on_dispatch(now, n);
-        if (rrec != nullptr) {
-          // Ask the service model for this batch's decision notes now, while
-          // its "most recent call" state is this dispatch.
-          auto& notes = batch_notes[static_cast<std::size_t>(inst)];
-          notes.clear();
-          if (cfg.service != nullptr) cfg.service->trace_annotations(notes);
-        }
-        if (tracer->enabled() && traced_batches < kMaxBatchTraceEvents) {
-          // Trace timestamps are *simulated* time, so the file renders the
-          // serving schedule itself, not the wall clock of the simulator.
-          tracer->emit("serving.batch", now / kTraceCyclesPerUs,
-                       service / kTraceCyclesPerUs,
-                       {{"instance", std::to_string(inst)},
-                        {"batch", std::to_string(n)},
-                        {"service_cycles", std::to_string(service)}});
-          if (++traced_batches == kMaxBatchTraceEvents) {
-            obs::log(obs::LogLevel::kInfo, "serving", "batch_trace_capped",
-                     {{"cap", std::to_string(kMaxBatchTraceEvents)}});
-          }
-        }
-      }
-    }
-    return dispatched;
-  };
-
-  poll();
-  while (true) {
-    const double tc = busy.empty() ? kInf : busy.top().completion;
-    const double ta = pending.has_value() ? *pending : kInf;
-    double td = kInf;
-    if (!queue.empty() && !idle.empty()) {
-      td = std::max(policy.flush_deadline(queue.size(), queue.front().arrival),
-                    now);
-    }
-    const double t_next = std::min({tc, ta, td});
-    if (t_next == kInf) break;
-    advance(t_next);
-
-    // Tie order at equal timestamps: completions free instances first,
-    // arrivals join the queue second, policy flushes run last — fixed, so
-    // the event sequence (and every stat) is reproducible.
-    if (tc <= t_next) {
-      const InFlight f = busy.top();
-      busy.pop();
-      const std::size_t fi = static_cast<std::size_t>(f.instance);
-      const double dispatched_at = batch_dispatch[fi];
-      for (const Member& m : batch_members[fi]) {
-        const double lat = now - m.arrival;
-        latencies.push_back(lat);
-        // Exact attribution: split latency into wait vs service around the
-        // dispatch timestamp, then the wait into queue vs formation around
-        // the measured formation share. Both splits are exact (exact_split),
-        // so (queue_wait + formation_wait) + service == lat in FP.
-        const auto [wait_c, service_c] =
-            exact_split(lat, dispatched_at - m.arrival);
-        const auto [qw, fw] =
-            exact_split(wait_c, (dispatched_at - m.arrival) - m.formation_wait);
-        queue_wait_sum += qw;
-        formation_sum += fw;
-        service_sum += service_c;
-        const bool within = cfg.slo_cycles <= 0 || lat <= cfg.slo_cycles;
-        if (cfg.request_log != nullptr) {
-          cfg.request_log->push_back(
-              {m.arrival, dispatched_at, now, qw, fw, service_c, within});
-        }
-        if constexpr (kObs) {
-          if (rec != nullptr) rec->on_completion(now, lat, within);
-          if (rrec != nullptr) {
-            rrec->on_completion(m.seq, m.arrival, dispatched_at, now, qw, fw,
-                                service_c, within,
-                                static_cast<int>(batch_members[fi].size()),
-                                f.instance, batch_notes[fi]);
-          }
-          if (metrics) {
-            lat_hist->observe(
-                static_cast<std::uint64_t>(std::llround(std::max(lat, 0.0))));
-          }
-        }
-        arrivals.on_completion(now);
-      }
-      idle.insert(f.instance);
-      if constexpr (kObs) {
-        if (rec != nullptr) rec->on_batch_done(now);
-      }
-      try_dispatch();
-      poll();
-      continue;
-    }
-    if (ta <= t_next) {
-      ++s.offered;
-      if (cfg.queue_capacity > 0 && queue.size() >= cfg.queue_capacity) {
-        ++s.dropped;
-        if constexpr (kObs) {
-          if (rec != nullptr) rec->on_drop(now);
-          if (rrec != nullptr) rrec->on_drop(s.offered, now);
-        }
-        arrivals.on_completion(now);  // a rejection is still a response
-      } else {
-        queue.push_back({ta, idle_time, s.offered});
-        if constexpr (kObs) {
-          if (rec != nullptr) rec->on_arrival(now);
-        }
-        if (static_cast<double>(queue.size()) > s.max_queue) {
-          s.max_queue = static_cast<double>(queue.size());
-        }
-      }
-      pending.reset();
-      poll();
-      try_dispatch();
-      continue;
-    }
-    // Flush deadline: the policy named this cycle, so it must dispatch now.
-    if (!try_dispatch()) {
-      throw std::logic_error(
-          "simulate_requests: batching policy refused to dispatch at its own "
-          "flush deadline");
-    }
-  }
-  if (!queue.empty()) {
-    throw std::logic_error(
-        "simulate_requests: batching policy left requests queued forever "
-        "(flush_deadline returned +inf with idle instances)");
-  }
-
-  s.completed = latencies.size();
-  s.makespan = now;
-  if (s.batches > 0) s.mean_batch = batch_images / static_cast<double>(s.batches);
-  if (!latencies.empty()) {
-    double sum = 0;
-    for (double l : latencies) sum += l;
-    const double n = static_cast<double>(latencies.size());
-    s.mean_latency = sum / n;
-    s.mean_wait = wait_sum / n;
-    s.mean_queue_wait = queue_wait_sum / n;
-    s.mean_formation_wait = formation_sum / n;
-    s.mean_service = service_sum / n;
-    std::sort(latencies.begin(), latencies.end());
-    s.p50 = nearest_rank(latencies, 0.50);
-    s.p95 = nearest_rank(latencies, 0.95);
-    s.p99 = nearest_rank(latencies, 0.99);
-    s.p999 = nearest_rank(latencies, 0.999);
-    s.max_latency = latencies.back();
-  }
-  if (s.makespan > 0) {
-    s.mean_queue = queue_area / s.makespan;
-    s.utilization =
-        busy_cycles / (static_cast<double>(cfg.instances) * s.makespan);
-  }
-  if (cfg.slo_cycles > 0 && s.offered > 0) {
-    // Nearest-rank semantics again: count exact per-request cycle values.
-    const auto within =
-        std::upper_bound(latencies.begin(), latencies.end(), cfg.slo_cycles) -
-        latencies.begin();
-    s.slo_attainment =
-        static_cast<double>(within) / static_cast<double>(s.offered);
-  }
-  if constexpr (kObs) {
-    if (metrics) {
-      completed_ctr->add(s.completed);
-      dropped_ctr->add(s.dropped);
-      batches_ctr->add(s.batches);
-    }
-    if (rec != nullptr) rec->finish(s.makespan);
-    if (owned_rec != nullptr) {
-      obs::TimelineSink& sink = obs::TimelineSink::global();
-      const std::string label = cfg.timeline_label.empty()
-                                    ? sink.next_auto_label()
-                                    : cfg.timeline_label;
-      sink.record(label, owned_rec->to_jsonl());
-    }
-    if (rrec != nullptr) rrec->finish();
-    if (owned_rrec != nullptr) {
-      obs::ReqTraceSink& rsink = obs::ReqTraceSink::global();
-      const std::string rlabel = cfg.reqtrace_label.empty()
-                                     ? rsink.next_auto_label()
-                                     : cfg.reqtrace_label;
-      rsink.record(rlabel, owned_rrec->to_jsonl());
-    }
-  }
-  return s;
-}
-
-}  // namespace
-
-ServingStats simulate_requests(const RequestSimConfig& cfg,
-                               ArrivalProcess& arrivals,
-                               BatchingPolicy& policy) {
-  return run_request_loop<true>(cfg, arrivals, policy);
-}
-
-ServingStats simulate_requests_no_obs(const RequestSimConfig& cfg,
-                                      ArrivalProcess& arrivals,
-                                      BatchingPolicy& policy) {
-  return run_request_loop<false>(cfg, arrivals, policy);
-}
-
 CapacityCandidate CapacityPlanner::simulate_point(const Network& net,
                                                   const ServingPoint& point,
                                                   const CapacityQuery& q,
@@ -538,11 +205,7 @@ CapacityCandidate CapacityPlanner::simulate_point(const Network& net,
   rc.queue_capacity = q.queue_capacity;
   rc.slo_cycles = q.slo_ms * 1e-3 * q.clock_hz;
 
-  ArrivalSpec as;
-  as.kind = ArrivalSpec::Kind::kPoisson;
-  as.mean_interarrival_cycles = q.clock_hz / q.load_rps;
-  as.requests = q.requests;
-  const auto arrivals = make_arrivals(as, q.seed);
+  PoissonArrivals arrivals(q.clock_hz / q.load_rps, q.requests, q.seed);
   const auto policy = make_policy(q.policy);
 
   // The planner owns its timeline recorder so the sink block gets a
@@ -551,19 +214,9 @@ CapacityCandidate CapacityPlanner::simulate_point(const Network& net,
   // finish points in arbitrary order.
   std::unique_ptr<obs::TimelineRecorder> rec;
   if (obs::timeline_enabled()) {
-    obs::TimelineConfig tcfg =
-        obs::default_timeline_config(point.instances, rc.slo_cycles);
-    tcfg.attainment_target = q.attainment_target;
-    // Unless the user pinned a cadence, bound the snapshot count per grid
-    // point: a low-rate run's makespan can span tens of billions of cycles,
-    // and the sink buffers every point's block until exit. ~256 snapshots per
-    // point keeps that bounded; the coarsening is a pure function of the
-    // query, so it stays byte-identical across VLACNN_THREADS.
-    if (!obs::timeline_interval_overridden()) {
-      const double expected = q.requests * (q.clock_hz / q.load_rps);
-      tcfg.interval_cycles = std::max(tcfg.interval_cycles, expected / 256.0);
-    }
-    rec = std::make_unique<obs::TimelineRecorder>(tcfg);
+    rec = std::make_unique<obs::TimelineRecorder>(chip_timeline_config(
+        point.instances, rc.slo_cycles, q.attainment_target,
+        q.requests * (q.clock_hz / q.load_rps)));
     rc.timeline = rec.get();
   }
 
@@ -579,7 +232,7 @@ CapacityCandidate CapacityPlanner::simulate_point(const Network& net,
     rc.reqtrace = rtrec.get();
   }
 
-  c.stats = simulate_requests(rc, *arrivals, *policy);
+  c.stats = simulate_requests(rc, arrivals, *policy);
   c.meets_slo =
       c.stats.slo_attainment >= q.attainment_target &&
       (q.area_budget_mm2 <= 0 || c.eval.area_mm2 <= q.area_budget_mm2);
@@ -588,7 +241,7 @@ CapacityCandidate CapacityPlanner::simulate_point(const Network& net,
   std::snprintf(label, sizeof label, "cores%d/vlen%u/l2:%llu/inst%d/%s/%s",
                 point.cores, point.vlen_bits,
                 static_cast<unsigned long long>(point.l2_total_bytes),
-                point.instances, policy->name().c_str(), arrivals->name());
+                point.instances, policy->name().c_str(), arrivals.name());
   if (rtrec != nullptr) {
     // The loop already called finish(); the same grid-point label keys both
     // sinks, so the two JSONL files cross-reference by label.
@@ -605,7 +258,7 @@ CapacityCandidate CapacityPlanner::simulate_point(const Network& net,
       tc.l2_total_bytes = point.l2_total_bytes;
       tc.instances = point.instances;
       tc.policy = policy->name();
-      tc.arrivals = arrivals->name();
+      tc.arrivals = arrivals.name();
       tc.snapshots = rec->snapshots().size();
       tc.interval_cycles = rec->config().interval_cycles;
       tc.alerts = ta.alert_count;
@@ -624,7 +277,7 @@ CapacityCandidate CapacityPlanner::simulate_point(const Network& net,
     cell.l2_total_bytes = point.l2_total_bytes;
     cell.instances = point.instances;
     cell.policy = policy->name();
-    cell.arrivals = arrivals->name();
+    cell.arrivals = arrivals.name();
     cell.load_rps = q.load_rps;
     cell.slo_cycles = rc.slo_cycles;
     cell.offered = c.stats.offered;
@@ -687,52 +340,19 @@ CapacityCandidate CapacityPlanner::evaluate(
 std::vector<CapacityCandidate> CapacityPlanner::evaluate_grid(
     const Network& net, const CapacityQuery& q, std::optional<Algo> fixed,
     ThreadPool* pool) const {
-  const std::vector<ServingPoint> points = ServingSimulator::grid_points();
-  obs::Span span("serving.capacity_grid");
-  if (span.active()) {
-    span.arg("net", net.name());
-    span.arg("points", std::to_string(points.size()));
-    span.arg("load_rps", std::to_string(q.load_rps));
-    span.arg("requests", std::to_string(q.requests));
-  }
-  obs::log(obs::LogLevel::kInfo, "serving", "capacity_grid",
-           {{"net", net.name()},
-            {"points", std::to_string(points.size())},
-            {"load_rps", std::to_string(q.load_rps)}});
-  // One task per point into its pre-sized slot: each simulation depends only
-  // on (point, query), so the result vector is byte-identical whether the
-  // pool has 1 worker or 64 (§7's guarantee, extended to request-level stats).
-  std::vector<CapacityCandidate> out(points.size());
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(points.size(), [&](std::size_t i) {
-    out[i] = evaluate(net, points[i], q, fixed);
-  });
-  return out;
+  return evaluate_points(net, q, fixed ? to_string(*fixed) : "oracle", pool,
+                         [&](const ServingPoint& p) {
+                           return evaluate(net, p, q, fixed);
+                         });
 }
 
 std::vector<CapacityCandidate> CapacityPlanner::evaluate_grid(
     const Network& net, const CapacityQuery& q,
     const ServiceModelFactory& factory, ThreadPool* pool) const {
-  const std::vector<ServingPoint> points = ServingSimulator::grid_points();
-  obs::Span span("serving.capacity_grid");
-  if (span.active()) {
-    span.arg("net", net.name());
-    span.arg("points", std::to_string(points.size()));
-    span.arg("dispatch", "factory");
-  }
-  obs::log(obs::LogLevel::kInfo, "serving", "capacity_grid",
-           {{"net", net.name()},
-            {"points", std::to_string(points.size())},
-            {"dispatch", "factory"}});
-  // Same pre-sized-slot discipline as the fixed-cost grid: each point's model
-  // comes from the (thread-safe) factory and depends only on the point, so
-  // the result vector is byte-identical across pool sizes.
-  std::vector<CapacityCandidate> out(points.size());
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(points.size(), [&](std::size_t i) {
-    out[i] = evaluate(net, points[i], q, factory);
-  });
-  return out;
+  return evaluate_points(net, q, "factory", pool,
+                         [&](const ServingPoint& p) {
+                           return evaluate(net, p, q, factory);
+                         });
 }
 
 std::optional<CapacityCandidate> CapacityPlanner::cheapest(

@@ -1,15 +1,15 @@
-// Request-level, discrete-event serving simulator and SLO capacity planner.
+// Request-level serving simulator and SLO capacity planner.
 //
 // Layers what users actually experience — queueing delay, tail latency, SLO
 // attainment under bursty traffic — on top of the steady-state co-location
-// simulator (serving.h). The event loop is fully deterministic: simulated
-// time is a cycle counter (no wall clock), arrivals come from seeded
-// processes (arrivals.h), batches are cut by pluggable policies (batching.h),
-// and each instance's service time per image comes from the same SweepDriver
+// simulator (serving.h). simulate_requests runs the repo's one serving event
+// loop (fleet.h) as a one-chip, one-model, zero-hop fleet: simulated time is
+// a cycle counter (no wall clock), arrivals come from seeded processes
+// (arrivals.h), batches are cut by pluggable policies (batching.h), and each
+// instance's service time per image comes from the same SweepDriver
 // per-layer cycle model every figure is built from. Same seed + same grid ⇒
-// byte-identical stats, regardless of VLACNN_THREADS (the per-point sims are
-// independent; the planner writes them into pre-sized slots, extending the
-// repo's parallel-equals-serial guarantee to request-level results).
+// byte-identical stats, regardless of VLACNN_THREADS (the planner writes
+// independent per-point sims into pre-sized slots).
 //
 // Units: all latencies and timestamps are **cycles**; ServingStats converts
 // to milliseconds only at a caller-supplied clock (2 GHz everywhere else in
@@ -203,22 +203,14 @@ struct RequestSimConfig {
   std::size_t queue_capacity = 0; ///< waiting-room bound; 0 = unbounded
   double slo_cycles = 0;          ///< latency deadline for attainment; 0 = off
 
-  /// Timeline hook (obs/timeline.h). When set, the event loop drives this
-  /// caller-owned recorder (finish() is called with the final makespan) and
-  /// nothing is sunk globally. When null and the VLACNN_TIMELINE knob is on,
-  /// the loop creates its own recorder and records the finished block in
-  /// TimelineSink::global() under `timeline_label` (auto-sequenced when
-  /// empty — parallel drivers must label; the capacity planner does).
+  /// Caller-owned recorders (obs/timeline.h, obs/reqtrace.h): the loop
+  /// drives each one, calls finish(), and sinks nothing — the capacity
+  /// planner labels its blocks by grid point this way. When null and the
+  /// VLACNN_TIMELINE / VLACNN_REQTRACE knob is on, the loop owns a recorder
+  /// (default config, no per-layer trace segments) and sinks its block under
+  /// the label (auto-sequenced when empty — parallel drivers must label).
   obs::TimelineRecorder* timeline = nullptr;
   std::string timeline_label;
-
-  /// Request-trace hook (obs/reqtrace.h), same ownership contract as
-  /// `timeline`: a caller-owned recorder is driven by the loop (finish() is
-  /// called; nothing is sunk globally — the capacity planner uses this to
-  /// label blocks by grid point). When null and the VLACNN_REQTRACE knob is
-  /// on, the loop creates its own recorder (default config, no per-layer
-  /// segments) and records the block in ReqTraceSink::global() under
-  /// `reqtrace_label` (auto-sequenced when empty).
   obs::RequestTraceRecorder* reqtrace = nullptr;
   std::string reqtrace_label;
 
@@ -228,19 +220,19 @@ struct RequestSimConfig {
   std::vector<RequestRecord>* request_log = nullptr;
 };
 
-/// Run the discrete-event loop to exhaustion: every arrival the process
-/// produces is either served or dropped, and all in-flight batches complete.
-/// Deterministic: event order is (time, completions < arrivals < flushes,
-/// FIFO seq). Single-threaded and allocation-light — callers parallelize
-/// across *simulations*, never within one. ~O(requests * log instances).
+/// Run the serving loop (fleet.h) to exhaustion as a one-chip, one-model,
+/// zero-hop fleet driven by the caller's `policy`: every arrival is served or
+/// dropped, and all in-flight batches complete. Deterministic: event order is
+/// (time, completions < arrivals < flushes, FIFO seq). Single-threaded —
+/// callers parallelize across *simulations*. ~O(requests * log instances).
 ServingStats simulate_requests(const RequestSimConfig& cfg,
                                ArrivalProcess& arrivals,
                                BatchingPolicy& policy);
 
-/// The same loop compiled with every observability hook (metrics, trace,
-/// timeline) removed — the baseline side of bench_obs_overhead's serving
-/// gate. Produces identical ServingStats and request_log; cfg.timeline is
-/// ignored.
+/// The same loop's no-obs instantiation (every metrics, trace, timeline and
+/// request-trace hook compiled out) — the baseline side of
+/// bench_obs_overhead's serving gate. Identical ServingStats and request_log;
+/// the recorder hooks are ignored.
 ServingStats simulate_requests_no_obs(const RequestSimConfig& cfg,
                                       ArrivalProcess& arrivals,
                                       BatchingPolicy& policy);

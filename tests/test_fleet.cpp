@@ -1,7 +1,8 @@
 // Tests for the multi-chip fleet simulator (DESIGN.md §15): traffic mix,
 // routing policies, the fleet event loop (hand-computed hop schedules, exact
-// four-span attribution, single-chip equivalence), placement, drops, and the
-// fleet capacity planner's thread-count determinism.
+// four-span attribution, single-chip equivalence, per-queue service models,
+// caller-owned recorders), placement, drops, and the fleet capacity
+// planner's thread-count determinism.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,6 +16,8 @@
 #include "area/area_model.h"
 #include "common/thread_pool.h"
 #include "net/network.h"
+#include "obs/reqtrace.h"
+#include "obs/timeline.h"
 #include "serving/fleet.h"
 #include "serving/fleet_planner.h"
 #include "serving/request_sim.h"
@@ -215,6 +218,20 @@ TEST(FleetSim, SingleChipHopZeroMatchesSimulateRequests) {
   ASSERT_EQ(fleet.per_chip.size(), 1u);
   EXPECT_EQ(fleet.per_chip[0].to_json(), single.to_json());
   EXPECT_EQ(fleet.mean_router_hop, 0.0);
+
+  // A wait split whose naive head leaves a rounding residue: one busy
+  // instance, the second request queued behind it.
+  const BatchCostModel big{11338766440.261736, 11338766440.261736};
+  RequestSimConfig sc2;
+  sc2.cost = big;
+  TraceArrivals a3({0.0, 5116220409.0583754});
+  NoBatchPolicy p3;
+  const ServingStats single2 = simulate_requests(sc2, a3, p3);
+  FleetConfig fc2 = fleet_config(1, 1, {big});
+  TraceArrivals a4({0.0, 5116220409.0583754});
+  const FleetStats fleet2 = simulate_fleet(fc2, a4);
+  EXPECT_EQ(fleet2.fleet.to_json(), single2.to_json());
+  EXPECT_EQ(single2.mean_formation_wait, 0.0);
 }
 
 TEST(FleetSim, HandComputedHopSchedule) {
@@ -317,6 +334,87 @@ TEST(FleetSim, PlacementRestrictsRouting) {
     }
   }
   EXPECT_GT(model0, 0);  // the mix actually produced model-0 traffic
+}
+
+TEST(FleetSim, ServiceModelOverridesOneQueue) {
+  // A per-(chip, model) ServiceModel replaces that queue's cost model: one
+  // wrapping the same coefficients reproduces the plain run byte for byte,
+  // is called once per batch it serves, and its dispatch notes reach exactly
+  // the traces of that queue.
+  class NotingModel final : public ServiceModel {
+   public:
+    explicit NotingModel(BatchCostModel cost) : cost_(cost) {}
+    double service_cycles(int batch) override {
+      ++calls;
+      return cost_.service_cycles(batch);
+    }
+    void trace_annotations(std::vector<obs::TraceNote>& out) override {
+      out.push_back({"plan", "noted"});
+    }
+    int calls = 0;
+
+   private:
+    BatchCostModel cost_;
+  };
+  const std::vector<BatchCostModel> costs = {{300.0, 150.0}, {200.0, 100.0}};
+  FleetConfig fc = fleet_config(2, 1, costs, 2);
+  PoissonArrivals a1(400.0, 600, 5);
+  const FleetStats plain = simulate_fleet(fc, a1);
+
+  NotingModel model(costs[0]);
+  fc.chips[1].services = {&model, nullptr};
+  fc.chips[1].costs[0] = {0.0, 0.0};  // overridden: never read or validated
+  std::vector<FleetRequestRecord> log;
+  fc.request_log = &log;
+  obs::ReqTraceConfig rtc;
+  rtc.top_k = 10000;
+  rtc.head_every = 1;  // keep every trace
+  obs::RequestTraceRecorder rec(rtc);
+  fc.reqtrace = &rec;
+  PoissonArrivals a2(400.0, 600, 5);
+  const FleetStats s = simulate_fleet(fc, a2);
+  EXPECT_EQ(s.to_json(), plain.to_json());
+
+  int served = 0;  // nobatch: one batch per request on chip 1, model 0
+  for (const FleetRequestRecord& r : log) served += r.chip == 1 && r.model == 0;
+  EXPECT_GT(served, 0);
+  EXPECT_EQ(model.calls, served);
+  int noted = 0;
+  for (const obs::RequestTrace& t : rec.sampled()) {
+    if (t.notes.empty()) continue;
+    ++noted;
+    EXPECT_EQ(t.chip, 1);
+  }
+  EXPECT_EQ(noted, served);
+}
+
+TEST(FleetSim, CallerOwnedRecordersSeeTheWholeFleet) {
+  // Caller-owned recorders are fed every chip's events and finished at the
+  // fleet makespan; nothing reaches the global sinks in that mode.
+  obs::TimelineSink::global().reset();
+  obs::ReqTraceSink::global().reset();
+  FleetConfig fc = fleet_config(2, 2, {{300.0, 150.0}});
+  fc.queue_capacity = 2;
+  obs::TimelineConfig tc;
+  tc.interval_cycles = 1000.0;
+  tc.instances = 4;
+  obs::TimelineRecorder timeline(tc);
+  obs::RequestTraceRecorder reqtrace(obs::ReqTraceConfig{});
+  fc.timeline = &timeline;
+  fc.reqtrace = &reqtrace;
+  PoissonArrivals arrivals(60.0, 800, 9);
+  const FleetStats s = simulate_fleet(fc, arrivals);
+  EXPECT_GT(s.fleet.dropped, 0u);
+  ASSERT_FALSE(timeline.snapshots().empty());
+  const obs::TimelineSnapshot& last = timeline.snapshots().back();
+  EXPECT_EQ(last.t_end, s.fleet.makespan);
+  EXPECT_EQ(last.cum_offered, s.fleet.offered);
+  EXPECT_EQ(last.cum_completed, s.fleet.completed);
+  EXPECT_EQ(last.cum_dropped, s.fleet.dropped);
+  EXPECT_EQ(reqtrace.offered(), s.fleet.offered);
+  EXPECT_EQ(reqtrace.completed(), s.fleet.completed);
+  EXPECT_EQ(obs::TimelineSink::global().block_count(), 0u);
+  EXPECT_EQ(obs::ReqTraceSink::global().block_count(), 0u);
 }
 
 TEST(FleetSim, PerModelSlicesCoverEveryRequest) {

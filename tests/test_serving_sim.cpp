@@ -450,6 +450,20 @@ TEST(RequestSim, AttributionHandComputedBusyQueue) {
   }
   EXPECT_EQ(s.mean_queue_wait, s.mean_wait);
   EXPECT_EQ(s.mean_formation_wait, 0.0);
+
+  // Awkward magnitudes: request 2 waits only while the instance is busy, so
+  // its wait is all queueing. Splitting the wait span itself leaves no
+  // rounding residue; splitting around (dispatch - arrival) - formation_wait
+  // would report ~1e-6 cycles of formation wait here.
+  std::vector<RequestRecord> log2;
+  RequestSimConfig c2 = config(1, 11338766440.261736, 11338766440.261736);
+  c2.request_log = &log2;
+  TraceArrivals arrivals2({0.0, 5116220409.0583754});
+  const ServingStats s2 = simulate_requests(c2, arrivals2, policy);
+  ASSERT_EQ(log2.size(), 2u);
+  EXPECT_EQ(log2[1].formation_wait, 0.0);
+  EXPECT_EQ(log2[1].queue_wait, 6222546031.2033615);
+  EXPECT_EQ(s2.mean_formation_wait, 0.0);
 }
 
 TEST(RequestSim, NoObsVariantMatchesInstrumentedLoopByteForByte) {

@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "area/area_model.h"
+#include "common/rng.h"
 #include "core/conv_engine.h"
 #include "core/selector.h"
 #include "net/models.h"
@@ -346,29 +347,6 @@ TEST(HeuristicSelector, MatchesHeadlineRules) {
   EXPECT_EQ(sel.select(ConvLayerDesc{512, 14, 14, 512, 1, 1, 1, 0}, 512,
                        1u << 20),
             Algo::kGemm6);
-}
-
-TEST_F(SweepTest, ForestSelectorLearnsTheSweep) {
-  ResultsDb db(path_);
-  SweepDriver driver(&db);
-  const Network net = tiny_net();
-  ForestParams p;
-  p.n_trees = 30;
-  ForestSelector sel = ForestSelector::train(driver, {&net}, {512, 1024},
-                                             {1u << 20, 4u << 20}, p);
-  // On its own training grid the selector must mostly agree with the argmin.
-  const auto descs = net.conv_descs();
-  int agree = 0, total = 0;
-  for (std::uint32_t vlen : {512u, 1024u}) {
-    for (std::uint64_t l2 : {1ull << 20, 4ull << 20}) {
-      const auto opt = driver.network_optimal(net, vlen, l2);
-      for (std::size_t i = 0; i < descs.size(); ++i) {
-        agree += sel.select(descs[i], vlen, l2) == opt.plan[i];
-        ++total;
-      }
-    }
-  }
-  EXPECT_GE(agree, total * 3 / 4);
 }
 
 TEST(ConvEngine, RunAndEstimate) {
