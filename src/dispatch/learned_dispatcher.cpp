@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -11,6 +10,7 @@
 
 #include "algos/conv_args.h"
 #include "ml/dataset.h"
+#include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/reqtrace.h"
 #include "report/collector.h"
@@ -182,11 +182,6 @@ double LearnedDispatcher::service_cycles(int batch) {
 }
 
 void LearnedDispatcher::trace_annotations(std::vector<obs::TraceNote>& out) {
-  const auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
   out.push_back({"dispatch", "learned"});
   std::string plan;
   for (std::size_t l = 0; l < plan_.size(); ++l) {
@@ -201,11 +196,12 @@ void LearnedDispatcher::trace_annotations(std::vector<obs::TraceNote>& out) {
   }
   out.push_back({"explore", explored.empty() ? "none" : std::move(explored)});
   out.push_back({"converged", converged() ? "true" : "false"});
-  out.push_back({"conv_cycles_per_image", num(last_per_image_)});
-  out.push_back({"oracle_cycles_per_image", num(oracle_per_image_)});
+  out.push_back({"conv_cycles_per_image", obs::g17(last_per_image_)});
+  out.push_back({"oracle_cycles_per_image", obs::g17(oracle_per_image_)});
   out.push_back(
       {"selector_cycles_per_image",
-       num(static_cast<double>(stats_.layers) * cfg_.dispatch_cycles_per_layer)});
+       obs::g17(static_cast<double>(stats_.layers) *
+                cfg_.dispatch_cycles_per_layer)});
 }
 
 namespace {

@@ -11,6 +11,10 @@ bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 }  // namespace
 
 Cache::Cache(const CacheConfig& config) : config_(config), ways_(config.ways) {
+  // Checked first: both are divisors below.
+  if (config.ways == 0 || config.line_bytes == 0) {
+    throw std::invalid_argument("cache: ways and line_bytes must be positive");
+  }
   if (config.size_bytes % (static_cast<std::uint64_t>(config.line_bytes) * config.ways) != 0) {
     throw std::invalid_argument("cache: size must be a multiple of line*ways");
   }

@@ -12,6 +12,13 @@ MemorySystem::MemorySystem(const MemConfig& config)
   // silently turn every bandwidth term into inf.
   if (!(config.mem_bytes_per_cycle > 0.0))
     throw std::invalid_argument("memsim: mem_bytes_per_cycle must be positive");
+  // access_via splits every access into L2-sized lines and probes each level
+  // with those line addresses, so a level with another line size would
+  // silently model a different cache.
+  if (config.l1.line_bytes != config.l2.line_bytes ||
+      config.vbuf.line_bytes != config.l2.line_bytes)
+    throw std::invalid_argument(
+        "memsim: l1 and vbuf line_bytes must equal l2 line_bytes");
 }
 
 MemorySystem::~MemorySystem() {

@@ -1,7 +1,11 @@
 #include "obs/json_util.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <stdexcept>
+#include <system_error>
 
 namespace vlacnn::obs {
 
@@ -35,14 +39,48 @@ std::string json_escaped(const std::string& s) {
   return out;
 }
 
+void append_g17(std::string& out, double v) {
+  // The longest %.17g rendering is 24 bytes ("-2.2250738585072014e-308").
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  if (r.ec != std::errc()) {
+    throw std::logic_error("append_g17: std::to_chars failed");
+  }
+  out.append(buf, r.ptr);
+}
+
+std::string g17(double v) {
+  std::string out;
+  append_g17(out, v);
+  return out;
+}
+
 void json_append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  append_g17(out, v);
+}
+
+void write_text_file(const std::string& path, const std::string& bytes,
+                     const char* who) {
+  const std::filesystem::path p(path);
+  if (p.has_parent_path()) {
+    std::error_code ec;
+    std::filesystem::create_directories(p.parent_path(), ec);
+  }
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    throw std::runtime_error(std::string(who) + ": cannot open " + path);
+  }
+  const bool wrote = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+                     bytes.size();
+  const bool closed = std::fclose(f) == 0;  // even after a short write
+  if (!wrote || !closed) {
+    throw std::runtime_error(std::string(who) + ": short write to " + path);
+  }
 }
 
 }  // namespace vlacnn::obs

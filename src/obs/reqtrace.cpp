@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <stdexcept>
 
 #include "common/rng.h"
@@ -435,21 +434,7 @@ std::string ReqTraceSink::write_file() {
       out += block;
     }
   }
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("ReqTraceSink::write_file: cannot open " + path);
-  }
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  const bool ok = written == out.size() && std::fclose(f) == 0;
-  if (!ok) {
-    throw std::runtime_error("ReqTraceSink::write_file: short write to " +
-                             path);
-  }
+  write_text_file(path, out, "ReqTraceSink::write_file");
   return path;
 }
 

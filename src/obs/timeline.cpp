@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <stdexcept>
 
 #include "obs/json_util.h"
@@ -462,21 +461,7 @@ std::string TimelineSink::write_file() {
       out += block;
     }
   }
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("TimelineSink::write_file: cannot open " + path);
-  }
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  const bool ok = written == out.size() && std::fclose(f) == 0;
-  if (!ok) {
-    throw std::runtime_error("TimelineSink::write_file: short write to " +
-                             path);
-  }
+  write_text_file(path, out, "TimelineSink::write_file");
   return path;
 }
 

@@ -1,9 +1,9 @@
 #include "report/json.h"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "obs/json_util.h"
 
 namespace vlacnn::report {
 namespace {
@@ -226,34 +226,12 @@ const Json& Json::at(const std::string& key) const {
 
 Json parse_json(const std::string& text) { return Parser(text).parse_document(); }
 
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
+std::string json_quote(const std::string& s) { return obs::json_escaped(s); }
 
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  std::string out;
+  obs::json_append_number(out, v);
+  return out;
 }
 
 }  // namespace vlacnn::report

@@ -34,12 +34,14 @@ struct Json {
 /// Parse a complete JSON document (trailing junk is an error).
 Json parse_json(const std::string& text);
 
-/// Serialize a string with JSON escaping, including the surrounding quotes.
+/// Serialize a string with JSON escaping, including the surrounding quotes
+/// (obs::json_escaped).
 std::string json_quote(const std::string& s);
 
-/// Serialize a double as a JSON number (%.17g, exact round-trip). Non-finite
-/// values are not representable in JSON and serialize as null — callers that
-/// care label them separately (see report.cpp's degenerate handling).
+/// Serialize a double as a JSON number (obs::json_append_number: printf
+/// %.17g bytes, exact round-trip). Non-finite values are not representable in
+/// JSON and serialize as null — callers that care label them separately (see
+/// report.cpp's degenerate handling).
 std::string json_number(double v);
 
 }  // namespace vlacnn::report

@@ -7,6 +7,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "obs/json_util.h"
 #include "report/json.h"
 
 namespace vlacnn::report {
@@ -24,12 +25,6 @@ VpuAttach attach_from(const std::string& s) {
   if (s == "int") return VpuAttach::kIntegratedL1;
   if (s == "dec") return VpuAttach::kDecoupledL2;
   throw std::runtime_error("report: bad attach '" + s + "'");
-}
-
-std::string fmt(const char* f, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, f, v);
-  return buf;
 }
 
 double num_at(const Json& obj, const std::string& key) {
@@ -348,8 +343,8 @@ std::string RunReport::to_csv() const {
   for (const ReportEntry& e : entries) {
     const SweepRow& r = e.row;
     const Attribution& a = e.attr;
-    // CSV is for spreadsheets, not round-tripping: %.17g here may print
-    // inf/nan, which pairs with the bound/degenerate labels.
+    // CSV is for spreadsheets, not round-tripping: obs::g17 prints inf/nan
+    // as printf does, which pairs with the bound/degenerate labels.
     out += r.key.net + "," + std::to_string(r.key.layer) + "," +
            to_string(r.key.algo) + "," + std::to_string(r.key.vlen_bits) +
            "," + std::to_string(r.key.l2_bytes) + "," +
@@ -358,29 +353,29 @@ std::string RunReport::to_csv() const {
            std::to_string(r.desc.iw) + "," + std::to_string(r.desc.oc) + "," +
            std::to_string(r.desc.kh) + "," + std::to_string(r.desc.kw) + "," +
            std::to_string(r.desc.stride) + "," + std::to_string(r.desc.pad) +
-           "," + fmt("%.17g", r.cycles) + "," + fmt("%.17g", r.avg_vl) + "," +
-           fmt("%.17g", r.l2_miss_rate) + "," + fmt("%.17g", r.mem_bytes) +
-           "," + fmt("%.17g", r.flops) + "," +
+           "," + obs::g17(r.cycles) + "," + obs::g17(r.avg_vl) + "," +
+           obs::g17(r.l2_miss_rate) + "," + obs::g17(r.mem_bytes) +
+           "," + obs::g17(r.flops) + "," +
            (r.has_breakdown ? "1" : "0") + ",";
     if (r.has_breakdown) {
-      out += fmt("%.17g", r.bd.compute_cycles) + "," +
-             fmt("%.17g", r.bd.mem_issue_cycles) + "," +
-             fmt("%.17g", r.bd.mem_stall_cycles) + "," +
-             fmt("%.17g", r.bd.scalar_cycles) + "," +
-             fmt("%.17g", r.bd.vec_instructions) + "," +
-             fmt("%.17g", r.bd.vec_elems) + "," +
-             fmt("%.17g", r.bd.l1_accesses) + "," +
-             fmt("%.17g", r.bd.l1_misses) + "," +
-             fmt("%.17g", r.bd.l2_accesses) + "," +
-             fmt("%.17g", r.bd.l2_misses) + ",";
+      out += obs::g17(r.bd.compute_cycles) + "," +
+             obs::g17(r.bd.mem_issue_cycles) + "," +
+             obs::g17(r.bd.mem_stall_cycles) + "," +
+             obs::g17(r.bd.scalar_cycles) + "," +
+             obs::g17(r.bd.vec_instructions) + "," +
+             obs::g17(r.bd.vec_elems) + "," +
+             obs::g17(r.bd.l1_accesses) + "," +
+             obs::g17(r.bd.l1_misses) + "," +
+             obs::g17(r.bd.l2_accesses) + "," +
+             obs::g17(r.bd.l2_misses) + ",";
     } else {
       out += ",,,,,,,,,,";
     }
-    out += fmt("%.17g", a.vec_utilization) + "," +
-           fmt("%.17g", a.arith_intensity) + "," +
-           fmt("%.17g", a.achieved_flops_per_cycle) + "," +
-           fmt("%.17g", a.attainable_flops_per_cycle) + "," +
-           fmt("%.17g", a.roofline_efficiency) + "," + to_string(a.bound) +
+    out += obs::g17(a.vec_utilization) + "," +
+           obs::g17(a.arith_intensity) + "," +
+           obs::g17(a.achieved_flops_per_cycle) + "," +
+           obs::g17(a.attainable_flops_per_cycle) + "," +
+           obs::g17(a.roofline_efficiency) + "," + to_string(a.bound) +
            "," + a.degenerate + "\n";
   }
   // Per-phase cells get their own block below the entry table (a spreadsheet
@@ -390,13 +385,13 @@ std::string RunReport::to_csv() const {
         "\nkey,phase,cycles,compute_cycles,mem_issue_cycles,mem_stall_cycles,"
         "scalar_cycles,avg_vl,l1_miss_rate,l2_miss_rate,mem_bytes\n";
     for (const PhaseCell& c : phases) {
-      out += c.key + "," + c.phase + "," + fmt("%.17g", c.cycles) + "," +
-             fmt("%.17g", c.compute_cycles) + "," +
-             fmt("%.17g", c.mem_issue_cycles) + "," +
-             fmt("%.17g", c.mem_stall_cycles) + "," +
-             fmt("%.17g", c.scalar_cycles) + "," + fmt("%.17g", c.avg_vl) +
-             "," + fmt("%.17g", c.l1_miss_rate) + "," +
-             fmt("%.17g", c.l2_miss_rate) + "," + fmt("%.17g", c.mem_bytes) +
+      out += c.key + "," + c.phase + "," + obs::g17(c.cycles) + "," +
+             obs::g17(c.compute_cycles) + "," +
+             obs::g17(c.mem_issue_cycles) + "," +
+             obs::g17(c.mem_stall_cycles) + "," +
+             obs::g17(c.scalar_cycles) + "," + obs::g17(c.avg_vl) +
+             "," + obs::g17(c.l1_miss_rate) + "," +
+             obs::g17(c.l2_miss_rate) + "," + obs::g17(c.mem_bytes) +
              "\n";
     }
   }

@@ -1,12 +1,12 @@
 #include "sweep/results_db.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <vector>
 
 #include "common/csv.h"
+#include "obs/json_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 
@@ -62,15 +62,6 @@ const std::vector<std::string> kHeader = [] {
   return h;
 }();
 
-std::string fmt(double v) {
-  // %.17g round-trips every IEEE-754 double exactly: a reloaded cache is
-  // bit-identical to the run that wrote it, so near-tie algorithm picks in
-  // network_optimal cannot flip between cold and cached runs.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::vector<std::string> to_fields(const SweepRow& r) {
   std::vector<std::string> f = {
       r.key.net,
@@ -88,17 +79,20 @@ std::vector<std::string> to_fields(const SweepRow& r) {
       std::to_string(r.desc.kw),
       std::to_string(r.desc.stride),
       std::to_string(r.desc.pad),
-      fmt(r.cycles),
-      fmt(r.avg_vl),
-      fmt(r.l2_miss_rate),
-      fmt(r.mem_bytes),
-      fmt(r.flops)};
+      // %.17g round-trips every IEEE-754 double exactly: a reloaded cache is
+      // bit-identical to the run that wrote it, so near-tie algorithm picks
+      // in network_optimal cannot flip between cold and cached runs.
+      obs::g17(r.cycles),
+      obs::g17(r.avg_vl),
+      obs::g17(r.l2_miss_rate),
+      obs::g17(r.mem_bytes),
+      obs::g17(r.flops)};
   if (r.has_breakdown) {
     for (double v : {r.bd.compute_cycles, r.bd.mem_issue_cycles,
                      r.bd.mem_stall_cycles, r.bd.scalar_cycles,
                      r.bd.vec_instructions, r.bd.vec_elems, r.bd.l1_accesses,
                      r.bd.l1_misses, r.bd.l2_accesses, r.bd.l2_misses}) {
-      f.push_back(fmt(v));
+      f.push_back(obs::g17(v));
     }
   } else {
     f.insert(f.end(), kHeader.size() - kHeaderV1.size(), std::string());

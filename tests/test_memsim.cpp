@@ -20,6 +20,10 @@ TEST(Cache, ConfigArithmetic) {
 TEST(Cache, RejectsNonPow2Sets) {
   // 3 ways of 64B lines in 1024 bytes -> not divisible cleanly.
   EXPECT_THROW(Cache(CacheConfig{1000, 2, 64, 1}), std::invalid_argument);
+  // Zero ways or zero-byte lines: rejected before either is used as a
+  // divisor (which would raise SIGFPE).
+  EXPECT_THROW(Cache(CacheConfig{1024, 0, 64, 1}), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheConfig{1024, 2, 0, 1}), std::invalid_argument);
 }
 
 TEST(Cache, ColdMissesThenHits) {
@@ -209,6 +213,21 @@ TEST(MemorySystem, ConstructorRejectsNonPositiveBandwidth) {
   EXPECT_THROW(MemorySystem{cfg}, std::invalid_argument);
   cfg.mem_bytes_per_cycle = 6.4;
   EXPECT_NO_THROW(MemorySystem{cfg});
+}
+
+TEST(MemorySystem, ConstructorRejectsLineSizeMismatch) {
+  // access_via indexes every level with L2's line size; a first level with
+  // another line size would silently model a different cache.
+  MemConfig cfg = tiny_mem();
+  cfg.l1 = {1024, 2, 32, 4};
+  EXPECT_THROW(MemorySystem{cfg}, std::invalid_argument);
+  cfg = tiny_mem();
+  cfg.vbuf = {256, 2, 128, 1};
+  EXPECT_THROW(MemorySystem{cfg}, std::invalid_argument);
+  cfg = tiny_mem();
+  cfg.l2 = {8192, 4, 128, 20};
+  EXPECT_THROW(MemorySystem{cfg}, std::invalid_argument);
+  EXPECT_NO_THROW(MemorySystem{tiny_mem()});
 }
 
 TEST(MemorySystem, L2HitAfterL1Eviction) {

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -24,9 +25,12 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "obs/kernprof.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/reqtrace.h"
 #include "obs/sketch.h"
+#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "sweep/sweep.h"
 
@@ -752,6 +756,48 @@ TEST(ObsRegistry, HostileInstrumentNamesStayParseable) {
   EXPECT_EQ(root.find("float_gauges")->find(f_name)->number, 1.25);
   ASSERT_NE(root.find("histograms")->find(h_name), nullptr);
   EXPECT_EQ(root.find("histograms")->find(h_name)->find("count")->number, 1.0);
+}
+
+// A short write must still close the file: /dev/full opens fine and fails
+// every write with ENOSPC, and a block larger than stdio's buffer makes
+// fwrite itself come back short.
+template <typename Sink>
+void expect_short_write_closes(Sink& sink, std::string (*get_path)(),
+                               void (*set_path)(const std::string&),
+                               const std::string& who) {
+  const auto open_fds = [] {
+    std::filesystem::directory_iterator it("/proc/self/fd");
+    return std::distance(begin(it), end(it));
+  };
+  const std::string before = get_path();
+  set_path("/dev/full");
+  sink.reset();
+  sink.record("big", std::string(1 << 20, 'x'));
+  const auto fds = open_fds();
+  for (int i = 0; i < 5; ++i) {
+    try {
+      sink.write_file();
+      ADD_FAILURE() << who << " reported success writing /dev/full";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), who + ": short write to /dev/full");
+    }
+  }
+  EXPECT_EQ(open_fds(), fds) << who << " leaked a descriptor";
+  sink.reset();
+  set_path(before);
+}
+
+TEST(ObsSinks, ShortWriteClosesTheFile) {
+  if (!std::filesystem::exists("/dev/full") ||
+      !std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "needs /dev/full and /proc/self/fd";
+  }
+  expect_short_write_closes(obs::TimelineSink::global(), obs::timeline_path,
+                            obs::set_timeline_path, "TimelineSink::write_file");
+  expect_short_write_closes(obs::ReqTraceSink::global(), obs::reqtrace_path,
+                            obs::set_reqtrace_path, "ReqTraceSink::write_file");
+  expect_short_write_closes(obs::KernProfSink::global(), obs::kernprof_path,
+                            obs::set_kernprof_path, "KernProfSink::write_file");
 }
 
 TEST(ObsTrace, HostileSpanArgsStayParseable) {

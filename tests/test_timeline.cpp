@@ -3,12 +3,16 @@
 // timeline recorder against a fully hand-traced event sequence (every
 // snapshot field), burn-rate/alert threshold crossings, JSONL parse-back
 // through the product JSON parser, the sorted-label sink, the env-knob
-// surface, and the pin that keeps obs/json_util.h and report/json.h emitting
-// identical bytes.
+// surface, and the pin that keeps the shared number formatter
+// (obs/json_util.h) emitting printf's %.17g bytes.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -17,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/json_util.h"
 #include "obs/sketch.h"
 #include "obs/timeline.h"
@@ -438,12 +443,66 @@ TEST(TimelineKnobs, ProgrammaticSettersGateAndValidate) {
   obs::set_timeline_path(before_path);
 }
 
-// -- obs/json_util <-> report/json contract ----------------------------------
+// -- obs/json_util: the one number formatter and string escaper --------------
 
-TEST(ObsJsonUtil, MatchesReportJsonByteForByte) {
-  // The obs layer cannot link against report/json.h (layering), so it carries
-  // its own escaper/number formatter with the same contract. This test is the
-  // pin: if either side changes, the two layers' files drift apart.
+std::string printf_g17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(ObsJsonUtil, NumbersMatchPrintfAndStringsRoundTrip) {
+  // Every artifact writer renders doubles through obs::append_g17
+  // (std::to_chars), and the committed artifacts were written with printf's
+  // %.17g. This is the oracle that the two agree byte for byte.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> numbers = {
+      0.0, -0.0, inf, -inf, nan, -nan,
+      DBL_TRUE_MIN, DBL_MIN, DBL_MAX, 1.0 / 3.0, 123456789.123456789, -2.5,
+      // 2^53 + 1 has no double (it rounds to 2^53); its neighbours do.
+      0x1p53, 0x1p53 + 1, std::nextafter(0x1p53, 0.0),
+      std::nextafter(0x1p53, inf)};
+  // Every power of ten with both neighbours: %g switches to exponent
+  // notation below 1e-4 and from 1e17 up, and rounding to 17 digits can
+  // carry into the next decade.
+  for (int e = -320; e <= 308; ++e) {
+    const double p = std::strtod(("1e" + std::to_string(e)).c_str(), nullptr);
+    for (double v : {std::nextafter(p, 0.0), p, std::nextafter(p, inf)}) {
+      numbers.push_back(v);
+      numbers.push_back(-v);
+    }
+  }
+  for (double v : numbers) {
+    std::string out;
+    obs::append_g17(out, v);
+    ASSERT_EQ(out, printf_g17(v)) << std::hexfloat << v;
+    EXPECT_EQ(obs::g17(v), out);
+  }
+  // Seeded bit patterns cover every exponent, payload-carrying NaNs and the
+  // subnormal range in proportion.
+  Rng rng(0x5eedf0f17ull);
+  for (int i = 0; i < (1 << 20); ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    const std::string got = obs::g17(v);
+    ASSERT_EQ(got, printf_g17(v)) << std::hex << bits;
+  }
+
+  // The JSON wrapper writes null for what JSON cannot spell, and the
+  // formatter's bytes otherwise; report::json_number is the same function.
+  for (double v : numbers) {
+    std::string out;
+    obs::json_append_number(out, v);
+    EXPECT_EQ(out, std::isfinite(v) ? printf_g17(v) : "null") << v;
+    EXPECT_EQ(report::json_number(v), out);
+  }
+
+  // One escaper serves every writer: shorthand escapes, \u00xx for the other
+  // control bytes, everything else verbatim, and parse-back to the same bytes.
+  EXPECT_EQ(obs::json_escaped("q\"b\\t\tn\nr\r\x01\x1f\x7f\xc3\xa9"),
+            "\"q\\\"b\\\\t\\tn\\nr\\r\\u0001\\u001f\x7f\xc3\xa9\"");
   const std::vector<std::string> strings = {
       "",
       "plain",
@@ -452,22 +511,7 @@ TEST(ObsJsonUtil, MatchesReportJsonByteForByte) {
       "run000001/cores4/vlen1024",
   };
   for (const std::string& s : strings) {
-    EXPECT_EQ(obs::json_escaped(s), report::json_quote(s)) << s;
-  }
-  const std::vector<double> numbers = {
-      0.0, -0.0, 1.0, 0.1, 1e-300, 1.7976931348623157e308,
-      123456789.123456789, -2.5,
-      std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity(),
-      std::numeric_limits<double>::quiet_NaN(),
-  };
-  for (double v : numbers) {
-    std::string obs_out;
-    obs::json_append_number(obs_out, v);
-    EXPECT_EQ(obs_out, report::json_number(v)) << v;
-  }
-  // Escaped output always parses back to the original bytes.
-  for (const std::string& s : strings) {
+    EXPECT_EQ(report::json_quote(s), obs::json_escaped(s)) << s;
     EXPECT_EQ(report::parse_json(obs::json_escaped(s)).string, s) << s;
   }
 }
