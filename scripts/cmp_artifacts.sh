@@ -5,9 +5,10 @@
 #
 # Each build runs the ci.sh commands on its own private copy of
 # results/sweep_cache.csv, then each pair of artifacts is cmp'ed. The report
-# JSON carries host wall_ms, so it is compared with
-# `vlacnn-report diff --budget-pct 0` instead, which must list no changed key.
-# The ci.sh gates compare two thread counts of one build; this compares two
+# JSON carries host wall time on its `  "wall_ms": ` line, so each report JSON
+# is cmp'ed with that one line masked; the fig01 report also goes through
+# `vlacnn-report diff --budget-pct 0`, which must list no changed key. The
+# ci.sh gates compare two thread counts of one build; this compares two
 # builds, so it also sees a byte drift that both thread counts share.
 #
 # VLACNN_*/REPRO_* knobs from the caller's environment are cleared. Outputs go
@@ -46,8 +47,16 @@ produce() {
   "${cap[@]}" --reqtrace "$d/capacity-reqtrace.jsonl" >/dev/null
   "${cap[@]}" --dispatch learned \
     --reqtrace "$d/capacity-learned-reqtrace.jsonl" >/dev/null
+  # Request-sim, dispatch and timeline report cells. The default cadence
+  # would write ~350 MB here; the fleet run below covers it.
+  VLACNN_REPORT="$d/report-capacity" VLACNN_TIMELINE_INTERVAL=1e9 \
+    "${cap[@]}" --dispatch learned \
+    --timeline "$d/capacity-learned-timeline.jsonl" >/dev/null
   "${fleet[@]}" --json "$d/fleet.json" >/dev/null
   "${fleet[@]}" --hop 1000 --reqtrace "$d/fleet-reqtrace.jsonl" >/dev/null
+  # Fleet report cells, and the per-chip (<label>/chipNN) timeline blocks.
+  VLACNN_REPORT="$d/report-fleet" "${fleet[@]}" \
+    --timeline "$d/fleet-timeline.jsonl" >/dev/null
   VLACNN_REPORT="$d/report" "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
   VLACNN_KERNPROF="$d/fig01-kernprof.jsonl" \
     "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
@@ -56,6 +65,12 @@ produce() {
   REPRO_RESULTS_DIR="$d/cold" VLACNN_THREADS=1 \
     "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
   unset REPRO_RESULTS_DIR
+  # The one line of host wall time, masked so the rest of each report JSON
+  # can be cmp'ed.
+  local json
+  for json in "$d"/report*/*.report.json; do
+    sed -E 's/^(  "wall_ms": ).*$/\1(masked)/' "$json" > "$json.masked"
+  done
 }
 
 echo "cmp_artifacts: producing with $OLD"
@@ -64,9 +79,11 @@ echo "cmp_artifacts: producing with $NEW"
 produce "$NEW" "$OUT/new"
 
 fail=0
+reports=$(cd "$OUT/new" && ls report*/*.report.csv report*/*.report.json.masked)
 for f in capacity.json capacity-learned.json capacity-timeline.jsonl \
-         capacity-reqtrace.jsonl capacity-learned-reqtrace.jsonl fleet.json \
-         fleet-reqtrace.jsonl fig01-kernprof.jsonl "report/$REPORT.csv" \
+         capacity-reqtrace.jsonl capacity-learned-reqtrace.jsonl \
+         capacity-learned-timeline.jsonl fleet.json fleet-reqtrace.jsonl \
+         fleet-timeline.jsonl fig01-kernprof.jsonl $reports \
          cold/sweep_cache.csv; do
   if cmp -s "$OUT/old/$f" "$OUT/new/$f"; then
     echo "identical  $f ($(wc -c < "$OUT/new/$f") bytes)"

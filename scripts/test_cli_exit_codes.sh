@@ -23,8 +23,10 @@ TMP="$BUILD_DIR/cli-exit-gate"
 rm -rf "$TMP"; mkdir -p "$TMP"
 fail=0
 
-# expect <want-code> <check-usage:yes|no> <label> -- cmd args...
-# check-usage=yes additionally asserts the usage text landed on stderr only.
+# expect <want-code> <check> <label> -- cmd args...
+# check=yes additionally asserts the usage text landed on stderr only; no
+# checks nothing more; anything else is an extended regex stderr must match,
+# with no usage text on either stream (a runtime error, not a usage error).
 expect() {
   local want="$1" usage="$2" label="$3"; shift 4
   local out="$TMP/out" err="$TMP/err" got=0
@@ -34,6 +36,14 @@ expect() {
     sed 's/^/  stderr: /' "$err" >&2
     fail=1
     return
+  fi
+  if [ "$usage" != yes ] && [ "$usage" != no ]; then
+    if ! grep -qE "$usage" "$err" || grep -q '^usage:' "$out" "$err"; then
+      echo "FAIL: $label: stderr lacks /$usage/ or carries usage text" >&2
+      sed 's/^/  stderr: /' "$err" >&2
+      fail=1
+      return
+    fi
   fi
   if [ "$usage" = yes ]; then
     if ! grep -q '^usage:' "$err"; then
@@ -102,6 +112,38 @@ printf '%s\n%s\n%s\n' \
 expect 1 no "report: profile fold mismatch" -- "$REP" profile "$TMP/broken-fold.jsonl"
 expect 1 no "report: profile point no match" \
   -- "$REP" profile "$TMP/broken-fold.jsonl" --point nosuchlayer
+
+# Malformed JSONL: a mistyped field is an error, not a silent 0 or an
+# "(unlabeled run)", and every per-line error names file:line.
+printf '%s\n' \
+  '{"type":"header","interval_cycles":1000,"rolling_window":8,"sketch_relative_error":0.01,"slo_cycles":"x","attainment_target":0.99,"alert_threshold":1,"instances":1}' \
+  > "$TMP/string-slo.jsonl"
+expect 1 'string-slo\.jsonl:1: .*"slo_cycles"' "report: timeline number field holds a string" \
+  -- "$REP" timeline "$TMP/string-slo.jsonl"
+printf '%s\n' '{"type":"run","label":7}' > "$TMP/number-label.jsonl"
+expect 1 'number-label\.jsonl:1: .*"label"' "report: run label holds a number" \
+  -- "$REP" requests "$TMP/number-label.jsonl"
+printf '%s\n' '{"type":"run","label":"a"}' \
+  '{"type":"snapshot","t_start":0}' > "$TMP/missing-key.jsonl"
+expect 1 'missing-key\.jsonl:2: .*"t_end"' "report: missing key names file:line" \
+  -- "$REP" timeline "$TMP/missing-key.jsonl"
+
+# Malformed env knobs: a runtime failure (exit 1) whose message starts with
+# the knob's name; never a usage error, never a silent default or a wrap.
+CAP_RUN=("$CAP" --net vgg16 --load 20rps --slo 4000ms --requests 100)
+FLEET_RUN=("$CAP" fleet --load 45rps --slo 12000ms --requests 100)
+expect 1 'VLACNN_REQTRACE_TOPK: ' "knob: VLACNN_REQTRACE_TOPK=-1" \
+  -- env VLACNN_REQTRACE_TOPK=-1 "${CAP_RUN[@]}" --reqtrace "$TMP/rt.jsonl"
+expect 1 'VLACNN_THREADS: ' "knob: VLACNN_THREADS=4294967297" \
+  -- env VLACNN_THREADS=4294967297 "${CAP_RUN[@]}"
+expect 1 'VLACNN_FLEET_SEED: ' "knob: VLACNN_FLEET_SEED=-1" \
+  -- env VLACNN_FLEET_SEED=-1 "${FLEET_RUN[@]}"
+expect 1 'VLACNN_TIMELINE_INTERVAL: ' "knob: VLACNN_TIMELINE_INTERVAL=inf" \
+  -- env VLACNN_TIMELINE_INTERVAL=inf "${CAP_RUN[@]}" --timeline "$TMP/tl.jsonl"
+expect 1 'VLACNN_DISPATCH_CYCLES: ' "knob: VLACNN_DISPATCH_CYCLES=+4000" \
+  -- env VLACNN_DISPATCH_CYCLES=+4000 "${CAP_RUN[@]}" --dispatch learned
+expect 1 'VLACNN_METRICS: ' "knob: VLACNN_METRICS=ture" \
+  -- env VLACNN_METRICS=ture "${CAP_RUN[@]}"
 
 # Failed regression gate: inflate the first per-entry cycles figure ~10x and
 # diff against the pristine baseline with the ci.sh budget.

@@ -2,11 +2,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <climits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "common/env.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -150,15 +151,8 @@ ThreadPool& ThreadPool::shared() {
 }
 
 unsigned ThreadPool::default_threads() {
-  if (const char* v = std::getenv("VLACNN_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || parsed < 1) {
-      throw std::runtime_error(
-          "VLACNN_THREADS: expected a positive integer, got '" +
-          std::string(v) + "'");
-    }
-    return static_cast<unsigned>(parsed);
+  if (const auto n = env_uint("VLACNN_THREADS", 1, UINT_MAX)) {
+    return static_cast<unsigned>(*n);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "algos/conv_args.h"
+#include "common/env.h"
 #include "ml/dataset.h"
 #include "obs/json_util.h"
 #include "obs/metrics.h"
@@ -18,16 +18,8 @@
 namespace vlacnn::dispatch {
 
 double default_dispatch_cycles() {
-  const char* v = std::getenv("VLACNN_DISPATCH_CYCLES");
-  if (v == nullptr) return kDefaultDispatchCyclesPerLayer;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !(parsed > 0) || !std::isfinite(parsed)) {
-    throw std::runtime_error(
-        "VLACNN_DISPATCH_CYCLES: expected a positive number of cycles, got '" +
-        std::string(v) + "'");
-  }
-  return parsed;
+  return env_positive("VLACNN_DISPATCH_CYCLES")
+      .value_or(kDefaultDispatchCyclesPerLayer);
 }
 
 namespace {

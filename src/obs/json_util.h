@@ -2,11 +2,13 @@
 // JSON/JSONL writers (metrics report, Chrome-trace file, timeline, reqtrace,
 // kernprof), report/json.h, the report CSV, the sweep-cache CSV and the
 // dispatch trace notes. One escaper and one number formatter serve them all,
-// so no two writers can render the same value differently. write_text_file
-// is the file write of the three JSONL sinks.
+// so no two writers can render the same value differently. append_kv is the
+// field writer of the timeline, reqtrace and kernprof records, and
+// write_text_file the file write of their sink (obs/jsonl_sink.h).
 #pragma once
 
 #include <string>
+#include <type_traits>
 
 namespace vlacnn::obs {
 
@@ -31,6 +33,24 @@ std::string g17(double v);
 /// Append `v` as a JSON number (append_g17); non-finite values become
 /// `null` — inf/NaN are not valid JSON literals.
 void json_append_number(std::string& out, double v);
+
+/// Append `,"key":value`: a double via json_append_number, an integer in
+/// decimal, a bool as true/false, a std::string through the escaper.
+template <class T>
+void append_kv(std::string& out, const char* key, const T& v) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  if constexpr (std::is_same_v<T, bool>) {
+    out += v ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    json_append_escaped(out, v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    json_append_number(out, v);
+  } else {
+    out += std::to_string(v);
+  }
+}
 
 /// Replace the file at `path` with `bytes`, creating parent directories.
 /// The file is closed on every path, a failed write included. Throws

@@ -1,11 +1,5 @@
 #include "obs/kernprof.h"
 
-#include <atomic>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
-
 #include "obs/json_util.h"
 
 namespace vlacnn::obs {
@@ -14,121 +8,24 @@ namespace vlacnn::obs {
 
 namespace {
 
-std::mutex g_knob_mu;
-bool g_path_parsed = false;
-std::string g_path;
-// -1 = not yet parsed; 0/1 mirror g_path.empty() for the lock-free gate.
-std::atomic<int> g_enabled{-1};
-
-bool g_interval_parsed = false;
-double g_interval = 1e6;
-bool g_interval_overridden = false;
-
-double parse_interval_env() {
-  const char* v = std::getenv("VLACNN_KERNPROF_INTERVAL");
-  if (v == nullptr || *v == '\0') return 1e6;
-  char* end = nullptr;
-  const double d = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !std::isfinite(d) || !(d > 0)) {
-    throw std::runtime_error("VLACNN_KERNPROF_INTERVAL: expected a positive "
-                             "cycle count, got '" + std::string(v) + "'");
-  }
-  g_interval_overridden = true;
-  return d;
-}
+constinit PathKnob g_path("VLACNN_KERNPROF");
+constinit IntervalKnob g_interval("VLACNN_KERNPROF_INTERVAL");
 
 }  // namespace
 
-bool kernprof_enabled() {
-  int e = g_enabled.load(std::memory_order_relaxed);
-  if (e < 0) {
-    std::lock_guard<std::mutex> lk(g_knob_mu);
-    if (!g_path_parsed) {
-      const char* v = std::getenv("VLACNN_KERNPROF");
-      g_path = v == nullptr ? "" : v;
-      g_path_parsed = true;
-    }
-    e = g_path.empty() ? 0 : 1;
-    g_enabled.store(e, std::memory_order_relaxed);
-  }
-  return e != 0;
-}
+bool kernprof_enabled() { return g_path.enabled(); }
 
-std::string kernprof_path() {
-  kernprof_enabled();  // force the one-time env parse
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  return g_path;
-}
+std::string kernprof_path() { return g_path.path(); }
 
-void set_kernprof_path(const std::string& path) {
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  g_path = path;
-  g_path_parsed = true;
-  g_enabled.store(path.empty() ? 0 : 1, std::memory_order_relaxed);
-}
+void set_kernprof_path(const std::string& path) { g_path.set(path); }
 
-double kernprof_interval_cycles() {
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  if (!g_interval_parsed) {
-    g_interval = parse_interval_env();
-    g_interval_parsed = true;
-  }
-  return g_interval;
-}
+double kernprof_interval_cycles() { return g_interval.cycles(); }
 
-bool kernprof_interval_overridden() {
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  if (!g_interval_parsed) {
-    g_interval = parse_interval_env();
-    g_interval_parsed = true;
-  }
-  return g_interval_overridden;
-}
+bool kernprof_interval_overridden() { return g_interval.overridden(); }
 
-void set_kernprof_interval_cycles(double cycles) {
-  if (!(cycles > 0.0)) {
-    throw std::invalid_argument(
-        "set_kernprof_interval_cycles: interval must be positive");
-  }
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  g_interval = cycles;
-  g_interval_parsed = true;
-  g_interval_overridden = true;
-}
+void set_kernprof_interval_cycles(double cycles) { g_interval.set(cycles); }
 
 // -- profile records ----------------------------------------------------------
-
-namespace {
-
-void append_kv(std::string& out, const char* key, double v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  json_append_number(out, v);
-}
-
-void append_kv(std::string& out, const char* key, std::uint64_t v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_kv(std::string& out, const char* key, int v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_kv(std::string& out, const char* key, const std::string& v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  json_append_escaped(out, v);
-}
-
-}  // namespace
 
 std::string KernProfRun::to_jsonl() const {
   std::string out;
@@ -191,69 +88,8 @@ std::string KernProfRun::to_jsonl() const {
 // -- sink ---------------------------------------------------------------------
 
 KernProfSink& KernProfSink::global() {
-  static KernProfSink sink;
+  static KernProfSink sink("KernProfSink", g_path, "kernprof");
   return sink;
-}
-
-void KernProfSink::record(const std::string& label, std::string jsonl) {
-  arm_kernprof_exit_write();
-  std::lock_guard<std::mutex> lk(mu_);
-  blocks_[label] = std::move(jsonl);
-}
-
-std::string KernProfSink::next_auto_label() {
-  std::lock_guard<std::mutex> lk(mu_);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "run%06llu",
-                static_cast<unsigned long long>(++auto_seq_));
-  return buf;
-}
-
-std::string KernProfSink::write_file() {
-  const std::string path = kernprof_path();
-  if (path.empty()) {
-    throw std::runtime_error(
-        "KernProfSink::write_file: no output path (set VLACNN_KERNPROF)");
-  }
-  std::string out;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& [label, block] : blocks_) {
-      out += "{\"type\":\"run\",\"label\":";
-      json_append_escaped(out, label);
-      out += "}\n";
-      out += block;
-    }
-  }
-  write_text_file(path, out, "KernProfSink::write_file");
-  return path;
-}
-
-std::size_t KernProfSink::block_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return blocks_.size();
-}
-
-void KernProfSink::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  blocks_.clear();
-  auto_seq_ = 0;
-}
-
-void arm_kernprof_exit_write() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    KernProfSink::global();  // outlive any static that records during exit
-    std::atexit([] {
-      KernProfSink& sink = KernProfSink::global();
-      if (sink.block_count() == 0 || !kernprof_enabled()) return;
-      try {
-        sink.write_file();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "vlacnn: kernprof write failed: %s\n", e.what());
-      }
-    });
-  });
 }
 
 }  // namespace vlacnn::obs

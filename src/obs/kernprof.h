@@ -7,7 +7,7 @@
 // window (occupancy split, avg VL, lane utilization, L1/L2 miss rates, DRAM
 // bytes/cycle — the miss-rate *trajectory* over the kernel's lifetime).
 //
-// Knobs, gated like VLACNN_TIMELINE (lazy parse, then one relaxed load):
+// Knobs (obs/jsonl_sink.h; env grammar in common/env.h):
 //   VLACNN_KERNPROF=<file.jsonl>      enable and name the output file
 //   VLACNN_KERNPROF_INTERVAL=<cycles> window cadence (default 1e6; > 0;
 //                                     malformed values throw). Pinning the
@@ -17,41 +17,30 @@
 // This header is deliberately vpu-agnostic (plain strings and doubles): the
 // obs layer sits at the bottom of the include order, so the simulation driver
 // (algos/registry) converts Pmu state into these records. The process-wide
-// KernProfSink buffers one block per labeled grid point in a sorted map and
-// writes them in label order at exit, so a parallel sweep emits the same
-// bytes as a serial one at any VLACNN_THREADS.
+// KernProfSink is a labeled-JSONL sink: one block per labeled grid point,
+// written in label order at exit, so a parallel sweep emits the same bytes as
+// a serial one at any VLACNN_THREADS.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/jsonl_sink.h"
 
 namespace vlacnn::obs {
 
 // -- env knobs ----------------------------------------------------------------
 
-/// True when VLACNN_KERNPROF names an output file (or a path was set
-/// programmatically). Hot-path gate: one relaxed load after the first call.
-bool kernprof_enabled();
+// VLACNN_KERNPROF is a PathKnob and VLACNN_KERNPROF_INTERVAL an IntervalKnob
+// (obs/jsonl_sink.h); the setters serve tests. An overridden interval keeps
+// the PMU's window cadence pinned instead of auto-coarsening.
 
-/// The JSONL output path ("" when disabled).
-std::string kernprof_path();
-
-/// Programmatic override of VLACNN_KERNPROF (tests). "" disables collection.
+bool kernprof_enabled();  ///< the hot-path gate
+std::string kernprof_path();  ///< "" when disabled
 void set_kernprof_path(const std::string& path);
-
-/// Window cadence from VLACNN_KERNPROF_INTERVAL (default 1e6 simulated
-/// cycles). Throws std::runtime_error on a malformed or non-positive value —
-/// a typo must not silently change a run's trajectory resolution.
 double kernprof_interval_cycles();
-
-/// True when the interval came from the env or a programmatic set — the PMU
-/// then keeps the cadence pinned instead of auto-coarsening.
 bool kernprof_interval_overridden();
-
-/// Programmatic override of the cadence (tests). Must be positive.
 void set_kernprof_interval_cycles(double cycles);
 
 // -- profile records ----------------------------------------------------------
@@ -122,38 +111,14 @@ struct KernProfRun {
 
 // -- sink ---------------------------------------------------------------------
 
-/// Process-wide collection point for kernel-profile blocks, keyed by a
-/// deterministic grid-point label. write_file() emits blocks in sorted label
-/// order — the source of the THREADS byte-identity guarantee.
-class KernProfSink {
+/// The process-wide labeled-JSONL sink of kernel-profile blocks, written to
+/// kernprof_path() and labeled by grid point (KernProfRun::label).
+class KernProfSink final : public LabeledJsonlSink {
  public:
   static KernProfSink& global();
 
-  /// Buffer one grid point's JSONL block under `label` (last write wins — a
-  /// grid point re-simulated concurrently carries identical bytes by the
-  /// determinism guarantee). Arms the exit write on first use.
-  void record(const std::string& label, std::string jsonl);
-
-  /// "run000001", "run000002", ... for callers without a natural label.
-  /// Deterministic only for serial callers; parallel drivers must label.
-  std::string next_auto_label();
-
-  /// Write every block to kernprof_path() in sorted label order; returns the
-  /// path. Throws when disabled or on I/O failure.
-  std::string write_file();
-
-  std::size_t block_count() const;
-  void reset();  ///< drop all blocks and the auto-label counter (tests)
-
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::string> blocks_;
-  std::uint64_t auto_seq_ = 0;
+  using LabeledJsonlSink::LabeledJsonlSink;
 };
-
-/// Idempotent: registers an atexit hook that writes the sink to
-/// kernprof_path() when enabled and non-empty. Called by
-/// KernProfSink::record(); safe to call directly.
-void arm_kernprof_exit_write();
 
 }  // namespace vlacnn::obs

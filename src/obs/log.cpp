@@ -1,29 +1,23 @@
 #include "obs/log.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
+
+#include "common/env.h"
 
 namespace vlacnn::obs {
 
 namespace {
 
 LogLevel parse_log_env() {
-  const char* v = std::getenv("VLACNN_LOG");
-  if (v == nullptr) return LogLevel::kOff;
-  std::string s(v);
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (s.empty() || s == "off" || s == "0" || s == "false" || s == "no") {
-    return LogLevel::kOff;
-  }
-  if (s == "info" || s == "1") return LogLevel::kInfo;
-  if (s == "debug" || s == "2") return LogLevel::kDebug;
-  throw std::runtime_error("VLACNN_LOG: unrecognized value '" + std::string(v) +
-                           "' (expected off, info, or debug)");
+  constexpr int off = static_cast<int>(LogLevel::kOff);
+  constexpr int info = static_cast<int>(LogLevel::kInfo);
+  constexpr int debug = static_cast<int>(LogLevel::kDebug);
+  return static_cast<LogLevel>(
+      env_word("VLACNN_LOG", {{"off", off}, {"0", off}, {"false", off},
+                              {"no", off}, {"info", info}, {"1", info},
+                              {"debug", debug}, {"2", debug}})
+          .value_or(off));
 }
 
 // -1 = not yet parsed from the environment.

@@ -1,7 +1,7 @@
 // Leveled structured logger for the sweep/serving engine.
 //
 // Knob: VLACNN_LOG=off|info|debug (default off; an unrecognized value throws,
-// matching the strict parsing of VLACNN_THREADS and REPRO_EXACT). Lines go to
+// like every knob — grammar in common/env.h). Lines go to
 // stderr as `[vlacnn:<level>] <component>: <message> key=value ...` — one
 // write per line, so concurrent sweep workers never interleave mid-line.
 //

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -11,6 +10,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/env.h"
 #include "obs/json_util.h"
 #include "obs/trace.h"
 
@@ -19,21 +19,15 @@ namespace vlacnn::obs {
 namespace {
 
 ReportMode parse_metrics_env() {
-  const char* v = std::getenv("VLACNN_METRICS");
-  if (v == nullptr) return ReportMode::kOff;
-  std::string s(v);
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (s.empty() || s == "0" || s == "false" || s == "no" || s == "off") {
-    return ReportMode::kOff;
-  }
-  if (s == "1" || s == "true" || s == "yes" || s == "on" || s == "text") {
-    return ReportMode::kText;
-  }
-  if (s == "json") return ReportMode::kJson;
-  throw std::runtime_error("VLACNN_METRICS: unrecognized value '" +
-                           std::string(v) +
-                           "' (expected 1/true/yes/on, json, or 0/off)");
+  constexpr int off = static_cast<int>(ReportMode::kOff);
+  constexpr int text = static_cast<int>(ReportMode::kText);
+  constexpr int json = static_cast<int>(ReportMode::kJson);
+  return static_cast<ReportMode>(
+      env_word("VLACNN_METRICS",
+               {{"0", off}, {"false", off}, {"no", off}, {"off", off},
+                {"1", text}, {"true", text}, {"yes", text}, {"on", text},
+                {"text", text}, {"json", json}})
+          .value_or(off));
 }
 
 // kOff/kText/kJson stored as int; -1 = not yet parsed from the environment.

@@ -1,11 +1,12 @@
 #include "obs/reqtrace.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "obs/json_util.h"
 
@@ -25,78 +26,34 @@ namespace vlacnn::obs {
 
 namespace {
 
-std::mutex g_knob_mu;
-bool g_path_parsed = false;
-std::string g_path;
-// -1 = not yet parsed; 0/1 mirror g_path.empty() for the lock-free gate.
-std::atomic<int> g_enabled{-1};
+constinit PathKnob g_path("VLACNN_REQTRACE");
 
-bool g_top_k_parsed = false;
-std::size_t g_top_k = 8;
-bool g_head_parsed = false;
-std::uint64_t g_head_every = 0;
-
-std::uint64_t parse_u64_env(const char* name, std::uint64_t fallback,
-                            std::uint64_t min_value) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || n < min_value) {
-    throw std::runtime_error(std::string(name) + ": expected an integer >= " +
-                             std::to_string(min_value) + ", got '" +
-                             std::string(v) + "'");
-  }
-  return static_cast<std::uint64_t>(n);
-}
+std::mutex g_knob_mu;  // guards the sampling knobs; nullopt = not yet read
+std::optional<std::size_t> g_top_k;
+std::optional<std::uint64_t> g_head_every;
 
 }  // namespace
 
-bool reqtrace_enabled() {
-  int e = g_enabled.load(std::memory_order_relaxed);
-  if (e < 0) {
-    std::lock_guard<std::mutex> lk(g_knob_mu);
-    if (!g_path_parsed) {
-      const char* v = std::getenv("VLACNN_REQTRACE");
-      g_path = v == nullptr ? "" : v;
-      g_path_parsed = true;
-    }
-    e = g_path.empty() ? 0 : 1;
-    g_enabled.store(e, std::memory_order_relaxed);
-  }
-  return e != 0;
-}
+bool reqtrace_enabled() { return g_path.enabled(); }
 
-std::string reqtrace_path() {
-  reqtrace_enabled();  // force the one-time env parse
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  return g_path;
-}
+std::string reqtrace_path() { return g_path.path(); }
 
-void set_reqtrace_path(const std::string& path) {
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  g_path = path;
-  g_path_parsed = true;
-  g_enabled.store(path.empty() ? 0 : 1, std::memory_order_relaxed);
-}
+void set_reqtrace_path(const std::string& path) { g_path.set(path); }
 
 std::size_t reqtrace_top_k() {
   std::lock_guard<std::mutex> lk(g_knob_mu);
-  if (!g_top_k_parsed) {
-    g_top_k = static_cast<std::size_t>(
-        parse_u64_env("VLACNN_REQTRACE_TOPK", 8, 1));
-    g_top_k_parsed = true;
+  if (!g_top_k) {
+    g_top_k = env_uint("VLACNN_REQTRACE_TOPK", 1, SIZE_MAX).value_or(8);
   }
-  return g_top_k;
+  return *g_top_k;
 }
 
 std::uint64_t reqtrace_head_every() {
   std::lock_guard<std::mutex> lk(g_knob_mu);
-  if (!g_head_parsed) {
-    g_head_every = parse_u64_env("VLACNN_REQTRACE_HEAD", 0, 0);
-    g_head_parsed = true;
+  if (!g_head_every) {
+    g_head_every = env_uint("VLACNN_REQTRACE_HEAD").value_or(0);
   }
-  return g_head_every;
+  return *g_head_every;
 }
 
 void set_reqtrace_top_k(std::size_t k) {
@@ -105,48 +62,14 @@ void set_reqtrace_top_k(std::size_t k) {
   }
   std::lock_guard<std::mutex> lk(g_knob_mu);
   g_top_k = k;
-  g_top_k_parsed = true;
 }
 
 void set_reqtrace_head_every(std::uint64_t n) {
   std::lock_guard<std::mutex> lk(g_knob_mu);
   g_head_every = n;
-  g_head_parsed = true;
 }
 
 // -- trace records ------------------------------------------------------------
-
-namespace {
-
-void append_kv(std::string& out, const char* key, double v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  json_append_number(out, v);
-}
-
-void append_kv(std::string& out, const char* key, std::uint64_t v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_kv(std::string& out, const char* key, int v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_kv(std::string& out, const char* key, bool v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += v ? "true" : "false";
-}
-
-}  // namespace
 
 std::string keep_reasons_string(unsigned reasons) {
   std::string out;
@@ -400,69 +323,8 @@ std::string RequestTraceRecorder::to_jsonl() const {
 // -- sink ---------------------------------------------------------------------
 
 ReqTraceSink& ReqTraceSink::global() {
-  static ReqTraceSink sink;
+  static ReqTraceSink sink("ReqTraceSink", g_path, "reqtrace");
   return sink;
-}
-
-void ReqTraceSink::record(const std::string& label, std::string jsonl) {
-  arm_reqtrace_exit_write();
-  std::lock_guard<std::mutex> lk(mu_);
-  blocks_[label] = std::move(jsonl);
-}
-
-std::string ReqTraceSink::next_auto_label() {
-  std::lock_guard<std::mutex> lk(mu_);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "run%06llu",
-                static_cast<unsigned long long>(++auto_seq_));
-  return buf;
-}
-
-std::string ReqTraceSink::write_file() {
-  const std::string path = reqtrace_path();
-  if (path.empty()) {
-    throw std::runtime_error(
-        "ReqTraceSink::write_file: no output path (set VLACNN_REQTRACE)");
-  }
-  std::string out;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& [label, block] : blocks_) {
-      out += "{\"type\":\"run\",\"label\":";
-      json_append_escaped(out, label);
-      out += "}\n";
-      out += block;
-    }
-  }
-  write_text_file(path, out, "ReqTraceSink::write_file");
-  return path;
-}
-
-std::size_t ReqTraceSink::block_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return blocks_.size();
-}
-
-void ReqTraceSink::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  blocks_.clear();
-  auto_seq_ = 0;
-}
-
-void arm_reqtrace_exit_write() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    ReqTraceSink::global();  // outlive any static that records during exit
-    std::atexit([] {
-      ReqTraceSink& sink = ReqTraceSink::global();
-      if (sink.block_count() == 0 || !reqtrace_enabled()) return;
-      try {
-        sink.write_file();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "vlacnn: reqtrace write failed: %s\n", e.what());
-      }
-    });
-  });
 }
 
 }  // namespace vlacnn::obs

@@ -8,7 +8,7 @@
 // tail buckets back to concrete trace ids, so `vlacnn-report requests` can
 // jump from "p99 degraded" to the one request that caused it.
 //
-// Knobs, gated like VLACNN_TIMELINE (lazy parse, then one relaxed load):
+// Knobs (obs/jsonl_sink.h; env grammar in common/env.h):
 //   VLACNN_REQTRACE=<file.jsonl>  enable and name the output file
 //   VLACNN_REQTRACE_TOPK=<k>      slowest-k retention (default 8; >= 1;
 //                                 malformed values throw)
@@ -21,34 +21,30 @@
 //   (queue_wait + formation_wait) + service == completion - arrival
 // bit-exactly (left-to-right), and the per-layer segments — produced by a
 // chain of exact_split()s — reconstitute the service span bit-exactly when
-// folded back-to-front (right-to-left). The process-wide ReqTraceSink buffers
-// one JSONL block per labeled simulation in a sorted map and writes them in
-// label order at exit, so a parallel capacity-planner run emits the same
-// bytes as a serial one at any VLACNN_THREADS.
+// folded back-to-front (right-to-left). The process-wide ReqTraceSink is a
+// labeled-JSONL sink: one block per labeled simulation, written in label
+// order at exit, so a parallel capacity-planner run emits the same bytes as a
+// serial one at any VLACNN_THREADS.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/jsonl_sink.h"
 #include "obs/sketch.h"
 
 namespace vlacnn::obs {
 
 // -- env knobs ----------------------------------------------------------------
 
-/// True when VLACNN_REQTRACE names an output file (or a path was set
-/// programmatically). Hot-path gate: one relaxed load after the first call.
-bool reqtrace_enabled();
+// VLACNN_REQTRACE is a PathKnob (obs/jsonl_sink.h); the path setter serves
+// tests and the --reqtrace CLI flag.
 
-/// The JSONL output path ("" when disabled).
-std::string reqtrace_path();
-
-/// Programmatic override of VLACNN_REQTRACE (tests, --reqtrace CLI flag).
-/// "" disables collection.
+bool reqtrace_enabled();  ///< the hot-path gate
+std::string reqtrace_path();  ///< "" when disabled
 void set_reqtrace_path(const std::string& path);
 
 /// Slowest-k retention from VLACNN_REQTRACE_TOPK (default 8). Throws
@@ -264,39 +260,15 @@ std::vector<TraceSegment> split_service_span(
 
 // -- sink ---------------------------------------------------------------------
 
-/// Process-wide collection point for finished request-trace blocks, keyed by
-/// a deterministic label (the capacity planner labels blocks by grid point;
-/// unlabeled serial callers get a sequence label). write_file() emits blocks
-/// in sorted label order — the source of the THREADS byte-identity guarantee.
-class ReqTraceSink {
+/// The process-wide labeled-JSONL sink of finished request-trace blocks,
+/// written to reqtrace_path(). The capacity planner labels blocks by grid
+/// point, the same label as the point's timeline block.
+class ReqTraceSink final : public LabeledJsonlSink {
  public:
   static ReqTraceSink& global();
 
-  /// Buffer one simulation's JSONL block under `label` (last write wins — by
-  /// the determinism guarantee concurrent writers for a label carry identical
-  /// bytes). Arms the exit write on first use.
-  void record(const std::string& label, std::string jsonl);
-
-  /// "run000001", "run000002", ... for callers without a natural label.
-  /// Deterministic only for serial callers; parallel drivers must label.
-  std::string next_auto_label();
-
-  /// Write every block to reqtrace_path() in sorted label order; returns the
-  /// path. Throws when disabled or on I/O failure.
-  std::string write_file();
-
-  std::size_t block_count() const;
-  void reset();  ///< drop all blocks and the auto-label counter (tests)
-
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::string> blocks_;
-  std::uint64_t auto_seq_ = 0;
+  using LabeledJsonlSink::LabeledJsonlSink;
 };
-
-/// Idempotent: registers an atexit hook that writes the sink to
-/// reqtrace_path() when enabled and non-empty. Called by
-/// ReqTraceSink::record(); safe to call directly.
-void arm_reqtrace_exit_write();
 
 }  // namespace vlacnn::obs

@@ -5,55 +5,39 @@
 // from a deterministic quantile sketch (obs/sketch.h), and SLO burn-rate /
 // error-budget tracking with threshold-crossing alert events.
 //
-// Knobs, gated like VLACNN_METRICS (lazy parse, then one relaxed load):
+// Knobs (obs/jsonl_sink.h; env grammar in common/env.h):
 //   VLACNN_TIMELINE=<file.jsonl>     enable and name the output file
 //   VLACNN_TIMELINE_INTERVAL=<cyc>   snapshot cadence in cycles (default 1e6;
 //                                    a malformed or non-positive value throws)
 //
 // Units: everything is simulated **cycles** — the recorder never reads a wall
 // clock, so a timeline is byte-identical across runs and VLACNN_THREADS. The
-// process-wide TimelineSink buffers one JSONL block per labeled simulation in
-// a sorted map and writes them in label order at exit, mirroring
-// report::Collector's determinism strategy: a parallel capacity-planner run
-// emits the same bytes as a serial one.
+// process-wide TimelineSink is a labeled-JSONL sink: one block per labeled
+// simulation, written in label order at exit, so a parallel capacity-planner
+// run emits the same bytes as a serial one.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/jsonl_sink.h"
 #include "obs/sketch.h"
 
 namespace vlacnn::obs {
 
 // -- env knobs ----------------------------------------------------------------
+// VLACNN_TIMELINE is a PathKnob and VLACNN_TIMELINE_INTERVAL an IntervalKnob
+// (obs/jsonl_sink.h): the path setter serves tests and the --timeline CLI
+// flag. Left unset, the interval may be coarsened by drivers with long
+// simulated horizons (the capacity planner targets a bounded snapshot count
+// per grid point).
 
-/// True when VLACNN_TIMELINE names an output file (or a path was set
-/// programmatically). Hot-path gate: one relaxed load after the first call.
-bool timeline_enabled();
-
-/// The JSONL output path ("" when disabled).
-std::string timeline_path();
-
-/// Programmatic override of VLACNN_TIMELINE (tests, --timeline CLI flag).
-/// "" disables collection.
+bool timeline_enabled();  ///< the hot-path gate
+std::string timeline_path();  ///< "" when disabled
 void set_timeline_path(const std::string& path);
-
-/// Snapshot cadence from VLACNN_TIMELINE_INTERVAL (default 1e6 cycles).
-/// Throws std::runtime_error on a malformed or non-positive value — a typo
-/// must not silently distort the timeline a run was meant to collect.
 double timeline_interval_cycles();
-
-/// Programmatic override of the interval knob (tests). Must be positive.
 void set_timeline_interval_cycles(double cycles);
-
-/// True when the cadence was chosen explicitly (VLACNN_TIMELINE_INTERVAL in
-/// the environment, or set_timeline_interval_cycles()). When false, drivers
-/// with long simulated horizons are free to coarsen the default cadence so a
-/// low-rate run cannot buffer millions of snapshot lines (the capacity
-/// planner targets a bounded snapshot count per grid point).
 bool timeline_interval_overridden();
 
 // -- recorder -----------------------------------------------------------------
@@ -207,39 +191,15 @@ TimelineAnalysis analyze_timeline(const std::vector<TimelineSnapshot>& snaps,
 
 // -- sink ---------------------------------------------------------------------
 
-/// Process-wide collection point for finished timelines, keyed by a
-/// deterministic label (the capacity planner labels blocks by grid point;
-/// unlabeled serial callers get a sequence label). write_file() emits blocks
-/// in sorted label order — the source of the THREADS byte-identity guarantee.
-class TimelineSink {
+/// The process-wide labeled-JSONL sink of finished timelines, written to
+/// timeline_path(). The capacity planner labels blocks by grid point, fleet
+/// runs one block per chip (`<label>/chipNN`).
+class TimelineSink final : public LabeledJsonlSink {
  public:
   static TimelineSink& global();
 
-  /// Buffer one simulation's JSONL block under `label` (last write wins —
-  /// by the determinism guarantee concurrent writers for a label carry
-  /// identical bytes). Arms the exit write on first use.
-  void record(const std::string& label, std::string jsonl);
-
-  /// "run000001", "run000002", ... for callers without a natural label.
-  /// Deterministic only for serial callers; parallel drivers must label.
-  std::string next_auto_label();
-
-  /// Write every block to timeline_path() in sorted label order; returns the
-  /// path. Throws when disabled or on I/O failure.
-  std::string write_file();
-
-  std::size_t block_count() const;
-  void reset();  ///< drop all blocks and the auto-label counter (tests)
-
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::string> blocks_;
-  std::uint64_t auto_seq_ = 0;
+  using LabeledJsonlSink::LabeledJsonlSink;
 };
-
-/// Idempotent: registers an atexit hook that writes the sink to
-/// timeline_path() when enabled and non-empty. Called by
-/// TimelineSink::record(); safe to call directly.
-void arm_timeline_exit_write();
 
 }  // namespace vlacnn::obs

@@ -1,11 +1,11 @@
 #include "obs/trace.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
+#include "common/env.h"
 #include "obs/json_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -125,7 +125,7 @@ Tracer& Tracer::global() {
   static Tracer tracer;
   static std::once_flag once;
   std::call_once(once, [] {
-    if (const char* path = std::getenv("VLACNN_TRACE")) tracer.open(path);
+    if (const auto path = env_text("VLACNN_TRACE")) tracer.open(*path);
   });
   return tracer;
 }

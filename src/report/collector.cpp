@@ -1,6 +1,5 @@
 #include "report/collector.h"
 
-#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -9,32 +8,14 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "obs/jsonl_sink.h"
 #include "obs/log.h"
 
 namespace vlacnn::report {
 
 namespace {
 
-std::mutex g_dir_mu;
-std::string g_dir;               // guarded by g_dir_mu
-std::atomic<int> g_enabled{-1};  // -1 unparsed, 0 off, 1 on
-
-int load_enabled() {
-  int e = g_enabled.load(std::memory_order_relaxed);
-  if (e < 0) {
-    const char* v = std::getenv("VLACNN_REPORT");
-    const bool on = v != nullptr && v[0] != '\0';
-    {
-      std::lock_guard<std::mutex> lk(g_dir_mu);
-      if (on) g_dir = v;
-    }
-    int expected = -1;
-    g_enabled.compare_exchange_strong(expected, on ? 1 : 0,
-                                      std::memory_order_relaxed);
-    e = g_enabled.load(std::memory_order_relaxed);
-  }
-  return e;
-}
+constinit obs::PathKnob g_dir("VLACNN_REPORT");
 
 std::chrono::steady_clock::time_point g_epoch;
 std::mutex g_arm_mu;
@@ -42,21 +23,11 @@ std::string g_armed_title;  // guarded by g_arm_mu; "" = not armed
 
 }  // namespace
 
-bool enabled() { return load_enabled() != 0; }
+bool enabled() { return g_dir.enabled(); }
 
-std::string report_dir() {
-  if (!enabled()) return "";
-  std::lock_guard<std::mutex> lk(g_dir_mu);
-  return g_dir;
-}
+std::string report_dir() { return g_dir.path(); }
 
-void set_report_dir(const std::string& dir) {
-  {
-    std::lock_guard<std::mutex> lk(g_dir_mu);
-    g_dir = dir;
-  }
-  g_enabled.store(dir.empty() ? 0 : 1, std::memory_order_relaxed);
-}
+void set_report_dir(const std::string& dir) { g_dir.set(dir); }
 
 std::string slugify(const std::string& title) {
   std::string out;

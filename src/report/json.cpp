@@ -1,6 +1,7 @@
 #include "report/json.h"
 
 #include <cctype>
+#include <fstream>
 #include <stdexcept>
 
 #include "obs/json_util.h"
@@ -225,6 +226,82 @@ const Json& Json::at(const std::string& key) const {
 }
 
 Json parse_json(const std::string& text) { return Parser(text).parse_document(); }
+
+namespace {
+
+const char* type_name(Json::Type t) {
+  switch (t) {
+    case Json::Type::kNull: return "null";
+    case Json::Type::kBool: return "a bool";
+    case Json::Type::kNumber: return "a number";
+    case Json::Type::kString: return "a string";
+    case Json::Type::kArray: return "an array";
+    case Json::Type::kObject: return "an object";
+  }
+  return "?";
+}
+
+const Json& typed_at(const Json& obj, const std::string& key, Json::Type t) {
+  const Json& v = obj.at(key);
+  if (v.type != t) {
+    throw std::runtime_error("json: key \"" + key + "\" holds " +
+                             type_name(v.type) + ", expected " + type_name(t));
+  }
+  return v;
+}
+
+}  // namespace
+
+double num_at(const Json& obj, const std::string& key,
+              std::optional<double> null_as) {
+  if (null_as && obj.at(key).is_null()) return *null_as;
+  return typed_at(obj, key, Json::Type::kNumber).number;
+}
+
+const std::string& str_at(const Json& obj, const std::string& key) {
+  return typed_at(obj, key, Json::Type::kString).string;
+}
+
+bool bool_at(const Json& obj, const std::string& key) {
+  return typed_at(obj, key, Json::Type::kBool).boolean;
+}
+
+const std::vector<Json>& array_at(const Json& obj, const std::string& key) {
+  return typed_at(obj, key, Json::Type::kArray).array;
+}
+
+void read_labeled_jsonl(
+    const std::string& path,
+    const std::function<void(const std::string& label)>& on_block,
+    const std::function<bool(const Json& line, const std::string& type)>&
+        on_line) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  bool in_block = false;
+  std::string text;
+  for (std::size_t lineno = 1; std::getline(in, text); ++lineno) {
+    if (text.empty()) continue;
+    try {
+      const Json line = parse_json(text);
+      const std::string& type = str_at(line, "type");
+      if (type == "run") {
+        on_block(str_at(line, "label"));
+        in_block = true;
+        continue;
+      }
+      if (!in_block) {
+        on_block("");
+        in_block = true;
+      }
+      if (!on_line(line, type)) {
+        throw std::runtime_error("unknown line type '" + type + "'");
+      }
+    } catch (const std::exception& e) {
+      throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " +
+                               e.what());
+    }
+  }
+}
 
 std::string json_quote(const std::string& s) { return obs::json_escaped(s); }
 

@@ -1,9 +1,12 @@
 // Minimal JSON value + recursive-descent parser, just enough for the report
 // tooling (vlacnn-report reads its own emitted files back; tests lock the
-// schema down through it). Full syntax checking, no streaming: report files
-// are a few hundred KB at most. Throws std::runtime_error on malformed input.
+// schema down through it), plus the one reader of the labeled-JSONL files
+// the obs sinks write. Full syntax checking, no streaming: report files are a
+// few hundred KB at most. Throws std::runtime_error on malformed input.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +36,31 @@ struct Json {
 
 /// Parse a complete JSON document (trailing junk is an error).
 Json parse_json(const std::string& text);
+
+/// Typed member lookups: each throws std::runtime_error naming `key` when
+/// `obj` lacks it or it holds another type. num_at rejects null too, unless
+/// `null_as` gives null's value — the JSONL writers emit null for non-finite
+/// numbers.
+double num_at(const Json& obj, const std::string& key,
+              std::optional<double> null_as = std::nullopt);
+const std::string& str_at(const Json& obj, const std::string& key);
+bool bool_at(const Json& obj, const std::string& key);
+const std::vector<Json>& array_at(const Json& obj, const std::string& key);
+
+/// Read a labeled-JSONL file, the format obs::LabeledJsonlSink writes
+/// (DESIGN.md §8). Each `{"type":"run","label":...}` line opens a block:
+/// on_block(label). A file that starts without one opens an unlabeled block
+/// first — on_block("") — so a recorder's to_jsonl() written directly reads
+/// as one block. Every other non-empty line goes to on_line(line, type),
+/// which returns false for a type it does not know. Throws std::runtime_error
+/// "cannot open <path>", or "<path>:<line>: <what>" for any error on a line:
+/// malformed JSON, a missing or mistyped field, an unknown type, or an
+/// exception from a callback.
+void read_labeled_jsonl(
+    const std::string& path,
+    const std::function<void(const std::string& label)>& on_block,
+    const std::function<bool(const Json& line, const std::string& type)>&
+        on_line);
 
 /// Serialize a string with JSON escaping, including the surrounding quotes
 /// (obs::json_escaped).

@@ -27,24 +27,8 @@ VpuAttach attach_from(const std::string& s) {
   throw std::runtime_error("report: bad attach '" + s + "'");
 }
 
-double num_at(const Json& obj, const std::string& key) {
-  const Json& v = obj.at(key);
-  if (v.type != Json::Type::kNumber) {
-    throw std::runtime_error("report: key \"" + key + "\" is not a number");
-  }
-  return v.number;
-}
-
 int int_at(const Json& obj, const std::string& key) {
   return static_cast<int>(num_at(obj, key));
-}
-
-const std::string& str_at(const Json& obj, const std::string& key) {
-  const Json& v = obj.at(key);
-  if (v.type != Json::Type::kString) {
-    throw std::runtime_error("report: key \"" + key + "\" is not a string");
-  }
-  return v.string;
 }
 
 }  // namespace

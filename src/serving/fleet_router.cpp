@@ -1,7 +1,8 @@
 #include "serving/fleet_router.h"
 
-#include <cstdlib>
 #include <stdexcept>
+
+#include "common/env.h"
 
 namespace vlacnn::serving {
 
@@ -14,15 +15,7 @@ RouterSpec::Kind router_kind_from_string(const std::string& s) {
 }
 
 std::uint64_t default_fleet_seed() {
-  const char* env = std::getenv("VLACNN_FLEET_SEED");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') {
-    throw std::runtime_error(std::string("VLACNN_FLEET_SEED: not a number: ") +
-                             env);
-  }
-  return static_cast<std::uint64_t>(v);
+  return env_uint("VLACNN_FLEET_SEED").value_or(1);
 }
 
 RoundRobinRouter::RoundRobinRouter(std::size_t num_models)

@@ -1,11 +1,11 @@
 #include "sweep/results_db.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <vector>
 
 #include "common/csv.h"
+#include "common/env.h"
 #include "obs/json_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -351,9 +351,8 @@ SweepRow ResultsDb::get_or_compute(const SweepKey& key,
 }
 
 std::string default_results_path() {
-  const char* dir = std::getenv("REPRO_RESULTS_DIR");
-  std::string base = dir != nullptr ? dir : "results";
-  return base + "/sweep_cache.csv";
+  return env_text("REPRO_RESULTS_DIR").value_or("results") +
+         "/sweep_cache.csv";
 }
 
 }  // namespace vlacnn

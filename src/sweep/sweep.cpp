@@ -1,12 +1,11 @@
 #include "sweep/sweep.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "common/env.h"
 #include "common/thread_pool.h"
 #include "obs/kernprof.h"
 #include "obs/log.h"
@@ -83,18 +82,10 @@ std::vector<std::uint64_t> paper1_l2_sizes() {
 }
 
 bool repro_exact_mode() {
-  const char* v = std::getenv("REPRO_EXACT");
-  if (v == nullptr) return false;
-  std::string s(v);
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
-  if (s.empty() || s == "0" || s == "false" || s == "no" || s == "off") {
-    return false;
-  }
-  throw std::runtime_error("REPRO_EXACT: unrecognized value '" +
-                           std::string(v) +
-                           "' (expected 1/true/yes/on or 0/false/no/off)");
+  return env_word("REPRO_EXACT", {{"1", 1}, {"true", 1}, {"yes", 1},
+                                  {"on", 1}, {"0", 0}, {"false", 0},
+                                  {"no", 0}, {"off", 0}})
+             .value_or(0) != 0;
 }
 
 SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,

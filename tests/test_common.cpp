@@ -7,10 +7,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
+#include <limits>
 #include <set>
 
 #include "area/pareto.h"
 #include "common/csv.h"
+#include "common/env.h"
 #include "common/linalg.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -344,10 +347,81 @@ TEST(ThreadPool, DefaultThreadsRejectsGarbageEnv) {
   EXPECT_THROW(ThreadPool::default_threads(), std::runtime_error);
   ::setenv("VLACNN_THREADS", "0", 1);
   EXPECT_THROW(ThreadPool::default_threads(), std::runtime_error);
+  // Past unsigned's range: no wrap to 1 (or 0) threads.
+  ::setenv("VLACNN_THREADS", "4294967297", 1);
+  EXPECT_THROW(ThreadPool::default_threads(), std::runtime_error);
+  ::setenv("VLACNN_THREADS", "4294967296", 1);
+  EXPECT_THROW(ThreadPool::default_threads(), std::runtime_error);
   ::setenv("VLACNN_THREADS", "3", 1);
   EXPECT_EQ(ThreadPool::default_threads(), 3u);
   ::unsetenv("VLACNN_THREADS");
   EXPECT_GE(ThreadPool::default_threads(), 1u);
+  // Empty means unset: the hardware default, not an error.
+  const unsigned unset = ThreadPool::default_threads();
+  ::setenv("VLACNN_THREADS", "", 1);
+  EXPECT_EQ(ThreadPool::default_threads(), unset);
+  ::unsetenv("VLACNN_THREADS");
+}
+
+// The one knob grammar (common/env.h), on a knob no product code reads.
+TEST(EnvKnobs, OneGrammarForEveryKind) {
+  const char* k = "VLACNN_TEST_ENV_GRAMMAR";
+  const std::initializer_list<EnvWord> words = {{"off", 0}, {"on", 1}};
+  for (const bool set_empty : {false, true}) {  // empty is the same as unset
+    if (set_empty) {
+      ::setenv(k, "", 1);
+    } else {
+      ::unsetenv(k);
+    }
+    EXPECT_FALSE(env_text(k));
+    EXPECT_FALSE(env_uint(k));
+    EXPECT_FALSE(env_positive(k));
+    EXPECT_FALSE(env_word(k, words));
+  }
+
+  // Unsigned: decimal digits only, within [lo, hi].
+  ::setenv(k, "18446744073709551615", 1);
+  EXPECT_EQ(env_uint(k), std::numeric_limits<std::uint64_t>::max());
+  ::setenv(k, "5", 1);
+  EXPECT_EQ(env_uint(k, 5, 5), 5u);
+  EXPECT_THROW(env_uint(k, 6), std::runtime_error);
+  EXPECT_THROW(env_uint(k, 0, 4), std::runtime_error);
+  for (const char* bad : {"-1", "+1", " 1", "1 ", "0x10", "1e3", "4.0",
+                          "18446744073709551616"}) {
+    ::setenv(k, bad, 1);
+    EXPECT_THROW(env_uint(k), std::runtime_error) << bad;
+  }
+
+  // Positive reals: the whole string, finite and > 0.
+  ::setenv(k, "2.5e5", 1);
+  EXPECT_EQ(env_positive(k), 2.5e5);
+  for (const char* bad : {"0", "-1", "+1", " 1", "1x", "inf", "nan", "1e400",
+                          "0x10"}) {
+    ::setenv(k, bad, 1);
+    EXPECT_THROW(env_positive(k), std::runtime_error) << bad;
+  }
+
+  // Words: a fixed table, matched case-insensitively.
+  ::setenv(k, "On", 1);
+  EXPECT_EQ(env_word(k, words), 1);
+  ::setenv(k, "onn", 1);
+  EXPECT_THROW(env_word(k, words), std::runtime_error);
+
+  // Every error starts with the knob name and quotes the value.
+  ::setenv(k, "-1x", 1);
+  for (int kind = 0; kind < 3; ++kind) {
+    try {
+      if (kind == 0) env_uint(k);
+      if (kind == 1) env_positive(k);
+      if (kind == 2) env_word(k, words);
+      ADD_FAILURE() << "kind " << kind << " accepted '-1x'";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("VLACNN_TEST_ENV_GRAMMAR: ", 0), 0u) << what;
+      EXPECT_NE(what.find("'-1x'"), std::string::npos) << what;
+    }
+  }
+  ::unsetenv(k);
 }
 
 }  // namespace

@@ -292,6 +292,8 @@ TEST(DefaultDispatchCycles, EnvKnobOverridesAndValidates) {
   EXPECT_THROW(default_dispatch_cycles(), std::runtime_error);
   ::setenv("VLACNN_DISPATCH_CYCLES", "0", 1);
   EXPECT_THROW(default_dispatch_cycles(), std::runtime_error);
+  ::setenv("VLACNN_DISPATCH_CYCLES", "", 1);  // empty means unset
+  EXPECT_DOUBLE_EQ(default_dispatch_cycles(), kDefaultDispatchCyclesPerLayer);
   ::unsetenv("VLACNN_DISPATCH_CYCLES");
 }
 

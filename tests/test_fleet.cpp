@@ -149,6 +149,11 @@ TEST(FleetRouterTest, DefaultFleetSeedEnvKnob) {
   EXPECT_EQ(default_fleet_seed(), 12345u);
   ::setenv("VLACNN_FLEET_SEED", "not-a-seed", 1);
   EXPECT_THROW(default_fleet_seed(), std::runtime_error);
+  // Neither a sign nor an overflow may wrap to seed 2^64-1.
+  ::setenv("VLACNN_FLEET_SEED", "-1", 1);
+  EXPECT_THROW(default_fleet_seed(), std::runtime_error);
+  ::setenv("VLACNN_FLEET_SEED", "99999999999999999999999", 1);
+  EXPECT_THROW(default_fleet_seed(), std::runtime_error);
   ::unsetenv("VLACNN_FLEET_SEED");
 }
 

@@ -800,6 +800,43 @@ TEST(ObsSinks, ShortWriteClosesTheFile) {
                             obs::set_kernprof_path, "KernProfSink::write_file");
 }
 
+TEST(ObsSinks, ExitWritesEveryArmedSink) {
+  // Each sink arms its own exit write at its first record(), in whatever
+  // order the sinks are first used; every armed sink must reach its file
+  // intact when the process exits through std::exit. Forked, so the exit
+  // hooks run here.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "vlacnn_test_obs_sink_exit";
+  std::filesystem::remove_all(dir);
+  const auto tl = dir / "tl.jsonl", rt = dir / "rt.jsonl",
+             kp = dir / "kp.jsonl";
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    obs::set_reqtrace_path(rt.string());
+    obs::set_kernprof_path(kp.string());
+    obs::set_timeline_path(tl.string());
+    obs::ReqTraceSink::global().reset();
+    obs::KernProfSink::global().reset();
+    obs::TimelineSink::global().reset();
+    obs::ReqTraceSink::global().record("r", "{\"type\":\"header\"}\n");
+    obs::KernProfSink::global().record("k", "{\"type\":\"kernel\"}\n");
+    obs::TimelineSink::global().record("t", "{\"type\":\"header\"}\n");
+    std::exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(read_file(rt),
+            "{\"type\":\"run\",\"label\":\"r\"}\n{\"type\":\"header\"}\n");
+  EXPECT_EQ(read_file(kp),
+            "{\"type\":\"run\",\"label\":\"k\"}\n{\"type\":\"kernel\"}\n");
+  EXPECT_EQ(read_file(tl),
+            "{\"type\":\"run\",\"label\":\"t\"}\n{\"type\":\"header\"}\n");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ObsTrace, HostileSpanArgsStayParseable) {
   const auto dir =
       std::filesystem::temp_directory_path() / "vlacnn_test_obs_hostile";

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "algos/conv_args.h"
@@ -55,6 +56,9 @@ TEST(KernProfKnobs, PathSetterGatesCollectionAndIntervalSetterValidates) {
 
   EXPECT_THROW(obs::set_kernprof_interval_cycles(0), std::invalid_argument);
   EXPECT_THROW(obs::set_kernprof_interval_cycles(-1e5), std::invalid_argument);
+  EXPECT_THROW(obs::set_kernprof_interval_cycles(
+                   std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------- partition ------

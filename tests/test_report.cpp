@@ -11,6 +11,8 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "report/collector.h"
 #include "report/json.h"
@@ -636,6 +638,76 @@ TEST_F(ReportTest, ParallelSweepReportMatchesSerialReport) {
   const std::string parallel_json =
       report::Collector::global().snapshot("t", 0).to_json();
   EXPECT_EQ(serial_json, parallel_json);
+}
+
+// -- the labeled-JSONL reader -------------------------------------------------
+
+/// Write `text` to a fresh temp file; returns its path.
+std::string write_temp(const std::string& name, const std::string& text) {
+  const auto path = std::filesystem::temp_directory_path() / name;
+  std::ofstream(path) << text;
+  return path.string();
+}
+
+/// read_labeled_jsonl's error for `text`, or "" when it reads cleanly. The
+/// line callback reads one number field, "v", the way vlacnn-report does.
+std::string jsonl_error(const std::string& text) {
+  const std::string path = write_temp("vlacnn_test_jsonl_error.jsonl", text);
+  try {
+    report::read_labeled_jsonl(
+        path, [](const std::string&) {},
+        [](const report::Json& j, const std::string& type) {
+          if (type != "x") return false;
+          report::num_at(j, "v", 0.0);
+          return true;
+        });
+  } catch (const std::runtime_error& e) {
+    std::filesystem::remove(path);
+    return std::string(e.what()).substr(path.size());
+  }
+  std::filesystem::remove(path);
+  return "";
+}
+
+TEST(LabeledJsonl, RunLinesOpenBlocksAndAnUnlabeledHeadIsOneBlock) {
+  const std::string path = write_temp(
+      "vlacnn_test_jsonl_blocks.jsonl",
+      "{\"type\":\"x\",\"v\":1}\n\n"
+      "{\"type\":\"run\",\"label\":\"a\"}\n{\"type\":\"x\",\"v\":2}\n"
+      "{\"type\":\"x\",\"v\":null}\n"
+      "{\"type\":\"run\",\"label\":\"b\"}\n");
+  std::vector<std::pair<std::string, std::vector<double>>> blocks;
+  report::read_labeled_jsonl(
+      path, [&](const std::string& label) { blocks.push_back({label, {}}); },
+      [&](const report::Json& j, const std::string&) {
+        blocks.back().second.push_back(report::num_at(j, "v", -1.0));
+        return true;
+      });
+  const std::vector<std::pair<std::string, std::vector<double>>> want = {
+      {"", {1}}, {"a", {2, -1}}, {"b", {}}};  // null reads as null_as
+  EXPECT_EQ(blocks, want);
+  std::filesystem::remove(path);
+}
+
+TEST(LabeledJsonl, EveryLineErrorNamesFileAndLine) {
+  EXPECT_EQ(jsonl_error("{\"type\":\"x\",\"v\":1}\n"), "");
+  EXPECT_EQ(jsonl_error("{\"type\":\"x\",\"v\":1}\n{\"type\":\"x\",\"v\":"),
+            ":2: json parse error at offset 16: unexpected end of input");
+  EXPECT_EQ(jsonl_error("{\"type\":\"x\"}\n"),
+            ":1: json: missing required key \"v\"");
+  EXPECT_EQ(jsonl_error("{\"type\":\"y\"}\n"), ":1: unknown line type 'y'");
+  EXPECT_EQ(jsonl_error("{\"type\":\"run\",\"label\":7}\n"),
+            ":1: json: key \"label\" holds a number, expected a string");
+  EXPECT_EQ(jsonl_error("{\"type\":7}\n"),
+            ":1: json: key \"type\" holds a number, expected a string");
+  // A number field holding anything but a number (or null) is an error.
+  for (const char* v : {"\"x\"", "true", "[1]", "{}"}) {
+    EXPECT_NE(jsonl_error(std::string("{\"type\":\"x\",\"v\":") + v + "}"),
+              "")
+        << v;
+  }
+  EXPECT_EQ(jsonl_error("{\"type\":\"x\",\"v\":\"x\"}"),
+            ":1: json: key \"v\" holds a string, expected a number");
 }
 
 }  // namespace

@@ -43,10 +43,16 @@ TEST(ReqTraceKnobs, EnvParsesAndMalformedValuesThrow) {
   EXPECT_THROW(obs::reqtrace_top_k(), std::runtime_error);
   setenv("VLACNN_REQTRACE_TOPK", "0", 1);  // below the >= 1 floor
   EXPECT_THROW(obs::reqtrace_top_k(), std::runtime_error);
+  setenv("VLACNN_REQTRACE_TOPK", "-1", 1);  // a sign, not a wrap to 2^64-1
+  EXPECT_THROW(obs::reqtrace_top_k(), std::runtime_error);
+  setenv("VLACNN_REQTRACE_TOPK", "99999999999999999999999", 1);  // > 2^64-1
+  EXPECT_THROW(obs::reqtrace_top_k(), std::runtime_error);
   setenv("VLACNN_REQTRACE_TOPK", "12", 1);
   EXPECT_EQ(obs::reqtrace_top_k(), 12u);
 
   setenv("VLACNN_REQTRACE_HEAD", "7x", 1);
+  EXPECT_THROW(obs::reqtrace_head_every(), std::runtime_error);
+  setenv("VLACNN_REQTRACE_HEAD", "-1", 1);
   EXPECT_THROW(obs::reqtrace_head_every(), std::runtime_error);
   setenv("VLACNN_REQTRACE_HEAD", "16", 1);
   EXPECT_EQ(obs::reqtrace_head_every(), 16u);

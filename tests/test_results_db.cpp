@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -57,6 +58,16 @@ class ResultsDbTest : public ::testing::Test {
   std::filesystem::path dir_;
   std::string path_;
 };
+
+TEST(ResultsDbPath, EmptyResultsDirMeansTheDefault) {
+  ::unsetenv("REPRO_RESULTS_DIR");
+  EXPECT_EQ(default_results_path(), "results/sweep_cache.csv");
+  ::setenv("REPRO_RESULTS_DIR", "/tmp/elsewhere", 1);
+  EXPECT_EQ(default_results_path(), "/tmp/elsewhere/sweep_cache.csv");
+  ::setenv("REPRO_RESULTS_DIR", "", 1);  // not the filesystem root
+  EXPECT_EQ(default_results_path(), "results/sweep_cache.csv");
+  ::unsetenv("REPRO_RESULTS_DIR");
+}
 
 TEST_F(ResultsDbTest, RoundTripIsBitExact) {
   // Doubles chosen to break %.9e: they differ only past the 10th significant

@@ -295,7 +295,6 @@ int run_fleet(int argc, char** argv) {
     }
     q.policy.timeout_cycles = flush_ms * 1e-3 * q.clock_hz;
     q.router.kind = serving::router_kind_from_string(router_name);
-    if (!fleet_seed_set) q.router.seed = serving::default_fleet_seed();
     if (!(q.attainment_target > 0) || q.attainment_target > 1 ||
         q.requests == 0 || q.policy.max_batch < 1 || q.max_chips < 1 ||
         q.max_chip_types < 1 || !(q.router_hop_cycles >= 0)) {
@@ -317,6 +316,9 @@ int run_fleet(int argc, char** argv) {
   }
 
   try {
+    // An env knob is not part of the command line: a malformed
+    // VLACNN_FLEET_SEED is a runtime failure (exit 1), not a usage error.
+    if (!fleet_seed_set) q.router.seed = serving::default_fleet_seed();
     std::vector<Network> nets;
     for (const std::string& name : mix.names) {
       nets.push_back(name == "vgg16" ? make_vgg16(224)

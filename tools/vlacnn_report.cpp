@@ -111,75 +111,59 @@ struct TimelineRun {
   std::vector<vlacnn::obs::TimelineAlert> alerts;
 };
 
+/// A number field of a JSONL line; null (a non-finite value) reads as 0.
+double num(const vlacnn::report::Json& j, const char* key) {
+  return vlacnn::report::num_at(j, key, 0.0);
+}
+
+std::uint64_t count(const vlacnn::report::Json& j, const char* key) {
+  return static_cast<std::uint64_t>(num(j, key));
+}
+
 std::vector<TimelineRun> load_timeline(const std::string& path) {
   using vlacnn::report::Json;
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
   std::vector<TimelineRun> runs;
-  std::string line;
-  std::size_t lineno = 0;
-  auto num = [](const Json& j, const char* key) {
-    return j.at(key).num_or(0);
-  };
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    Json j;
-    try {
-      j = vlacnn::report::parse_json(line);
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " +
-                               e.what());
-    }
-    const std::string type = j.at("type").string;
-    if (type == "run") {
-      runs.emplace_back();
-      runs.back().label = j.at("label").string;
-      continue;
-    }
-    if (runs.empty()) {
-      // A block written directly by TimelineRecorder::to_jsonl() has no run
-      // line; treat the whole file as one unlabeled run.
-      runs.emplace_back();
-    }
-    TimelineRun& run = runs.back();
-    if (type == "header") {
-      run.slo_cycles = num(j, "slo_cycles");
-      run.interval_cycles = num(j, "interval_cycles");
-    } else if (type == "snapshot") {
-      vlacnn::obs::TimelineSnapshot s;
-      s.t_start = num(j, "t_start");
-      s.t_end = num(j, "t_end");
-      s.arrivals = static_cast<std::uint64_t>(num(j, "arrivals"));
-      s.drops = static_cast<std::uint64_t>(num(j, "drops"));
-      s.dispatches = static_cast<std::uint64_t>(num(j, "dispatches"));
-      s.completions = static_cast<std::uint64_t>(num(j, "completions"));
-      s.queue_depth = static_cast<std::uint64_t>(num(j, "queue_depth"));
-      s.in_flight = static_cast<int>(num(j, "in_flight"));
-      s.mean_queue = num(j, "mean_queue");
-      s.utilization = num(j, "utilization");
-      s.arrival_rate = num(j, "arrival_rate");
-      s.completion_rate = num(j, "completion_rate");
-      s.rolling_p99 = num(j, "rolling_p99");
-      s.rolling_count = static_cast<std::uint64_t>(num(j, "rolling_count"));
-      s.burn_short = num(j, "burn_short");
-      s.burn_long = num(j, "burn_long");
-      s.alert = j.at("alert").boolean;
-      s.cum_offered = static_cast<std::uint64_t>(num(j, "cum_offered"));
-      s.cum_completed = static_cast<std::uint64_t>(num(j, "cum_completed"));
-      s.cum_dropped = static_cast<std::uint64_t>(num(j, "cum_dropped"));
-      run.snapshots.push_back(s);
-    } else if (type == "alert" || type == "clear") {
-      vlacnn::obs::TimelineAlert a;
-      a.t = num(j, "t");
-      a.raised = type == "alert";
-      a.burn_rate = num(j, "burn_rate");
-      run.alerts.push_back(a);
-    } else {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                               ": unknown line type '" + type + "'");
-    }
-  }
+  vlacnn::report::read_labeled_jsonl(
+      path, [&](const std::string& label) { runs.emplace_back().label = label; },
+      [&](const Json& j, const std::string& type) {
+        TimelineRun& run = runs.back();
+        if (type == "header") {
+          run.slo_cycles = num(j, "slo_cycles");
+          run.interval_cycles = num(j, "interval_cycles");
+        } else if (type == "snapshot") {
+          vlacnn::obs::TimelineSnapshot s;
+          s.t_start = num(j, "t_start");
+          s.t_end = num(j, "t_end");
+          s.arrivals = count(j, "arrivals");
+          s.drops = count(j, "drops");
+          s.dispatches = count(j, "dispatches");
+          s.completions = count(j, "completions");
+          s.queue_depth = count(j, "queue_depth");
+          s.in_flight = static_cast<int>(num(j, "in_flight"));
+          s.mean_queue = num(j, "mean_queue");
+          s.utilization = num(j, "utilization");
+          s.arrival_rate = num(j, "arrival_rate");
+          s.completion_rate = num(j, "completion_rate");
+          s.rolling_p99 = num(j, "rolling_p99");
+          s.rolling_count = count(j, "rolling_count");
+          s.burn_short = num(j, "burn_short");
+          s.burn_long = num(j, "burn_long");
+          s.alert = vlacnn::report::bool_at(j, "alert");
+          s.cum_offered = count(j, "cum_offered");
+          s.cum_completed = count(j, "cum_completed");
+          s.cum_dropped = count(j, "cum_dropped");
+          run.snapshots.push_back(s);
+        } else if (type == "alert" || type == "clear") {
+          vlacnn::obs::TimelineAlert a;
+          a.t = num(j, "t");
+          a.raised = type == "alert";
+          a.burn_rate = num(j, "burn_rate");
+          run.alerts.push_back(a);
+        } else {
+          return false;
+        }
+        return true;
+      });
   return runs;
 }
 
@@ -262,70 +246,53 @@ struct TraceRunBlock {
 
 std::vector<TraceRunBlock> load_reqtrace(const std::string& path) {
   using vlacnn::report::Json;
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
+  using vlacnn::report::str_at;
   std::vector<TraceRunBlock> runs;
-  std::string line;
-  std::size_t lineno = 0;
-  auto num = [](const Json& j, const char* key) { return j.at(key).num_or(0); };
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    Json j;
-    try {
-      j = vlacnn::report::parse_json(line);
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " +
-                               e.what());
-    }
-    const std::string type = j.at("type").string;
-    if (type == "run") {
-      runs.emplace_back();
-      runs.back().label = j.at("label").string;
-      continue;
-    }
-    if (runs.empty()) runs.emplace_back();  // recorder-direct file: one run
-    TraceRunBlock& run = runs.back();
-    if (type == "header") {
-      run.slo_cycles = num(j, "slo_cycles");
-      run.offered = static_cast<std::uint64_t>(num(j, "offered"));
-      run.completed = static_cast<std::uint64_t>(num(j, "completed"));
-      run.dropped = static_cast<std::uint64_t>(num(j, "dropped"));
-      run.violations = static_cast<std::uint64_t>(num(j, "violations"));
-    } else if (type == "exemplar") {
-      run.exemplars.emplace_back(
-          num(j, "bucket_upper"), num(j, "latency"),
-          static_cast<std::uint64_t>(num(j, "id")));
-    } else if (type == "request") {
-      TraceReq r;
-      r.id = static_cast<std::uint64_t>(num(j, "id"));
-      r.arrival = num(j, "arrival");
-      r.dispatch = num(j, "dispatch");
-      r.completion = num(j, "completion");
-      r.latency = num(j, "latency");
-      r.queue_wait = num(j, "queue_wait");
-      r.formation_wait = num(j, "formation_wait");
-      r.service = num(j, "service");
-      // Fleet traces only (obs/reqtrace.h): absent on single-chip files.
-      if (const Json* f = j.find("router_hop")) r.router_hop = f->num_or(0);
-      if (const Json* f = j.find("chip")) r.chip = static_cast<int>(f->num_or(-1));
-      r.batch = static_cast<int>(num(j, "batch"));
-      r.instance = static_cast<int>(num(j, "instance"));
-      r.dropped = j.at("dropped").boolean;
-      r.within_slo = j.at("within_slo").boolean;
-      r.keep = j.at("keep").string;
-      for (const Json& seg : j.at("layers").array) {
-        r.layers.emplace_back(seg.at("name").string, seg.at("cycles").num_or(0));
-      }
-      for (const Json& note : j.at("notes").array) {
-        r.notes.emplace_back(note.at("k").string, note.at("v").string);
-      }
-      run.requests.push_back(std::move(r));
-    } else {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                               ": unknown line type '" + type + "'");
-    }
-  }
+  vlacnn::report::read_labeled_jsonl(
+      path, [&](const std::string& label) { runs.emplace_back().label = label; },
+      [&](const Json& j, const std::string& type) {
+        TraceRunBlock& run = runs.back();
+        if (type == "header") {
+          run.slo_cycles = num(j, "slo_cycles");
+          run.offered = count(j, "offered");
+          run.completed = count(j, "completed");
+          run.dropped = count(j, "dropped");
+          run.violations = count(j, "violations");
+        } else if (type == "exemplar") {
+          run.exemplars.emplace_back(num(j, "bucket_upper"),
+                                     num(j, "latency"), count(j, "id"));
+        } else if (type == "request") {
+          TraceReq r;
+          r.id = count(j, "id");
+          r.arrival = num(j, "arrival");
+          r.dispatch = num(j, "dispatch");
+          r.completion = num(j, "completion");
+          r.latency = num(j, "latency");
+          r.queue_wait = num(j, "queue_wait");
+          r.formation_wait = num(j, "formation_wait");
+          r.service = num(j, "service");
+          // Fleet traces only (obs/reqtrace.h): absent on single-chip files.
+          if (j.find("router_hop")) r.router_hop = num(j, "router_hop");
+          if (j.find("chip")) {
+            r.chip = static_cast<int>(vlacnn::report::num_at(j, "chip", -1.0));
+          }
+          r.batch = static_cast<int>(num(j, "batch"));
+          r.instance = static_cast<int>(num(j, "instance"));
+          r.dropped = vlacnn::report::bool_at(j, "dropped");
+          r.within_slo = vlacnn::report::bool_at(j, "within_slo");
+          r.keep = str_at(j, "keep");
+          for (const Json& seg : vlacnn::report::array_at(j, "layers")) {
+            r.layers.emplace_back(str_at(seg, "name"), num(seg, "cycles"));
+          }
+          for (const Json& note : vlacnn::report::array_at(j, "notes")) {
+            r.notes.emplace_back(str_at(note, "k"), str_at(note, "v"));
+          }
+          run.requests.push_back(std::move(r));
+        } else {
+          return false;
+        }
+        return true;
+      });
   return runs;
 }
 
@@ -546,80 +513,62 @@ struct ProfRun {
 
 std::vector<ProfRun> load_kernprof(const std::string& path) {
   using vlacnn::report::Json;
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
+  using vlacnn::report::str_at;
   std::vector<ProfRun> runs;
-  std::string line;
-  std::size_t lineno = 0;
-  auto num = [](const Json& j, const char* key) { return j.at(key).num_or(0); };
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    Json j;
-    try {
-      j = vlacnn::report::parse_json(line);
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " +
-                               e.what());
-    }
-    const std::string type = j.at("type").string;
-    if (type == "run") {
-      runs.emplace_back();
-      runs.back().label = j.at("label").string;
-      continue;
-    }
-    if (runs.empty()) runs.emplace_back();  // to_jsonl()-direct file: one run
-    ProfRun& run = runs.back();
-    if (type == "kernel") {
-      run.net = j.at("net").string;
-      run.layer = static_cast<int>(num(j, "layer"));
-      run.algo = j.at("algo").string;
-      run.vlen_bits = static_cast<std::uint64_t>(num(j, "vlen_bits"));
-      run.l2_bytes = static_cast<std::uint64_t>(num(j, "l2_bytes"));
-      run.lanes = static_cast<std::uint64_t>(num(j, "lanes"));
-      run.attach = j.at("attach").string;
-      run.interval_cycles = num(j, "interval_cycles");
-      run.cycles = num(j, "cycles");
-      run.compute = num(j, "compute_cycles");
-      run.mem_issue = num(j, "mem_issue_cycles");
-      run.mem_stall = num(j, "mem_stall_cycles");
-      run.scalar = num(j, "scalar_cycles");
-    } else if (type == "phase") {
-      ProfPhase p;
-      p.name = j.at("name").string;
-      p.cycles = num(j, "cycles");
-      p.raw_cycles = num(j, "raw_cycles");
-      p.compute = num(j, "compute_cycles");
-      p.mem_issue = num(j, "mem_issue_cycles");
-      p.mem_stall = num(j, "mem_stall_cycles");
-      p.scalar = num(j, "scalar_cycles");
-      p.avg_vl = num(j, "avg_vl");
-      p.flops = num(j, "flops");
-      p.l1_accesses = num(j, "l1_accesses");
-      p.l1_misses = num(j, "l1_misses");
-      p.l2_accesses = num(j, "l2_accesses");
-      p.l2_misses = num(j, "l2_misses");
-      p.mem_bytes = num(j, "mem_bytes");
-      run.phases.push_back(std::move(p));
-    } else if (type == "window") {
-      ProfWindow w;
-      w.t_start = num(j, "t_start");
-      w.t_end = num(j, "t_end");
-      w.compute = num(j, "compute_cycles");
-      w.mem_issue = num(j, "mem_issue_cycles");
-      w.mem_stall = num(j, "mem_stall_cycles");
-      w.scalar = num(j, "scalar_cycles");
-      w.avg_vl = num(j, "avg_vl");
-      w.lane_utilization = num(j, "lane_utilization");
-      w.l1_miss_rate = num(j, "l1_miss_rate");
-      w.l2_miss_rate = num(j, "l2_miss_rate");
-      w.dram_bytes_per_cycle = num(j, "dram_bytes_per_cycle");
-      run.windows.push_back(w);
-    } else {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                               ": unknown line type '" + type + "'");
-    }
-  }
+  vlacnn::report::read_labeled_jsonl(
+      path, [&](const std::string& label) { runs.emplace_back().label = label; },
+      [&](const Json& j, const std::string& type) {
+        ProfRun& run = runs.back();
+        if (type == "kernel") {
+          run.net = str_at(j, "net");
+          run.layer = static_cast<int>(num(j, "layer"));
+          run.algo = str_at(j, "algo");
+          run.vlen_bits = count(j, "vlen_bits");
+          run.l2_bytes = count(j, "l2_bytes");
+          run.lanes = count(j, "lanes");
+          run.attach = str_at(j, "attach");
+          run.interval_cycles = num(j, "interval_cycles");
+          run.cycles = num(j, "cycles");
+          run.compute = num(j, "compute_cycles");
+          run.mem_issue = num(j, "mem_issue_cycles");
+          run.mem_stall = num(j, "mem_stall_cycles");
+          run.scalar = num(j, "scalar_cycles");
+        } else if (type == "phase") {
+          ProfPhase p;
+          p.name = str_at(j, "name");
+          p.cycles = num(j, "cycles");
+          p.raw_cycles = num(j, "raw_cycles");
+          p.compute = num(j, "compute_cycles");
+          p.mem_issue = num(j, "mem_issue_cycles");
+          p.mem_stall = num(j, "mem_stall_cycles");
+          p.scalar = num(j, "scalar_cycles");
+          p.avg_vl = num(j, "avg_vl");
+          p.flops = num(j, "flops");
+          p.l1_accesses = num(j, "l1_accesses");
+          p.l1_misses = num(j, "l1_misses");
+          p.l2_accesses = num(j, "l2_accesses");
+          p.l2_misses = num(j, "l2_misses");
+          p.mem_bytes = num(j, "mem_bytes");
+          run.phases.push_back(std::move(p));
+        } else if (type == "window") {
+          ProfWindow w;
+          w.t_start = num(j, "t_start");
+          w.t_end = num(j, "t_end");
+          w.compute = num(j, "compute_cycles");
+          w.mem_issue = num(j, "mem_issue_cycles");
+          w.mem_stall = num(j, "mem_stall_cycles");
+          w.scalar = num(j, "scalar_cycles");
+          w.avg_vl = num(j, "avg_vl");
+          w.lane_utilization = num(j, "lane_utilization");
+          w.l1_miss_rate = num(j, "l1_miss_rate");
+          w.l2_miss_rate = num(j, "l2_miss_rate");
+          w.dram_bytes_per_cycle = num(j, "dram_bytes_per_cycle");
+          run.windows.push_back(w);
+        } else {
+          return false;
+        }
+        return true;
+      });
   return runs;
 }
 
