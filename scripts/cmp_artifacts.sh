@@ -6,10 +6,12 @@
 # Each build runs the ci.sh commands on its own private copy of
 # results/sweep_cache.csv, then each pair of artifacts is cmp'ed. The report
 # JSON carries host wall time on its `  "wall_ms": ` line, so each report JSON
-# is cmp'ed with that one line masked; the fig01 report also goes through
-# `vlacnn-report diff --budget-pct 0`, which must list no changed key. The
-# ci.sh gates compare two thread counts of one build; this compares two
-# builds, so it also sees a byte drift that both thread counts share.
+# is cmp'ed with that one line masked, and so is the `vlacnn-report
+# summarize` text of each report, whose first line prints it as `wall=`. The
+# fig01 report also goes through `vlacnn-report diff --budget-pct 0`, which
+# must list no changed key. The ci.sh gates compare two thread counts of one
+# build; this compares two builds, so it also sees a byte drift that both
+# thread counts share.
 #
 # VLACNN_*/REPRO_* knobs from the caller's environment are cleared. Outputs go
 # to build/cmp-artifacts/{old,new}. Exit 0 when every artifact matches, 1
@@ -58,7 +60,10 @@ produce() {
   VLACNN_REPORT="$d/report-fleet" "${fleet[@]}" \
     --timeline "$d/fleet-timeline.jsonl" >/dev/null
   VLACNN_REPORT="$d/report" "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
-  VLACNN_KERNPROF="$d/fig01-kernprof.jsonl" \
+  # The kernel profile, with the report on: its per-phase cells and the CSV
+  # phase block, next to the same entries as the report-only run above.
+  VLACNN_REPORT="$d/report-kernprof" \
+    VLACNN_KERNPROF="$d/fig01-kernprof.jsonl" \
     "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
   # Cold, into an empty cache, on one thread: with more workers the rows are
   # appended in completion order, which differs from run to run.
@@ -66,10 +71,12 @@ produce() {
     "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
   unset REPRO_RESULTS_DIR
   # The one line of host wall time, masked so the rest of each report JSON
-  # can be cmp'ed.
+  # can be cmp'ed; the summary prints it once too, on its first line.
   local json
   for json in "$d"/report*/*.report.json; do
     sed -E 's/^(  "wall_ms": ).*$/\1(masked)/' "$json" > "$json.masked"
+    "$b/tools/vlacnn-report" summarize "$json" |
+      sed -E '1s/  wall=[^ ]* ms$/  wall=(masked) ms/' > "$json.summary"
   done
 }
 
@@ -79,7 +86,8 @@ echo "cmp_artifacts: producing with $NEW"
 produce "$NEW" "$OUT/new"
 
 fail=0
-reports=$(cd "$OUT/new" && ls report*/*.report.csv report*/*.report.json.masked)
+reports=$(cd "$OUT/new" && ls report*/*.report.csv \
+  report*/*.report.json.masked report*/*.report.json.summary)
 for f in capacity.json capacity-learned.json capacity-timeline.jsonl \
          capacity-reqtrace.jsonl capacity-learned-reqtrace.jsonl \
          capacity-learned-timeline.jsonl fleet.json fleet-reqtrace.jsonl \

@@ -128,6 +128,54 @@ printf '%s\n' '{"type":"run","label":"a"}' \
 expect 1 'missing-key\.jsonl:2: .*"t_end"' "report: missing key names file:line" \
   -- "$REP" timeline "$TMP/missing-key.jsonl"
 
+# Nesting past the parser's cap (64 levels) is a parse error with an offset,
+# not a stack overflow: a report of a million '[' and a JSONL line of them.
+head -c 1000000 /dev/zero | tr '\0' '[' > "$TMP/deep.json"
+expect 1 'json parse error at offset 64: nesting deeper' \
+  "report: a million nested brackets" -- "$REP" summarize "$TMP/deep.json"
+{ echo '{"type":"run","label":"a"}'; cat "$TMP/deep.json"; echo; } \
+  > "$TMP/deep.jsonl"
+expect 1 'deep\.jsonl:2: json parse error at offset 64' \
+  "report: a JSONL line of a million nested brackets" \
+  -- "$REP" timeline "$TMP/deep.jsonl"
+
+# Integer fields are checked, not cast: a fraction, a sign or an overflow
+# names the key instead of rendering as another grid point (L02, lanes
+# 4294967288, l2 2^64-1, L-21474) or diffing clean against a collision.
+# `"layer": 1` is the first L01 row; 2.5 would truncate into the L02 row.
+sed '0,/"layer": 1,/s//"layer": 2.5,/' BENCH_report_baseline.json \
+  > "$TMP/layer-frac.json"
+sed '0,/"layer": 1,/s//"layer": 1e30,/' BENCH_report_baseline.json \
+  > "$TMP/layer-huge.json"
+sed '0,/"lanes": 8,/s//"lanes": -8,/' BENCH_report_baseline.json \
+  > "$TMP/lanes-neg.json"
+sed -E '0,/"l2_bytes": [0-9]+,/s//"l2_bytes": -1,/' BENCH_report_baseline.json \
+  > "$TMP/l2-neg.json"
+for f in layer-frac layer-huge lanes-neg l2-neg; do
+  if cmp -s BENCH_report_baseline.json "$TMP/$f.json"; then
+    echo "FAIL: sed produced no $f mutant" >&2
+    fail=1
+  fi
+done
+expect 1 '"layer" holds 2\.5, expected a signed' "report: layer 2.5" \
+  -- "$REP" summarize "$TMP/layer-frac.json"
+expect 1 '"layer" holds 1e\+30' "report: layer 1e30" \
+  -- "$REP" summarize "$TMP/layer-huge.json"
+expect 1 '"lanes" holds -8, expected an unsigned' "report: lanes -8" \
+  -- "$REP" summarize "$TMP/lanes-neg.json"
+expect 1 '"l2_bytes" holds -1' "report: l2_bytes -1" \
+  -- "$REP" summarize "$TMP/l2-neg.json"
+expect 1 '"layer" holds 2\.5' "report: diff against a colliding layer 2.5" \
+  -- "$REP" diff BENCH_report_baseline.json "$TMP/layer-frac.json" \
+     --budget-pct 0
+printf '%s\n' '{"type":"run","label":"a"}' \
+  '{"type":"header","interval_cycles":1000,"slo_cycles":5000}' \
+  '{"type":"snapshot","t_start":0,"t_end":1000,"arrivals":-1,"drops":0,"dispatches":0,"completions":0,"queue_depth":0,"in_flight":0,"mean_queue":0,"utilization":0,"arrival_rate":0,"completion_rate":0,"rolling_p99":0,"rolling_count":0,"burn_short":0,"burn_long":0,"alert":false,"cum_offered":0,"cum_completed":0,"cum_dropped":0}' \
+  > "$TMP/arrivals-neg.jsonl"
+expect 1 'arrivals-neg\.jsonl:3: .*"arrivals" holds -1' \
+  "report: timeline snapshot arrivals -1" \
+  -- "$REP" timeline "$TMP/arrivals-neg.jsonl"
+
 # Malformed env knobs: a runtime failure (exit 1) whose message starts with
 # the knob's name; never a usage error, never a silent default or a wrap.
 CAP_RUN=("$CAP" --net vgg16 --load 20rps --slo 4000ms --requests 100)

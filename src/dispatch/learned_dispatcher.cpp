@@ -208,7 +208,7 @@ class ReportingLearnedModel final : public serving::ServiceModel {
  public:
   ReportingLearnedModel(std::unique_ptr<LearnedDispatcher> d,
                         std::shared_ptr<const FlatForest> forest,
-                        report::DispatchCell cell)
+                        report::Json cell)
       : d_(std::move(d)), forest_(std::move(forest)), cell_(std::move(cell)) {}
 
   double service_cycles(int batch) override {
@@ -237,23 +237,24 @@ class ReportingLearnedModel final : public serving::ServiceModel {
       reg.float_gauge("dispatch.last_oracle_gap").set(s.oracle_gap());
     }
     if (report::enabled()) {
-      cell_.layers = s.layers;
-      cell_.mispredicted_layers = s.mispredicted_layers;
-      cell_.batches = s.batches;
-      cell_.images = s.images;
-      cell_.explorations = s.explorations;
-      cell_.learned_conv_cycles = s.learned_conv_cycles;
-      cell_.oracle_conv_cycles = s.oracle_conv_cycles;
-      cell_.selector_cycles = s.selector_cycles;
-      cell_.oracle_gap = s.oracle_gap();
-      report::Collector::global().record_dispatch(cell_);
+      cell_.add("layers", s.layers)
+          .add("mispredicted_layers", s.mispredicted_layers)
+          .add("batches", s.batches)
+          .add("images", s.images)
+          .add("explorations", s.explorations)
+          .add("learned_conv_cycles", s.learned_conv_cycles)
+          .add("oracle_conv_cycles", s.oracle_conv_cycles)
+          .add("selector_cycles", s.selector_cycles)
+          .add("oracle_gap", s.oracle_gap());
+      report::Collector::global().record(report::Section::kDispatch,
+                                         {std::move(cell_)});
     }
   }
 
  private:
   std::unique_ptr<LearnedDispatcher> d_;
   std::shared_ptr<const FlatForest> forest_;  ///< keeps d_'s forest alive
-  report::DispatchCell cell_;
+  report::Json cell_;  ///< the grid point; the stats join it at the end
 };
 
 }  // namespace
@@ -283,12 +284,12 @@ serving::ServiceModelFactory learned_service_factory(
     auto dispatcher = std::make_unique<LearnedDispatcher>(
         forest.get(), std::move(table), std::move(features), weight_bytes,
         cfg);
-    report::DispatchCell cell;
-    cell.net = net.name();
-    cell.cores = point.cores;
-    cell.vlen_bits = point.vlen_bits;
-    cell.l2_total_bytes = point.l2_total_bytes;
-    cell.instances = point.instances;
+    report::Json cell;
+    cell.add("net", net.name())
+        .add("cores", point.cores)
+        .add("vlen_bits", point.vlen_bits)
+        .add("l2_total_bytes", point.l2_total_bytes)
+        .add("instances", point.instances);
     return std::make_unique<ReportingLearnedModel>(std::move(dispatcher),
                                                    forest, std::move(cell));
   };

@@ -140,7 +140,7 @@ class LearnedDispatcher final : public serving::ServiceModel {
 /// table and feature vectors, sharing one immutable compiled forest. The
 /// factory is thread-safe (SweepDriver is; the forest is read-only); each
 /// returned model also publishes its end-of-simulation DispatchStats to
-/// obs metrics and the report::Collector (as a DispatchCell) on destruction,
+/// obs metrics and the report::Collector (as a dispatch cell) on destruction,
 /// which the planner arranges to happen right after its simulation finishes.
 serving::ServiceModelFactory learned_service_factory(
     std::shared_ptr<const FlatForest> forest, SweepDriver* driver,

@@ -1,5 +1,6 @@
 #include "report/collector.h"
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -54,39 +55,30 @@ void Collector::record_row(const SweepRow& row) {
   rows_[row.key] = row;
 }
 
-void Collector::record_serving(const ServingCell& cell) {
-  std::lock_guard<std::mutex> lk(mu_);
-  serving_[{cell.cores, cell.vlen_bits, cell.l2_total_bytes, cell.instances}] =
-      cell;
+bool Collector::KeyLess::operator()(const std::vector<Json>& a,
+                                    const std::vector<Json>& b) const {
+  return std::lexicographical_compare(
+      a.begin(), a.end(), b.begin(), b.end(), [](const Json& x, const Json& y) {
+        if (x.type != y.type) return x.type < y.type;
+        if (x.type == Json::Type::kString) return x.string < y.string;
+        if (x.type == Json::Type::kBool) return x.boolean < y.boolean;
+        return x.number < y.number;
+      });
 }
 
-void Collector::record_request_sim(const RequestSimCell& cell) {
+void Collector::record(Section s, std::vector<Json> cells) {
+  if (cells.empty()) return;
+  const std::size_t n = layout(s).key_fields;
+  const Json& first = cells.front();
+  if (first.type != Json::Type::kObject || first.object.size() < n) {
+    throw std::invalid_argument(std::string("report: a ") + layout(s).name +
+                                " cell needs its " + std::to_string(n) +
+                                " key fields");
+  }
+  std::vector<Json> key;
+  for (std::size_t i = 0; i < n; ++i) key.push_back(first.object[i].second);
   std::lock_guard<std::mutex> lk(mu_);
-  request_sim_[{cell.cores, cell.vlen_bits, cell.l2_total_bytes,
-                cell.instances, cell.policy, cell.arrivals}] = cell;
-}
-
-void Collector::record_dispatch(const DispatchCell& cell) {
-  std::lock_guard<std::mutex> lk(mu_);
-  dispatch_[{cell.net, cell.cores, cell.vlen_bits, cell.l2_total_bytes,
-             cell.instances}] = cell;
-}
-
-void Collector::record_timeline(const TimelineCell& cell) {
-  std::lock_guard<std::mutex> lk(mu_);
-  timeline_[{cell.cores, cell.vlen_bits, cell.l2_total_bytes, cell.instances,
-             cell.policy, cell.arrivals}] = cell;
-}
-
-void Collector::record_fleet(const FleetCell& cell) {
-  std::lock_guard<std::mutex> lk(mu_);
-  fleet_[{cell.label, cell.router, cell.mix}] = cell;
-}
-
-void Collector::record_phases(const std::string& key,
-                              std::vector<PhaseCell> cells) {
-  std::lock_guard<std::mutex> lk(mu_);
-  phases_[key] = std::move(cells);
+  cells_[static_cast<std::size_t>(s)][std::move(key)] = std::move(cells);
 }
 
 RunReport Collector::snapshot(const std::string& tool, double wall_ms,
@@ -100,18 +92,11 @@ RunReport Collector::snapshot(const std::string& tool, double wall_ms,
   for (const auto& [key, row] : rows_) {
     r.entries.push_back({row, attribute(row, p)});
   }
-  r.serving.reserve(serving_.size());
-  for (const auto& [key, cell] : serving_) r.serving.push_back(cell);
-  r.request_sim.reserve(request_sim_.size());
-  for (const auto& [key, cell] : request_sim_) r.request_sim.push_back(cell);
-  r.dispatch.reserve(dispatch_.size());
-  for (const auto& [key, cell] : dispatch_) r.dispatch.push_back(cell);
-  r.timeline.reserve(timeline_.size());
-  for (const auto& [key, cell] : timeline_) r.timeline.push_back(cell);
-  r.fleet.reserve(fleet_.size());
-  for (const auto& [key, cell] : fleet_) r.fleet.push_back(cell);
-  for (const auto& [key, cells] : phases_) {
-    r.phases.insert(r.phases.end(), cells.begin(), cells.end());
+  for (Section s : kAllSections) {
+    std::vector<Json>& out = r.cells(s);
+    for (const auto& [key, group] : cells_[static_cast<std::size_t>(s)]) {
+      out.insert(out.end(), group.begin(), group.end());
+    }
   }
   return r;
 }
@@ -119,12 +104,7 @@ RunReport Collector::snapshot(const std::string& tool, double wall_ms,
 void Collector::reset() {
   std::lock_guard<std::mutex> lk(mu_);
   rows_.clear();
-  serving_.clear();
-  request_sim_.clear();
-  dispatch_.clear();
-  timeline_.clear();
-  fleet_.clear();
-  phases_.clear();
+  for (Groups& groups : cells_) groups.clear();
 }
 
 std::size_t Collector::row_count() const {
@@ -155,7 +135,8 @@ std::string write_report_files(const std::string& title, double wall_ms) {
   obs::log(obs::LogLevel::kInfo, "report", "written",
            {{"path", json_path},
             {"entries", std::to_string(r.entries.size())},
-            {"serving_cells", std::to_string(r.serving.size())}});
+            {"serving_cells",
+             std::to_string(r.cells(Section::kServing).size())}});
   return json_path;
 }
 

@@ -1,16 +1,18 @@
 // Process-wide collection point for run reports, armed by the VLACNN_REPORT
 // env knob (a directory path) via bench::banner(). When enabled, the sweep
-// driver records every row it touches and ServingSimulator records every grid
-// cell; at process exit the collector writes <dir>/<tool>.report.json and
-// .csv. Rows live in a SweepKey-ordered map, so the emitted report is
-// deterministic regardless of the parallel sweep's completion order — a
-// parallel run's report is bit-identical to a serial run's.
+// driver records every row it touches, and the serving, dispatch, fleet and
+// sweep layers record their report cells; at process exit the collector
+// writes <dir>/<tool>.report.json and .csv. Rows and cells live in key-ordered
+// maps, so the emitted report is deterministic regardless of the parallel
+// sweep's completion order — a parallel run's report is bit-identical to a
+// serial run's.
 #pragma once
 
+#include <array>
 #include <map>
 #include <mutex>
 #include <string>
-#include <tuple>
+#include <vector>
 
 #include "report/report.h"
 
@@ -39,34 +41,17 @@ class Collector {
   /// writers for a key carry the same simulation result).
   void record_row(const SweepRow& row);
 
-  /// Record one serving-grid cell (thread-safe, keyed dedup like rows).
-  void record_serving(const ServingCell& cell);
-
-  /// Record one request-level simulation's stats (thread-safe; keyed by
-  /// configuration + policy + arrival labels, last write wins — concurrent
-  /// writers for a key carry identical stats by the determinism guarantee).
-  void record_request_sim(const RequestSimCell& cell);
-
-  /// Record one learned-dispatch outcome (thread-safe; keyed by net + grid
-  /// point, last write wins — the dispatcher is seeded per point, so
-  /// concurrent writers for a key carry identical stats).
-  void record_dispatch(const DispatchCell& cell);
-
-  /// Record one timeline digest (thread-safe; same key as request_sim — one
-  /// timeline per simulated grid point, last write wins).
-  void record_timeline(const TimelineCell& cell);
-
-  /// Record one fleet-composition outcome (thread-safe; keyed by composition
-  /// label + router + mix, last write wins — fleet simulations are
-  /// deterministic, so concurrent writers for a key carry identical stats).
-  void record_fleet(const FleetCell& cell);
-
-  /// Record one grid point's kernel-phase cells (thread-safe; keyed by the
-  /// entry-key string, last write wins — the PMU is deterministic, so
-  /// concurrent writers for a key carry identical cells). The vector keeps
-  /// the kernel's first-seen phase order; cells across keys are emitted in
-  /// key order.
-  void record_phases(const std::string& key, std::vector<PhaseCell> cells);
+  /// Record a group of one section's cells (thread-safe). The group's cells
+  /// share one key, the section's leading layout(s).key_fields fields, read
+  /// off the first cell, with numbers compared as numbers and strings as
+  /// strings. A group replaces the one recorded before under its key: last
+  /// write wins, and concurrent writers of a key carry identical cells, as
+  /// every producer is deterministic. snapshot() emits groups in key order,
+  /// each group in the order it was recorded: one cell per key, except
+  /// kPhases, whose group is a grid point's phases in the kernel's
+  /// first-seen order. Throws std::invalid_argument when the first cell
+  /// lacks the key fields. An empty group records nothing.
+  void record(Section s, std::vector<Json> cells);
 
   /// Assemble everything recorded so far into a report.
   RunReport snapshot(const std::string& tool, double wall_ms,
@@ -78,24 +63,17 @@ class Collector {
   std::size_t row_count() const;
 
  private:
+  /// Orders cell keys field by field: numbers as numbers, strings as
+  /// strings (so cores 4 sorts before cores 16).
+  struct KeyLess {
+    bool operator()(const std::vector<Json>& a,
+                    const std::vector<Json>& b) const;
+  };
+  using Groups = std::map<std::vector<Json>, std::vector<Json>, KeyLess>;
+
   mutable std::mutex mu_;
   std::map<SweepKey, SweepRow> rows_;
-  std::map<std::tuple<int, std::uint32_t, std::uint64_t, int>, ServingCell>
-      serving_;
-  std::map<std::tuple<int, std::uint32_t, std::uint64_t, int, std::string,
-                      std::string>,
-           RequestSimCell>
-      request_sim_;
-  std::map<std::tuple<std::string, int, std::uint32_t, std::uint64_t, int>,
-           DispatchCell>
-      dispatch_;
-  std::map<std::tuple<int, std::uint32_t, std::uint64_t, int, std::string,
-                      std::string>,
-           TimelineCell>
-      timeline_;
-  std::map<std::tuple<std::string, std::string, std::string>, FleetCell>
-      fleet_;
-  std::map<std::string, std::vector<PhaseCell>> phases_;
+  std::array<Groups, kAllSections.size()> cells_;  ///< by Section
 };
 
 /// Called by bench::banner(): when VLACNN_REPORT is set, remembers the run's

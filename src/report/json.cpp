@@ -1,6 +1,7 @@
 #include "report/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
@@ -8,6 +9,8 @@
 
 namespace vlacnn::report {
 namespace {
+
+constexpr int kMaxDepth = 64;
 
 class Parser {
  public:
@@ -55,8 +58,14 @@ class Parser {
   Json parse_value() {
     skip_ws();
     char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       Json v;
       v.type = Json::Type::kString;
@@ -205,6 +214,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace
@@ -226,6 +236,33 @@ const Json& Json::at(const std::string& key) const {
 }
 
 Json parse_json(const std::string& text) { return Parser(text).parse_document(); }
+
+void append_json(std::string& out, const Json& v) {
+  switch (v.type) {
+    case Json::Type::kNull: out += "null"; break;
+    case Json::Type::kBool: out += v.boolean ? "true" : "false"; break;
+    case Json::Type::kNumber: obs::json_append_number(out, v.number); break;
+    case Json::Type::kString: obs::json_append_escaped(out, v.string); break;
+    case Json::Type::kArray:
+      out += '[';
+      for (std::size_t i = 0; i < v.array.size(); ++i) {
+        if (i > 0) out += ", ";
+        append_json(out, v.array[i]);
+      }
+      out += ']';
+      break;
+    case Json::Type::kObject:
+      out += '{';
+      for (std::size_t i = 0; i < v.object.size(); ++i) {
+        if (i > 0) out += ", ";
+        obs::json_append_escaped(out, v.object[i].first);
+        out += ": ";
+        append_json(out, v.object[i].second);
+      }
+      out += '}';
+      break;
+  }
+}
 
 namespace {
 
@@ -268,6 +305,19 @@ bool bool_at(const Json& obj, const std::string& key) {
 
 const std::vector<Json>& array_at(const Json& obj, const std::string& key) {
   return typed_at(obj, key, Json::Type::kArray).array;
+}
+
+double integer_at(const Json& obj, const std::string& key, int bits,
+                  bool is_signed) {
+  const double v = num_at(obj, key);
+  const double end = std::ldexp(1.0, bits);  // one past the largest value
+  if (!(v == std::floor(v) && v >= (is_signed ? -end : 0.0) && v < end)) {
+    throw std::runtime_error(
+        "json: key \"" + key + "\" holds " + obs::g17(v) + ", expected " +
+        (is_signed ? "a signed " : "an unsigned ") +
+        std::to_string(bits + (is_signed ? 1 : 0)) + "-bit integer");
+  }
+  return v;
 }
 
 void read_labeled_jsonl(

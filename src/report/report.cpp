@@ -27,11 +27,43 @@ VpuAttach attach_from(const std::string& s) {
   throw std::runtime_error("report: bad attach '" + s + "'");
 }
 
-int int_at(const Json& obj, const std::string& key) {
-  return static_cast<int>(num_at(obj, key));
+Algo algo_from(const std::string& s) {
+  for (Algo a : kAllAlgos) {
+    if (s == to_string(a)) return a;
+  }
+  throw std::runtime_error("report: bad algo '" + s + "'");
+}
+
+// The line breaks keep each section's v1 layout byte for byte.
+constexpr SectionLayout kLayouts[] = {
+    {"serving", "serving_cells", 4, {}, {}},
+    {"request_sim", "request_sim_cells", 6,
+     {"load_rps", "p50", "utilization", "mean_queue_wait"},
+     {"mean_queue_wait", "mean_formation_wait", "mean_service"}},
+    {"dispatch", "dispatch_cells", 5, {"layers", "learned_conv_cycles"}, {}},
+    {"timeline", "timeline_cells", 6, {"snapshots", "steady_p99"}, {}},
+    {"fleet", "fleet_cells", 3,
+     {"total_area_mm2", "offered", "p50", "utilization"}, {}},
+    {"phases", "phase_cells", 1, {"compute_cycles", "avg_vl"}, {}},
+};
+static_assert(std::size(kLayouts) == kAllSections.size());
+
+/// The "cores vlen l2MB inst" columns of the serving-point tables.
+std::string point_columns(const Json& c) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "%6d %6u %8.1f %5d", int_at(c, "cores"),
+                uint_at<unsigned>(c, "vlen_bits"),
+                static_cast<double>(uint_at(c, "l2_total_bytes")) /
+                    (1024.0 * 1024.0),
+                int_at(c, "instances"));
+  return buf;
 }
 
 }  // namespace
+
+const SectionLayout& layout(Section s) {
+  return kLayouts[static_cast<std::size_t>(s)];
+}
 
 const char* to_string(Bound b) {
   switch (b) {
@@ -179,138 +211,33 @@ std::string RunReport::to_json() const {
     out += "}";
   }
   out += entries.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"serving\": [";
-  for (std::size_t i = 0; i < serving.size(); ++i) {
-    const ServingCell& c = serving[i];
-    out += i ? ",\n    {" : "\n    {";
-    out += "\"cores\": " + std::to_string(c.cores);
-    out += ", \"vlen_bits\": " + std::to_string(c.vlen_bits);
-    out += ", \"l2_total_bytes\": " + std::to_string(c.l2_total_bytes);
-    out += ", \"instances\": " + std::to_string(c.instances);
-    out += ", \"cycles_per_image\": " + json_number(c.cycles_per_image);
-    out += ", \"images_per_cycle\": " + json_number(c.images_per_cycle);
-    out += ", \"area_mm2\": " + json_number(c.area_mm2) + "}";
+  for (Section sec : kAllSections) {
+    const SectionLayout& l = layout(sec);
+    const std::vector<Json>& cs = cells(sec);
+    out += "  \"" + std::string(l.name) + "\": [";
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+      out += i ? ",\n    {" : "\n    {";
+      const auto& fields = cs[i].object;
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        if (f > 0) {
+          const auto& br = l.line_breaks;
+          out += std::find(br.begin(), br.end(), fields[f].first) != br.end()
+                     ? ",\n     "
+                     : ", ";
+        }
+        out += json_quote(fields[f].first) + ": ";
+        append_json(out, fields[f].second);
+      }
+      out += "}";
+    }
+    out += cs.empty() ? "],\n" : "\n  ],\n";
   }
-  out += serving.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"request_sim\": [";
-  for (std::size_t i = 0; i < request_sim.size(); ++i) {
-    const RequestSimCell& c = request_sim[i];
-    out += i ? ",\n    {" : "\n    {";
-    out += "\"cores\": " + std::to_string(c.cores);
-    out += ", \"vlen_bits\": " + std::to_string(c.vlen_bits);
-    out += ", \"l2_total_bytes\": " + std::to_string(c.l2_total_bytes);
-    out += ", \"instances\": " + std::to_string(c.instances);
-    out += ", \"policy\": " + json_quote(c.policy);
-    out += ", \"arrivals\": " + json_quote(c.arrivals);
-    out += ",\n     \"load_rps\": " + json_number(c.load_rps);
-    out += ", \"slo_cycles\": " + json_number(c.slo_cycles);
-    out += ", \"offered\": " + std::to_string(c.offered);
-    out += ", \"completed\": " + std::to_string(c.completed);
-    out += ", \"dropped\": " + std::to_string(c.dropped);
-    out += ",\n     \"p50\": " + json_number(c.p50);
-    out += ", \"p95\": " + json_number(c.p95);
-    out += ", \"p99\": " + json_number(c.p99);
-    out += ", \"p999\": " + json_number(c.p999);
-    out += ", \"mean_latency\": " + json_number(c.mean_latency);
-    out += ",\n     \"utilization\": " + json_number(c.utilization);
-    out += ", \"mean_queue\": " + json_number(c.mean_queue);
-    out += ", \"slo_attainment\": " + json_number(c.slo_attainment);
-    out += ",\n     \"mean_queue_wait\": " + json_number(c.mean_queue_wait);
-    out += ", \"mean_formation_wait\": " + json_number(c.mean_formation_wait);
-    out += ", \"mean_service\": " + json_number(c.mean_service) + "}";
+  out += "  \"totals\": {\"entries\": " + std::to_string(entries.size());
+  for (Section sec : kAllSections) {
+    out += ", \"" + std::string(layout(sec).total) +
+           "\": " + std::to_string(cells(sec).size());
   }
-  out += request_sim.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"dispatch\": [";
-  for (std::size_t i = 0; i < dispatch.size(); ++i) {
-    const DispatchCell& c = dispatch[i];
-    out += i ? ",\n    {" : "\n    {";
-    out += "\"net\": " + json_quote(c.net);
-    out += ", \"cores\": " + std::to_string(c.cores);
-    out += ", \"vlen_bits\": " + std::to_string(c.vlen_bits);
-    out += ", \"l2_total_bytes\": " + std::to_string(c.l2_total_bytes);
-    out += ", \"instances\": " + std::to_string(c.instances);
-    out += ",\n     \"layers\": " + std::to_string(c.layers);
-    out += ", \"mispredicted_layers\": " + std::to_string(c.mispredicted_layers);
-    out += ", \"batches\": " + std::to_string(c.batches);
-    out += ", \"images\": " + std::to_string(c.images);
-    out += ", \"explorations\": " + std::to_string(c.explorations);
-    out += ",\n     \"learned_conv_cycles\": " + json_number(c.learned_conv_cycles);
-    out += ", \"oracle_conv_cycles\": " + json_number(c.oracle_conv_cycles);
-    out += ", \"selector_cycles\": " + json_number(c.selector_cycles);
-    out += ", \"oracle_gap\": " + json_number(c.oracle_gap) + "}";
-  }
-  out += dispatch.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"timeline\": [";
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    const TimelineCell& c = timeline[i];
-    out += i ? ",\n    {" : "\n    {";
-    out += "\"cores\": " + std::to_string(c.cores);
-    out += ", \"vlen_bits\": " + std::to_string(c.vlen_bits);
-    out += ", \"l2_total_bytes\": " + std::to_string(c.l2_total_bytes);
-    out += ", \"instances\": " + std::to_string(c.instances);
-    out += ", \"policy\": " + json_quote(c.policy);
-    out += ", \"arrivals\": " + json_quote(c.arrivals);
-    out += ",\n     \"snapshots\": " + std::to_string(c.snapshots);
-    out += ", \"interval_cycles\": " + json_number(c.interval_cycles);
-    out += ", \"alerts\": " + std::to_string(c.alerts);
-    out += ", \"warmup_cycles\": " + json_number(c.warmup_cycles);
-    out += ",\n     \"steady_p99\": " + json_number(c.steady_p99);
-    out += ", \"max_burn_rate\": " + json_number(c.max_burn_rate);
-    out += ", \"time_in_alert_cycles\": " + json_number(c.time_in_alert_cycles) +
-           "}";
-  }
-  out += timeline.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"fleet\": [";
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    const FleetCell& c = fleet[i];
-    out += i ? ",\n    {" : "\n    {";
-    out += "\"label\": " + json_quote(c.label);
-    out += ", \"router\": " + json_quote(c.router);
-    out += ", \"mix\": " + json_quote(c.mix);
-    out += ", \"chips\": " + std::to_string(c.chips);
-    out += ",\n     \"total_area_mm2\": " + json_number(c.total_area_mm2);
-    out += ", \"load_rps\": " + json_number(c.load_rps);
-    out += ", \"slo_cycles\": " + json_number(c.slo_cycles);
-    out += ",\n     \"offered\": " + std::to_string(c.offered);
-    out += ", \"completed\": " + std::to_string(c.completed);
-    out += ", \"dropped\": " + std::to_string(c.dropped);
-    out += ",\n     \"p50\": " + json_number(c.p50);
-    out += ", \"p99\": " + json_number(c.p99);
-    out += ", \"p999\": " + json_number(c.p999);
-    out += ", \"mean_latency\": " + json_number(c.mean_latency);
-    out += ",\n     \"utilization\": " + json_number(c.utilization);
-    out += ", \"slo_attainment\": " + json_number(c.slo_attainment);
-    out += ", \"mean_router_hop\": " + json_number(c.mean_router_hop);
-    out += ", \"meets_slo\": ";
-    out += c.meets_slo ? "true" : "false";
-    out += "}";
-  }
-  out += fleet.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"phases\": [";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseCell& c = phases[i];
-    out += i ? ",\n    {" : "\n    {";
-    out += "\"key\": " + json_quote(c.key);
-    out += ", \"phase\": " + json_quote(c.phase);
-    out += ", \"cycles\": " + json_number(c.cycles);
-    out += ",\n     \"compute_cycles\": " + json_number(c.compute_cycles);
-    out += ", \"mem_issue_cycles\": " + json_number(c.mem_issue_cycles);
-    out += ", \"mem_stall_cycles\": " + json_number(c.mem_stall_cycles);
-    out += ", \"scalar_cycles\": " + json_number(c.scalar_cycles);
-    out += ",\n     \"avg_vl\": " + json_number(c.avg_vl);
-    out += ", \"l1_miss_rate\": " + json_number(c.l1_miss_rate);
-    out += ", \"l2_miss_rate\": " + json_number(c.l2_miss_rate);
-    out += ", \"mem_bytes\": " + json_number(c.mem_bytes) + "}";
-  }
-  out += phases.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"totals\": {\"entries\": " + std::to_string(entries.size()) +
-         ", \"serving_cells\": " + std::to_string(serving.size()) +
-         ", \"request_sim_cells\": " + std::to_string(request_sim.size()) +
-         ", \"dispatch_cells\": " + std::to_string(dispatch.size()) +
-         ", \"timeline_cells\": " + std::to_string(timeline.size()) +
-         ", \"fleet_cells\": " + std::to_string(fleet.size()) +
-         ", \"phase_cells\": " + std::to_string(phases.size()) +
-         ", \"cycles\": " + json_number(total_cycles()) + "}\n";
+  out += ", \"cycles\": " + json_number(total_cycles()) + "}\n";
   out += "}\n";
   return out;
 }
@@ -363,21 +290,24 @@ std::string RunReport::to_csv() const {
            "," + a.degenerate + "\n";
   }
   // Per-phase cells get their own block below the entry table (a spreadsheet
-  // splits on the blank line); absent entirely when kernprof was off.
-  if (!phases.empty()) {
-    out +=
-        "\nkey,phase,cycles,compute_cycles,mem_issue_cycles,mem_stall_cycles,"
-        "scalar_cycles,avg_vl,l1_miss_rate,l2_miss_rate,mem_bytes\n";
-    for (const PhaseCell& c : phases) {
-      out += c.key + "," + c.phase + "," + obs::g17(c.cycles) + "," +
-             obs::g17(c.compute_cycles) + "," +
-             obs::g17(c.mem_issue_cycles) + "," +
-             obs::g17(c.mem_stall_cycles) + "," +
-             obs::g17(c.scalar_cycles) + "," + obs::g17(c.avg_vl) +
-             "," + obs::g17(c.l1_miss_rate) + "," +
-             obs::g17(c.l2_miss_rate) + "," + obs::g17(c.mem_bytes) +
-             "\n";
+  // splits on the blank line), headed by the cells' field names; absent
+  // entirely when kernprof was off.
+  const std::vector<Json>& phases = cells(Section::kPhases);
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const auto& fields = phases[i].object;
+    if (i == 0) {
+      out += "\n";
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        out += (f ? "," : "") + fields[f].first;
+      }
+      out += "\n";
     }
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      const Json& v = fields[f].second;
+      out += (f ? "," : "") +
+             (v.type == Json::Type::kString ? v.string : obs::g17(v.number));
+    }
+    out += "\n";
   }
   return out;
 }
@@ -397,15 +327,15 @@ RunReport report_from_json(const std::string& text) {
       num_at(roof, "flops_per_lane_per_cycle");
   r.roofline.mem_bytes_per_cycle = num_at(roof, "mem_bytes_per_cycle");
 
-  for (const Json& e : doc.at("entries").array) {
+  for (const Json& e : array_at(doc, "entries")) {
     ReportEntry entry;
     SweepRow& row = entry.row;
     row.key.net = str_at(e, "net");
     row.key.layer = int_at(e, "layer");
-    row.key.algo = algo_from_string(str_at(e, "algo"));
-    row.key.vlen_bits = static_cast<std::uint32_t>(num_at(e, "vlen_bits"));
-    row.key.l2_bytes = static_cast<std::uint64_t>(num_at(e, "l2_bytes"));
-    row.key.lanes = static_cast<std::uint32_t>(num_at(e, "lanes"));
+    row.key.algo = algo_from(str_at(e, "algo"));
+    row.key.vlen_bits = uint_at<std::uint32_t>(e, "vlen_bits");
+    row.key.l2_bytes = uint_at(e, "l2_bytes");
+    row.key.lanes = uint_at<std::uint32_t>(e, "lanes");
     row.key.attach = attach_from(str_at(e, "attach"));
     const Json& d = e.at("desc");
     row.desc = ConvLayerDesc{int_at(d, "ic"),     int_at(d, "ih"),
@@ -440,147 +370,37 @@ RunReport report_from_json(const std::string& text) {
             [](const ReportEntry& a, const ReportEntry& b) {
               return a.row.key < b.row.key;
             });
-
-  for (const Json& s : doc.at("serving").array) {
-    ServingCell c;
-    c.cores = int_at(s, "cores");
-    c.vlen_bits = static_cast<std::uint32_t>(num_at(s, "vlen_bits"));
-    c.l2_total_bytes = static_cast<std::uint64_t>(num_at(s, "l2_total_bytes"));
-    c.instances = int_at(s, "instances");
-    c.cycles_per_image = num_at(s, "cycles_per_image");
-    c.images_per_cycle = num_at(s, "images_per_cycle");
-    c.area_mm2 = num_at(s, "area_mm2");
-    r.serving.push_back(c);
+  // Two rows for one grid point would make the diff compare whichever came
+  // last, so a report must name each point once.
+  for (std::size_t i = 1; i < r.entries.size(); ++i) {
+    if (!(r.entries[i - 1].row.key < r.entries[i].row.key)) {
+      throw std::runtime_error("report: duplicate entry " +
+                               entry_key(r.entries[i].row.key));
+    }
   }
 
-  // Optional section: reports written before the request-level simulator
-  // existed simply lack it (the v1 schema grows additively).
-  if (const Json* rs = doc.find("request_sim"); rs != nullptr) {
-    for (const Json& s : rs->array) {
-      RequestSimCell c;
-      c.cores = int_at(s, "cores");
-      c.vlen_bits = static_cast<std::uint32_t>(num_at(s, "vlen_bits"));
-      c.l2_total_bytes =
-          static_cast<std::uint64_t>(num_at(s, "l2_total_bytes"));
-      c.instances = int_at(s, "instances");
-      c.policy = str_at(s, "policy");
-      c.arrivals = str_at(s, "arrivals");
-      c.load_rps = num_at(s, "load_rps");
-      c.slo_cycles = num_at(s, "slo_cycles");
-      c.offered = static_cast<std::uint64_t>(num_at(s, "offered"));
-      c.completed = static_cast<std::uint64_t>(num_at(s, "completed"));
-      c.dropped = static_cast<std::uint64_t>(num_at(s, "dropped"));
-      c.p50 = num_at(s, "p50");
-      c.p95 = num_at(s, "p95");
-      c.p99 = num_at(s, "p99");
-      c.p999 = num_at(s, "p999");
-      c.mean_latency = num_at(s, "mean_latency");
-      c.utilization = num_at(s, "utilization");
-      c.mean_queue = num_at(s, "mean_queue");
-      c.slo_attainment = num_at(s, "slo_attainment");
-      // Attribution columns arrived after the section did; old files lack
-      // them and parse back as zeros.
-      if (const Json* f = s.find("mean_queue_wait")) {
-        c.mean_queue_wait = f->num_or(0);
+  for (Section sec : kAllSections) {
+    const SectionLayout& l = layout(sec);
+    // Every v1 report has "serving"; the later sections are optional, as the
+    // schema grows additively.
+    if (sec != Section::kServing && doc.find(l.name) == nullptr) continue;
+    for (const Json& c : array_at(doc, l.name)) {
+      if (c.type != Json::Type::kObject) {
+        throw std::runtime_error("report: a \"" + std::string(l.name) +
+                                 "\" cell is not an object");
       }
-      if (const Json* f = s.find("mean_formation_wait")) {
-        c.mean_formation_wait = f->num_or(0);
+      Json& cell = r.cells(sec).emplace_back(c);
+      for (auto& member : cell.object) {
+        if (member.second.is_null()) {
+          member.second.type = Json::Type::kNumber;
+          member.second.number = kNaN;
+        }
       }
-      if (const Json* f = s.find("mean_service")) {
-        c.mean_service = f->num_or(0);
+      for (std::string_view name : l.zero_if_absent) {
+        if (!name.empty() && cell.find(std::string(name)) == nullptr) {
+          cell.add(std::string(name), 0.0);
+        }
       }
-      r.request_sim.push_back(c);
-    }
-  }
-
-  // Optional for the same reason: only learned-dispatch runs emit it.
-  if (const Json* dp = doc.find("dispatch"); dp != nullptr) {
-    for (const Json& s : dp->array) {
-      DispatchCell c;
-      c.net = str_at(s, "net");
-      c.cores = int_at(s, "cores");
-      c.vlen_bits = static_cast<std::uint32_t>(num_at(s, "vlen_bits"));
-      c.l2_total_bytes =
-          static_cast<std::uint64_t>(num_at(s, "l2_total_bytes"));
-      c.instances = int_at(s, "instances");
-      c.layers = int_at(s, "layers");
-      c.mispredicted_layers = int_at(s, "mispredicted_layers");
-      c.batches = static_cast<std::uint64_t>(num_at(s, "batches"));
-      c.images = static_cast<std::uint64_t>(num_at(s, "images"));
-      c.explorations = static_cast<std::uint64_t>(num_at(s, "explorations"));
-      c.learned_conv_cycles = num_at(s, "learned_conv_cycles");
-      c.oracle_conv_cycles = num_at(s, "oracle_conv_cycles");
-      c.selector_cycles = num_at(s, "selector_cycles");
-      c.oracle_gap = num_at(s, "oracle_gap");
-      r.dispatch.push_back(c);
-    }
-  }
-
-  // Optional: only timeline-enabled planner runs emit it.
-  if (const Json* tl = doc.find("timeline"); tl != nullptr) {
-    for (const Json& s : tl->array) {
-      TimelineCell c;
-      c.cores = int_at(s, "cores");
-      c.vlen_bits = static_cast<std::uint32_t>(num_at(s, "vlen_bits"));
-      c.l2_total_bytes =
-          static_cast<std::uint64_t>(num_at(s, "l2_total_bytes"));
-      c.instances = int_at(s, "instances");
-      c.policy = str_at(s, "policy");
-      c.arrivals = str_at(s, "arrivals");
-      c.snapshots = static_cast<std::uint64_t>(num_at(s, "snapshots"));
-      c.interval_cycles = num_at(s, "interval_cycles");
-      c.alerts = static_cast<std::uint64_t>(num_at(s, "alerts"));
-      c.warmup_cycles = num_at(s, "warmup_cycles");
-      c.steady_p99 = num_at(s, "steady_p99");
-      c.max_burn_rate = num_at(s, "max_burn_rate");
-      c.time_in_alert_cycles = num_at(s, "time_in_alert_cycles");
-      r.timeline.push_back(c);
-    }
-  }
-
-  // Optional: only fleet-planner/fleet-CLI runs emit it.
-  if (const Json* fl = doc.find("fleet"); fl != nullptr) {
-    for (const Json& s : fl->array) {
-      FleetCell c;
-      c.label = str_at(s, "label");
-      c.router = str_at(s, "router");
-      c.mix = str_at(s, "mix");
-      c.chips = int_at(s, "chips");
-      c.total_area_mm2 = num_at(s, "total_area_mm2");
-      c.load_rps = num_at(s, "load_rps");
-      c.slo_cycles = num_at(s, "slo_cycles");
-      c.offered = static_cast<std::uint64_t>(num_at(s, "offered"));
-      c.completed = static_cast<std::uint64_t>(num_at(s, "completed"));
-      c.dropped = static_cast<std::uint64_t>(num_at(s, "dropped"));
-      c.p50 = num_at(s, "p50");
-      c.p99 = num_at(s, "p99");
-      c.p999 = num_at(s, "p999");
-      c.mean_latency = num_at(s, "mean_latency");
-      c.utilization = num_at(s, "utilization");
-      c.slo_attainment = num_at(s, "slo_attainment");
-      c.mean_router_hop = num_at(s, "mean_router_hop");
-      c.meets_slo = s.at("meets_slo").boolean;
-      r.fleet.push_back(std::move(c));
-    }
-  }
-
-  // Optional: only kernprof-enabled runs emit it.
-  if (const Json* ph = doc.find("phases"); ph != nullptr) {
-    for (const Json& s : ph->array) {
-      PhaseCell c;
-      c.key = str_at(s, "key");
-      c.phase = str_at(s, "phase");
-      c.cycles = num_at(s, "cycles");
-      c.compute_cycles = num_at(s, "compute_cycles");
-      c.mem_issue_cycles = num_at(s, "mem_issue_cycles");
-      c.mem_stall_cycles = num_at(s, "mem_stall_cycles");
-      c.scalar_cycles = num_at(s, "scalar_cycles");
-      c.avg_vl = num_at(s, "avg_vl");
-      // Miss rates serialize as null (NaN) when the phase made no accesses.
-      c.l1_miss_rate = s.at("l1_miss_rate").num_or(kNaN);
-      c.l2_miss_rate = s.at("l2_miss_rate").num_or(kNaN);
-      c.mem_bytes = num_at(s, "mem_bytes");
-      r.phases.push_back(std::move(c));
     }
   }
   return r;
@@ -645,7 +465,8 @@ std::string summarize(const RunReport& r) {
   std::snprintf(line, sizeof line,
                 "report tool=%s  entries=%zu  serving_cells=%zu  wall=%.1f ms\n"
                 "roofline: %.3g flops/lane/cycle, %.3g DRAM B/cycle\n",
-                r.tool.c_str(), r.entries.size(), r.serving.size(), r.wall_ms,
+                r.tool.c_str(), r.entries.size(),
+                r.cells(Section::kServing).size(), r.wall_ms,
                 r.roofline.flops_per_lane_per_cycle,
                 r.roofline.mem_bytes_per_cycle);
   out += line;
@@ -689,56 +510,59 @@ std::string summarize(const RunReport& r) {
                   r.total_cycles());
     out += line;
   }
-  if (!r.serving.empty()) {
+  // The cell tables read each field by name and type, so a report whose
+  // cells lack a field or hold the wrong type fails here, naming the field.
+  const std::vector<Json>& serving = r.cells(Section::kServing);
+  if (!serving.empty()) {
     std::snprintf(line, sizeof line, "\n%6s %6s %8s %5s %14s %14s %10s\n",
                   "cores", "vlen", "l2MB", "inst", "cyc/img", "img/Mcyc",
                   "area mm2");
     out += line;
-    for (const ServingCell& c : r.serving) {
-      std::snprintf(line, sizeof line,
-                    "%6d %6u %8.1f %5d %14.4g %14.4g %10.2f\n", c.cores,
-                    c.vlen_bits,
-                    static_cast<double>(c.l2_total_bytes) / (1024.0 * 1024.0),
-                    c.instances, c.cycles_per_image,
-                    c.images_per_cycle * 1e6, c.area_mm2);
+    for (const Json& c : serving) {
+      std::snprintf(line, sizeof line, "%s %14.4g %14.4g %10.2f\n",
+                    point_columns(c).c_str(), num_at(c, "cycles_per_image"),
+                    num_at(c, "images_per_cycle") * 1e6,
+                    num_at(c, "area_mm2"));
       out += line;
     }
   }
-  if (!r.request_sim.empty()) {
+  const std::vector<Json>& request_sim = r.cells(Section::kRequestSim);
+  if (!request_sim.empty()) {
     std::snprintf(line, sizeof line,
                   "\n%6s %6s %8s %5s %-16s %10s %10s %10s %6s %6s\n", "cores",
                   "vlen", "l2MB", "inst", "policy", "p50cyc", "p99cyc",
                   "p999cyc", "util", "slo%");
     out += line;
-    for (const RequestSimCell& c : r.request_sim) {
+    for (const Json& c : request_sim) {
       std::snprintf(line, sizeof line,
-                    "%6d %6u %8.1f %5d %-16s %10.4g %10.4g %10.4g %6.2f %6.2f\n",
-                    c.cores, c.vlen_bits,
-                    static_cast<double>(c.l2_total_bytes) / (1024.0 * 1024.0),
-                    c.instances, c.policy.c_str(), c.p50, c.p99, c.p999,
-                    c.utilization, 100.0 * c.slo_attainment);
+                    "%s %-16s %10.4g %10.4g %10.4g %6.2f %6.2f\n",
+                    point_columns(c).c_str(), str_at(c, "policy").c_str(),
+                    num_at(c, "p50"), num_at(c, "p99"), num_at(c, "p999"),
+                    num_at(c, "utilization"),
+                    100.0 * num_at(c, "slo_attainment"));
       out += line;
     }
   }
-  if (!r.timeline.empty()) {
+  const std::vector<Json>& timeline = r.cells(Section::kTimeline);
+  if (!timeline.empty()) {
     std::snprintf(line, sizeof line,
                   "\n%6s %6s %8s %5s %-16s %6s %12s %10s %8s %6s\n", "cores",
                   "vlen", "l2MB", "inst", "policy", "snaps", "warmup_cyc",
                   "p99roll", "maxburn", "alerts");
     out += line;
-    for (const TimelineCell& c : r.timeline) {
+    for (const Json& c : timeline) {
       std::snprintf(line, sizeof line,
-                    "%6d %6u %8.1f %5d %-16s %6llu %12.4g %10.4g %8.3f %6llu\n",
-                    c.cores, c.vlen_bits,
-                    static_cast<double>(c.l2_total_bytes) / (1024.0 * 1024.0),
-                    c.instances, c.policy.c_str(),
-                    static_cast<unsigned long long>(c.snapshots),
-                    c.warmup_cycles, c.steady_p99, c.max_burn_rate,
-                    static_cast<unsigned long long>(c.alerts));
+                    "%s %-16s %6llu %12.4g %10.4g %8.3f %6llu\n",
+                    point_columns(c).c_str(), str_at(c, "policy").c_str(),
+                    uint_at<unsigned long long>(c, "snapshots"),
+                    num_at(c, "warmup_cycles"), num_at(c, "steady_p99"),
+                    num_at(c, "max_burn_rate"),
+                    uint_at<unsigned long long>(c, "alerts"));
       out += line;
     }
   }
-  if (!r.phases.empty()) {
+  const std::vector<Json>& phases = r.cells(Section::kPhases);
+  if (!phases.empty()) {
     std::snprintf(line, sizeof line, "\n%-44s %-16s %12s %6s %6s %6s %6s %6s\n",
                   "key", "phase", "cycles", "comp%", "mem%", "stall%", "scal%",
                   "l2miss");
@@ -746,67 +570,74 @@ std::string summarize(const RunReport& r) {
     // Per-key totals for the share columns: cells are key-grouped, and the
     // exact-partition invariant makes the per-key cycle sum the row total.
     std::map<std::string, double> key_cycles;
-    for (const PhaseCell& c : r.phases) key_cycles[c.key] += c.cycles;
-    for (const PhaseCell& c : r.phases) {
-      const double raw = c.compute_cycles + c.mem_issue_cycles +
-                         c.mem_stall_cycles + c.scalar_cycles;
-      char comp[8] = "   -", mem[8] = "   -", stall[8] = "   -",
-           scal[8] = "   -", l2m[8] = "   -";
+    for (const Json& c : phases) {
+      key_cycles[str_at(c, "key")] += num_at(c, "cycles");
+    }
+    for (const Json& c : phases) {
+      const double cycles = num_at(c, "cycles");
+      const double parts[] = {
+          num_at(c, "compute_cycles"), num_at(c, "mem_issue_cycles"),
+          num_at(c, "mem_stall_cycles"), num_at(c, "scalar_cycles")};
+      const double raw = parts[0] + parts[1] + parts[2] + parts[3];
+      char pct[4][8] = {"   -", "   -", "   -", "   -"};
       if (raw > 0) {
-        std::snprintf(comp, sizeof comp, "%5.1f",
-                      100.0 * c.compute_cycles / raw);
-        std::snprintf(mem, sizeof mem, "%5.1f",
-                      100.0 * c.mem_issue_cycles / raw);
-        std::snprintf(stall, sizeof stall, "%5.1f",
-                      100.0 * c.mem_stall_cycles / raw);
-        std::snprintf(scal, sizeof scal, "%5.1f",
-                      100.0 * c.scalar_cycles / raw);
+        for (int i = 0; i < 4; ++i) {
+          std::snprintf(pct[i], sizeof pct[i], "%5.1f", 100.0 * parts[i] / raw);
+        }
       }
-      if (std::isfinite(c.l2_miss_rate)) {
-        std::snprintf(l2m, sizeof l2m, "%5.3f", c.l2_miss_rate);
+      char l2m[8] = "   -";
+      const double l2_miss_rate = num_at(c, "l2_miss_rate");
+      if (std::isfinite(l2_miss_rate)) {
+        std::snprintf(l2m, sizeof l2m, "%5.3f", l2_miss_rate);
       }
-      const double total = key_cycles[c.key];
+      const std::string& key = str_at(c, "key");
+      const double total = key_cycles[key];
       char share[16] = "";
       if (total > 0) {
         std::snprintf(share, sizeof share, " (%4.1f%%)",
-                      100.0 * c.cycles / total);
+                      100.0 * cycles / total);
       }
       std::snprintf(line, sizeof line,
-                    "%-44s %-16s %12.4g %6s %6s %6s %6s %6s%s\n",
-                    c.key.c_str(), c.phase.c_str(), c.cycles, comp, mem, stall,
-                    scal, l2m, share);
+                    "%-44s %-16s %12.4g %6s %6s %6s %6s %6s%s\n", key.c_str(),
+                    str_at(c, "phase").c_str(), cycles, pct[0], pct[1], pct[2],
+                    pct[3], l2m, share);
       out += line;
     }
   }
-  if (!r.fleet.empty()) {
+  const std::vector<Json>& fleet = r.cells(Section::kFleet);
+  if (!fleet.empty()) {
     std::snprintf(line, sizeof line,
                   "\n%-36s %-4s %5s %10s %10s %10s %6s %6s %4s\n", "fleet",
                   "rtr", "chips", "area mm2", "p50cyc", "p99cyc", "util",
                   "slo%", "ok");
     out += line;
-    for (const FleetCell& c : r.fleet) {
+    for (const Json& c : fleet) {
       std::snprintf(line, sizeof line,
                     "%-36s %-4s %5d %10.1f %10.4g %10.4g %6.2f %6.2f %4s\n",
-                    c.label.c_str(), c.router.c_str(), c.chips,
-                    c.total_area_mm2, c.p50, c.p99, c.utilization,
-                    100.0 * c.slo_attainment, c.meets_slo ? "yes" : "no");
+                    str_at(c, "label").c_str(), str_at(c, "router").c_str(),
+                    int_at(c, "chips"), num_at(c, "total_area_mm2"),
+                    num_at(c, "p50"), num_at(c, "p99"),
+                    num_at(c, "utilization"),
+                    100.0 * num_at(c, "slo_attainment"),
+                    bool_at(c, "meets_slo") ? "yes" : "no");
       out += line;
     }
   }
-  if (!r.dispatch.empty()) {
+  const std::vector<Json>& dispatch = r.cells(Section::kDispatch);
+  if (!dispatch.empty()) {
     std::snprintf(line, sizeof line,
                   "\n%-8s %6s %6s %8s %5s %6s %6s %10s %10s %8s\n", "net",
                   "cores", "vlen", "l2MB", "inst", "layers", "mispr",
                   "explored", "selector", "gap%");
     out += line;
-    for (const DispatchCell& c : r.dispatch) {
+    for (const Json& c : dispatch) {
       std::snprintf(line, sizeof line,
-                    "%-8s %6d %6u %8.1f %5d %6d %6d %10llu %10.4g %8.3f\n",
-                    c.net.c_str(), c.cores, c.vlen_bits,
-                    static_cast<double>(c.l2_total_bytes) / (1024.0 * 1024.0),
-                    c.instances, c.layers, c.mispredicted_layers,
-                    static_cast<unsigned long long>(c.explorations),
-                    c.selector_cycles, 100.0 * c.oracle_gap);
+                    "%-8s %s %6d %6d %10llu %10.4g %8.3f\n",
+                    str_at(c, "net").c_str(), point_columns(c).c_str(),
+                    int_at(c, "layers"), int_at(c, "mispredicted_layers"),
+                    uint_at<unsigned long long>(c, "explorations"),
+                    num_at(c, "selector_cycles"),
+                    100.0 * num_at(c, "oracle_gap"));
       out += line;
     }
   }

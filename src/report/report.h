@@ -1,13 +1,17 @@
 // Structured run reports: per-grid-point cycle attribution, roofline
-// classification, serving-grid snapshots, JSON/CSV emitters, and the
+// classification, named sections of self-describing cells (serving, dispatch,
+// timeline, fleet and kernel-phase results), JSON/CSV emitters, and the
 // baseline-diff used by the perf-regression gate (tools/vlacnn-report,
 // scripts/ci.sh). See DESIGN.md §9 for schema and methodology.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "report/json.h"
 #include "sweep/results_db.h"
 
 namespace vlacnn::report {
@@ -51,123 +55,39 @@ struct Attribution {
 
 Attribution attribute(const SweepRow& row, const RooflineParams& p);
 
-/// One serving-grid cell (mirrors serving::ServingEval without depending on
-/// src/serving/, which sits above the report layer in the link order).
-struct ServingCell {
-  int cores = 1;
-  std::uint32_t vlen_bits = 512;
-  std::uint64_t l2_total_bytes = 0;
-  int instances = 1;
-  double cycles_per_image = 0;
-  double images_per_cycle = 0;
-  double area_mm2 = 0;
+/// The named sections of report cells, in document order. A cell is a
+/// report::Json object: an ordered list of named number, string and bool
+/// fields. The subsystem that owns the numbers fills it in, so adding a
+/// metric is one `.add(...)` there (DESIGN.md §9):
+///
+///   kServing     serving/serving.cpp              a serving-grid point
+///   kRequestSim  serving/request_sim.cpp          a request-level simulation
+///   kDispatch    dispatch/learned_dispatcher.cpp  a learned-dispatch run
+///   kTimeline    serving/request_sim.cpp          a serving-timeline digest
+///   kFleet       serving/fleet_planner.cpp        a fleet composition
+///   kPhases      sweep/sweep.cpp                  a kernel phase of a row
+enum class Section {
+  kServing,
+  kRequestSim,
+  kDispatch,
+  kTimeline,
+  kFleet,
+  kPhases
 };
+inline constexpr std::array<Section, 6> kAllSections = {
+    Section::kServing,  Section::kRequestSim, Section::kDispatch,
+    Section::kTimeline, Section::kFleet,      Section::kPhases};
 
-/// One request-level serving simulation's headline stats (mirrors
-/// serving::ServingStats + the configuration it ran under, without depending
-/// on src/serving/, which sits above the report layer in the link order).
-/// Latency fields are in cycles — presentation layers convert to ms.
-struct RequestSimCell {
-  int cores = 1;
-  std::uint32_t vlen_bits = 512;
-  std::uint64_t l2_total_bytes = 0;
-  int instances = 1;
-  std::string policy;    ///< batching policy label, e.g. "adaptive8@1e+06"
-  std::string arrivals;  ///< arrival process label, e.g. "poisson"
-  double load_rps = 0;
-  double slo_cycles = 0;
-  std::uint64_t offered = 0, completed = 0, dropped = 0;
-  double p50 = 0, p95 = 0, p99 = 0, p999 = 0;  ///< latency, cycles
-  double mean_latency = 0;
-  double utilization = 0;
-  double mean_queue = 0;
-  double slo_attainment = 1;
-  /// Mean latency attribution (cycles); optional in the schema — reports
-  /// written before the attribution columns existed parse back as zeros.
-  double mean_queue_wait = 0;
-  double mean_formation_wait = 0;
-  double mean_service = 0;
+/// How one section is keyed and written. Field lists are padded with "";
+/// the table is constant, so it outlives the exit-time report writer.
+struct SectionLayout {
+  const char* name;        ///< the section's JSON key, e.g. "request_sim"
+  const char* total;       ///< its cell count's key under "totals"
+  std::size_t key_fields;  ///< leading fields that key a cell (Collector)
+  std::array<std::string_view, 4> line_breaks;  ///< fields opening a line
+  std::array<std::string_view, 3> zero_if_absent;  ///< older reports lack
 };
-
-/// Summary of one grid point's serving timeline (mirrors the analysis in
-/// obs/timeline.h without depending on it — obs sits *below* report in the
-/// link order, but the mirrored struct keeps the schema self-contained).
-/// The full per-interval timeline lives in the VLACNN_TIMELINE JSONL file;
-/// this cell is the per-point digest the planner folds into the run report.
-struct TimelineCell {
-  int cores = 1;
-  std::uint32_t vlen_bits = 512;
-  std::uint64_t l2_total_bytes = 0;
-  int instances = 1;
-  std::string policy;
-  std::string arrivals;
-  std::uint64_t snapshots = 0;       ///< intervals recorded
-  double interval_cycles = 0;        ///< snapshot cadence
-  std::uint64_t alerts = 0;          ///< burn-rate alerts raised
-  double warmup_cycles = 0;          ///< detected warm-up transient length
-  double steady_p99 = 0;             ///< final rolling p99 (cycles)
-  double max_burn_rate = 0;          ///< worst burn rate seen in any window
-  double time_in_alert_cycles = 0;   ///< total cycles spent in alert state
-};
-
-/// One learned-dispatch run's outcome at a grid point (mirrors
-/// dispatch::DispatchStats without depending on src/dispatch/, which sits
-/// above the report layer in the link order). Cycle fields are totals over
-/// every simulated image; oracle_gap is (learned + selector) / oracle - 1.
-struct DispatchCell {
-  std::string net;
-  int cores = 1;
-  std::uint32_t vlen_bits = 512;
-  std::uint64_t l2_total_bytes = 0;
-  int instances = 1;
-  int layers = 0;               ///< conv layers dispatched per image
-  int mispredicted_layers = 0;  ///< forest picks != oracle argmin, pre-bandit
-  std::uint64_t batches = 0, images = 0, explorations = 0;
-  double learned_conv_cycles = 0;  ///< conv cycles under the learned plans
-  double oracle_conv_cycles = 0;   ///< conv cycles under per-layer argmin
-  double selector_cycles = 0;      ///< charged forest-inference cycles
-  double oracle_gap = 0;
-};
-
-/// One kernel-phase slice of a sweep row's cycles, produced by the simulated
-/// PMU (vpu/pmu.h, DESIGN.md §14) when VLACNN_KERNPROF is on. The `cycles`
-/// of all cells sharing a key sum bit-exactly to the owning entry's total
-/// (Sterbenz split discipline); the bucket columns are raw per-phase deltas.
-/// Mirrors obs::KernProfPhase without depending on src/obs at schema level.
-struct PhaseCell {
-  std::string key;    ///< owning grid point, entry_key() format
-  std::string phase;  ///< e.g. "pack-a", "macro-kernel", "(other)"
-  double cycles = 0;  ///< exact slice of the row total
-  double compute_cycles = 0;
-  double mem_issue_cycles = 0;
-  double mem_stall_cycles = 0;
-  double scalar_cycles = 0;
-  double avg_vl = 0;
-  double l1_miss_rate = 0;  ///< NaN when the phase made no L1 accesses
-  double l2_miss_rate = 0;  ///< NaN when the phase made no L2 accesses
-  double mem_bytes = 0;
-};
-
-/// One fleet simulation's headline stats (mirrors serving::FleetStats'
-/// fleet-level aggregate + the composition it ran, without depending on
-/// src/serving/, which sits above the report layer in the link order).
-/// Latency fields are in cycles — presentation layers convert to ms.
-struct FleetCell {
-  std::string label;   ///< composition, e.g. "2xc4v2048l16i4+1xc1v512l1i1"
-  std::string router;  ///< routing policy label ("rr", "jsq", "p2c")
-  std::string mix;     ///< normalized traffic mix, e.g. "vgg16=0.70,yolo20=0.30"
-  int chips = 0;
-  double total_area_mm2 = 0;
-  double load_rps = 0;
-  double slo_cycles = 0;
-  std::uint64_t offered = 0, completed = 0, dropped = 0;
-  double p50 = 0, p99 = 0, p999 = 0;  ///< fleet latency, cycles
-  double mean_latency = 0;
-  double utilization = 0;       ///< over all instances, fleet makespan
-  double slo_attainment = 1;
-  double mean_router_hop = 0;   ///< mean front-end hop span, cycles
-  bool meets_slo = false;
-};
+const SectionLayout& layout(Section s);
 
 struct ReportEntry {
   SweepRow row;
@@ -175,19 +95,20 @@ struct ReportEntry {
 };
 
 /// A complete run report: every sweep row touched by the run (deterministic
-/// key order) plus any serving cells, with attribution precomputed.
+/// key order) with attribution precomputed, plus the cells of each section.
 struct RunReport {
   std::string tool;       ///< slug naming the producing driver
   double wall_ms = 0;     ///< wall-clock of the producing run
   RooflineParams roofline;
   std::vector<ReportEntry> entries;  ///< sorted by SweepKey
-  std::vector<ServingCell> serving;
-  std::vector<RequestSimCell> request_sim;  ///< request-level serving stats
-  std::vector<DispatchCell> dispatch;       ///< learned-dispatch outcomes
-  std::vector<TimelineCell> timeline;       ///< per-point timeline digests
-  std::vector<FleetCell> fleet;             ///< fleet-composition outcomes
-  std::vector<PhaseCell> phases;  ///< kernprof per-phase cells, key-sorted
+  std::array<std::vector<Json>, kAllSections.size()> sections;
 
+  std::vector<Json>& cells(Section s) {
+    return sections[static_cast<std::size_t>(s)];
+  }
+  const std::vector<Json>& cells(Section s) const {
+    return sections[static_cast<std::size_t>(s)];
+  }
   double total_cycles() const;
   std::string to_json() const;
   std::string to_csv() const;
@@ -199,8 +120,12 @@ std::string entry_key(const SweepKey& k);
 
 /// Parse a report emitted by to_json(). Attribution is recomputed from the
 /// stored raw numbers and roofline params (the derived fields in the file are
-/// for human consumption, not trusted). Throws std::runtime_error on
-/// malformed or wrong-schema input.
+/// for human consumption, not trusted). Cells are kept as written, except
+/// that a null field reads back as NaN (the writer's spelling of it) and a
+/// field of its section's zero_if_absent list that the file lacks reads as 0.
+/// Throws std::runtime_error on malformed or wrong-schema input, a mistyped
+/// or out-of-range entry field, a duplicate entry, or a cell that is not an
+/// object.
 RunReport report_from_json(const std::string& text);
 
 struct DiffOptions {

@@ -196,26 +196,28 @@ FleetCandidate FleetPlanner::evaluate_composition(
       (q.area_budget_mm2 <= 0 || cand.total_area_mm2 <= q.area_budget_mm2);
 
   if (report::enabled()) {
-    report::FleetCell cell;
-    cell.label = cand.label;
-    cell.router = router_kind_name(q.router.kind);
-    cell.mix = mix.to_string();
-    cell.chips = static_cast<int>(fc.chips.size());
-    cell.total_area_mm2 = cand.total_area_mm2;
-    cell.load_rps = q.load_rps;
-    cell.slo_cycles = fc.slo_cycles;
-    cell.offered = cand.stats.fleet.offered;
-    cell.completed = cand.stats.fleet.completed;
-    cell.dropped = cand.stats.fleet.dropped;
-    cell.p50 = cand.stats.fleet.p50;
-    cell.p99 = cand.stats.fleet.p99;
-    cell.p999 = cand.stats.fleet.p999;
-    cell.mean_latency = cand.stats.fleet.mean_latency;
-    cell.utilization = cand.stats.fleet.utilization;
-    cell.slo_attainment = cand.stats.fleet.slo_attainment;
-    cell.mean_router_hop = cand.stats.mean_router_hop;
-    cell.meets_slo = cand.meets_slo;
-    report::Collector::global().record_fleet(cell);
+    const ServingStats& s = cand.stats.fleet;
+    report::Collector::global().record(
+        report::Section::kFleet,
+        {report::Json()
+             .add("label", cand.label)
+             .add("router", router_kind_name(q.router.kind))
+             .add("mix", mix.to_string())
+             .add("chips", fc.chips.size())
+             .add("total_area_mm2", cand.total_area_mm2)
+             .add("load_rps", q.load_rps)
+             .add("slo_cycles", fc.slo_cycles)
+             .add("offered", s.offered)
+             .add("completed", s.completed)
+             .add("dropped", s.dropped)
+             .add("p50", s.p50)
+             .add("p99", s.p99)
+             .add("p999", s.p999)
+             .add("mean_latency", s.mean_latency)
+             .add("utilization", s.utilization)
+             .add("slo_attainment", s.slo_attainment)
+             .add("mean_router_hop", cand.stats.mean_router_hop)
+             .add("meets_slo", cand.meets_slo)});
   }
   return cand;
 }

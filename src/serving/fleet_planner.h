@@ -104,7 +104,7 @@ class FleetPlanner : public CapacityPlanner {
   /// Evaluate one explicit composition (counts over `types`) under the
   /// query's mixed load: resolves per-(type, model) cost models, builds the
   /// FleetConfig (full replication — every chip hosts every model), and runs
-  /// simulate_fleet. Records a report::FleetCell when collection is armed.
+  /// simulate_fleet. Records a report fleet cell when collection is armed.
   FleetCandidate evaluate_composition(const std::vector<Network>& nets,
                                       const FleetTrafficMix& mix,
                                       const FleetQuery& q,

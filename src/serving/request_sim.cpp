@@ -249,52 +249,49 @@ CapacityCandidate CapacityPlanner::simulate_point(const Network& net,
   }
   if (rec != nullptr) {
     obs::TimelineSink::global().record(label, rec->to_jsonl());
-    if (report::enabled()) {
-      const obs::TimelineAnalysis ta =
-          obs::analyze_timeline(rec->snapshots(), rec->alerts());
-      report::TimelineCell tc;
-      tc.cores = point.cores;
-      tc.vlen_bits = point.vlen_bits;
-      tc.l2_total_bytes = point.l2_total_bytes;
-      tc.instances = point.instances;
-      tc.policy = policy->name();
-      tc.arrivals = arrivals.name();
-      tc.snapshots = rec->snapshots().size();
-      tc.interval_cycles = rec->config().interval_cycles;
-      tc.alerts = ta.alert_count;
-      tc.warmup_cycles = ta.warmup_end_cycles;
-      tc.steady_p99 = ta.final_rolling_p99;
-      tc.max_burn_rate = ta.max_burn_rate;
-      tc.time_in_alert_cycles = ta.time_in_alert_cycles;
-      report::Collector::global().record_timeline(tc);
-    }
   }
 
   if (report::enabled()) {
-    report::RequestSimCell cell;
-    cell.cores = point.cores;
-    cell.vlen_bits = point.vlen_bits;
-    cell.l2_total_bytes = point.l2_total_bytes;
-    cell.instances = point.instances;
-    cell.policy = policy->name();
-    cell.arrivals = arrivals.name();
-    cell.load_rps = q.load_rps;
-    cell.slo_cycles = rc.slo_cycles;
-    cell.offered = c.stats.offered;
-    cell.completed = c.stats.completed;
-    cell.dropped = c.stats.dropped;
-    cell.p50 = c.stats.p50;
-    cell.p95 = c.stats.p95;
-    cell.p99 = c.stats.p99;
-    cell.p999 = c.stats.p999;
-    cell.mean_latency = c.stats.mean_latency;
-    cell.utilization = c.stats.utilization;
-    cell.mean_queue = c.stats.mean_queue;
-    cell.slo_attainment = c.stats.slo_attainment;
-    cell.mean_queue_wait = c.stats.mean_queue_wait;
-    cell.mean_formation_wait = c.stats.mean_formation_wait;
-    cell.mean_service = c.stats.mean_service;
-    report::Collector::global().record_request_sim(cell);
+    // The grid point and labels lead both cells: they are the collector key.
+    report::Json cell;
+    cell.add("cores", point.cores)
+        .add("vlen_bits", point.vlen_bits)
+        .add("l2_total_bytes", point.l2_total_bytes)
+        .add("instances", point.instances)
+        .add("policy", policy->name())
+        .add("arrivals", arrivals.name());
+    if (rec != nullptr) {
+      const obs::TimelineAnalysis ta =
+          obs::analyze_timeline(rec->snapshots(), rec->alerts());
+      report::Json tc = cell;
+      tc.add("snapshots", rec->snapshots().size())
+          .add("interval_cycles", rec->config().interval_cycles)
+          .add("alerts", ta.alert_count)
+          .add("warmup_cycles", ta.warmup_end_cycles)
+          .add("steady_p99", ta.final_rolling_p99)
+          .add("max_burn_rate", ta.max_burn_rate)
+          .add("time_in_alert_cycles", ta.time_in_alert_cycles);
+      report::Collector::global().record(report::Section::kTimeline,
+                                         {std::move(tc)});
+    }
+    cell.add("load_rps", q.load_rps)
+        .add("slo_cycles", rc.slo_cycles)
+        .add("offered", c.stats.offered)
+        .add("completed", c.stats.completed)
+        .add("dropped", c.stats.dropped)
+        .add("p50", c.stats.p50)
+        .add("p95", c.stats.p95)
+        .add("p99", c.stats.p99)
+        .add("p999", c.stats.p999)
+        .add("mean_latency", c.stats.mean_latency)
+        .add("utilization", c.stats.utilization)
+        .add("mean_queue", c.stats.mean_queue)
+        .add("slo_attainment", c.stats.slo_attainment)
+        .add("mean_queue_wait", c.stats.mean_queue_wait)
+        .add("mean_formation_wait", c.stats.mean_formation_wait)
+        .add("mean_service", c.stats.mean_service);
+    report::Collector::global().record(report::Section::kRequestSim,
+                                       {std::move(cell)});
   }
   return c;
 }

@@ -55,9 +55,18 @@ ServingEval ServingSimulator::evaluate(const Network& net,
   e.area_mm2 =
       area_.chip_mm2(point.vlen_bits, point.l2_total_bytes, point.cores);
   if (report::enabled()) {
-    report::Collector::global().record_serving(
-        {point.cores, point.vlen_bits, point.l2_total_bytes, point.instances,
-         e.cycles_per_image, e.images_per_cycle, e.area_mm2});
+    report::Collector::global().record(
+        report::Section::kServing, {report::Json()
+                                        .add("cores", point.cores)
+                                        .add("vlen_bits", point.vlen_bits)
+                                        .add("l2_total_bytes",
+                                             point.l2_total_bytes)
+                                        .add("instances", point.instances)
+                                        .add("cycles_per_image",
+                                             e.cycles_per_image)
+                                        .add("images_per_cycle",
+                                             e.images_per_cycle)
+                                        .add("area_mm2", e.area_mm2)});
   }
   return e;
 }

@@ -43,27 +43,30 @@ SweepRow row_from_stats(const SweepKey& key, const ConvLayerDesc& desc,
   return r;
 }
 
-/// report::PhaseCell rows from a kernel profile's phases, keyed by the
+/// Report phase cells from a kernel profile's phases, keyed by the
 /// profile's grid-point label (which matches report::entry_key for sweep
-/// points — the driver fills SimConfig.net/.layer below).
-std::vector<report::PhaseCell> phase_cells(const obs::KernProfRun& prof) {
+/// points — the driver fills SimConfig.net/.layer below). A miss rate is NaN
+/// when the phase made no accesses at that level.
+std::vector<report::Json> phase_cells(const obs::KernProfRun& prof) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  std::vector<report::PhaseCell> cells;
+  std::vector<report::Json> cells;
   cells.reserve(prof.phases.size());
   for (const obs::KernProfPhase& p : prof.phases) {
-    report::PhaseCell c;
-    c.key = prof.label;
-    c.phase = p.name;
-    c.cycles = p.cycles;
-    c.compute_cycles = p.compute_cycles;
-    c.mem_issue_cycles = p.mem_issue_cycles;
-    c.mem_stall_cycles = p.mem_stall_cycles;
-    c.scalar_cycles = p.scalar_cycles;
-    c.avg_vl = p.avg_vl;
-    c.l1_miss_rate = p.l1_accesses > 0 ? p.l1_misses / p.l1_accesses : kNaN;
-    c.l2_miss_rate = p.l2_accesses > 0 ? p.l2_misses / p.l2_accesses : kNaN;
-    c.mem_bytes = p.mem_bytes;
-    cells.push_back(std::move(c));
+    cells.push_back(
+        report::Json()
+            .add("key", prof.label)
+            .add("phase", p.name)
+            .add("cycles", p.cycles)
+            .add("compute_cycles", p.compute_cycles)
+            .add("mem_issue_cycles", p.mem_issue_cycles)
+            .add("mem_stall_cycles", p.mem_stall_cycles)
+            .add("scalar_cycles", p.scalar_cycles)
+            .add("avg_vl", p.avg_vl)
+            .add("l1_miss_rate",
+                 p.l1_accesses > 0 ? p.l1_misses / p.l1_accesses : kNaN)
+            .add("l2_miss_rate",
+                 p.l2_accesses > 0 ? p.l2_misses / p.l2_accesses : kNaN)
+            .add("mem_bytes", p.mem_bytes));
   }
   return cells;
 }
@@ -160,7 +163,8 @@ SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
   if (report::enabled()) {
     report::Collector::global().record_row(row);
     if (have_prof) {
-      report::Collector::global().record_phases(prof.label, phase_cells(prof));
+      report::Collector::global().record(report::Section::kPhases,
+                                         phase_cells(prof));
     }
   }
   return row;

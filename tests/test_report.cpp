@@ -10,10 +10,12 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "report/collector.h"
 #include "report/json.h"
 #include "report/report.h"
@@ -28,6 +30,7 @@ using report::DiffOptions;
 using report::DiffResult;
 using report::RooflineParams;
 using report::RunReport;
+using report::Section;
 
 SweepRow healthy_row(int layer = 0, Algo algo = Algo::kGemm6) {
   SweepRow r;
@@ -150,6 +153,98 @@ TEST(ReportAttribution, MissingBreakdownLabeled) {
 
 // --------------------------------------------------- JSON round-trip -------
 
+/// A report with one entry and one cell in each section, in the v1 layout:
+/// each section's field order and line breaks.
+const char* const kSampleReport = R"({
+  "schema": "vlacnn.report.v1",
+  "tool": "sample",
+  "wall_ms": 12.5,
+  "roofline": {"flops_per_lane_per_cycle": 2, "mem_bytes_per_cycle": 6.4000000000000004},
+  "entries": [
+    {"key": "vgg16/L02/gemm6/vlen1024/l2:4194304/lanes8/int", "net": "vgg16", "layer": 2, "algo": "gemm6", "vlen_bits": 1024, "l2_bytes": 4194304, "lanes": 8, "attach": "int",
+     "desc": {"ic": 64, "ih": 112, "iw": 112, "oc": 128, "kh": 3, "kw": 3, "stride": 1, "pad": 1},
+     "cycles": 123456789.5, "avg_vl": 31.75, "l2_miss_rate": 0.125, "mem_bytes": 4194304, "flops": 1849688064,
+     "breakdown": {"compute_cycles": 80000000, "mem_issue_cycles": 20000000, "mem_stall_cycles": 15000000, "scalar_cycles": 8456789.5, "vec_instructions": 3500000, "vec_elems": 110000000, "l1_accesses": 4000000, "l1_misses": 200000, "l2_accesses": 200000, "l2_misses": 25000},
+     "attribution": {"vec_utilization": 0.11137500056244375, "arith_intensity": 441, "achieved_flops_per_cycle": 14.98247339406149, "attainable_flops_per_cycle": 16, "roofline_efficiency": 0.93640458712884311, "l1_miss_rate": 0.050000000000000003, "l2_miss_rate": 0.125, "bound": "compute", "degenerate": ""}}
+  ],
+  "serving": [
+    {"cores": 16, "vlen_bits": 2048, "l2_total_bytes": 67108864, "instances": 4, "cycles_per_image": 550000000, "images_per_cycle": 7.2727272727272728e-09, "area_mm2": 12.625}
+  ],
+  "request_sim": [
+    {"cores": 4, "vlen_bits": 1024, "l2_total_bytes": 16777216, "instances": 2, "policy": "adaptive8@2e+06", "arrivals": "poisson",
+     "load_rps": 20, "slo_cycles": 8000000000, "offered": 500, "completed": 498, "dropped": 2,
+     "p50": 1250000000, "p95": 2500000000, "p99": 3000000000, "p999": 3500000000, "mean_latency": 1500000000,
+     "utilization": 0.625, "mean_queue": 1.75, "slo_attainment": 0.996,
+     "mean_queue_wait": 142857142.85714287, "mean_formation_wait": 0, "mean_service": 1357142857.1428571}
+  ],
+  "dispatch": [
+    {"net": "vgg16", "cores": 4, "vlen_bits": 2048, "l2_total_bytes": 8388608, "instances": 2,
+     "layers": 13, "mispredicted_layers": 3, "batches": 917, "images": 3668, "explorations": 41,
+     "learned_conv_cycles": 0.14285714285714285, "oracle_conv_cycles": 0.2857142857142857, "selector_cycles": 190736000, "oracle_gap": 0.33333333333333331}
+  ],
+  "timeline": [
+    {"cores": 4, "vlen_bits": 1024, "l2_total_bytes": 16777216, "instances": 2, "policy": "adaptive8@2e+06", "arrivals": "poisson",
+     "snapshots": 57, "interval_cycles": 1000000, "alerts": 3, "warmup_cycles": 4000000,
+     "steady_p99": 0.33333333333333331, "max_burn_rate": 2.5, "time_in_alert_cycles": 7000000}
+  ],
+  "fleet": [
+    {"label": "2xc4v2048l16i4+1xc1v512l1i1", "router": "jsq", "mix": "vgg16=0.70,yolo20=0.30", "chips": 3,
+     "total_area_mm2": 41.25, "load_rps": 45, "slo_cycles": 24000000000,
+     "offered": 800, "completed": 800, "dropped": 0,
+     "p50": 5000000000, "p99": 11000000000, "p999": 12000000000, "mean_latency": 6000000000,
+     "utilization": 0.5, "slo_attainment": 1, "mean_router_hop": 1000, "meets_slo": true}
+  ],
+  "phases": [
+    {"key": "vgg16/L02/gemm6/vlen1024/l2:4194304/lanes8/int", "phase": "macro-kernel", "cycles": 100000000,
+     "compute_cycles": 70000000, "mem_issue_cycles": 15000000, "mem_stall_cycles": 10000000, "scalar_cycles": 5000000,
+     "avg_vl": 32, "l1_miss_rate": 0.0625, "l2_miss_rate": null, "mem_bytes": 3000000}
+  ],
+  "totals": {"entries": 1, "serving_cells": 1, "request_sim_cells": 1, "dispatch_cells": 1, "timeline_cells": 1, "fleet_cells": 1, "phase_cells": 1, "cycles": 123456789.5}
+}
+)";
+
+/// summarize()'s cell tables for kSampleReport.
+const char* const kSampleCellTables = R"(
+ cores   vlen     l2MB  inst        cyc/img       img/Mcyc   area mm2
+    16   2048     64.0     4        5.5e+08       0.007273      12.62
+
+ cores   vlen     l2MB  inst policy               p50cyc     p99cyc    p999cyc   util   slo%
+     4   1024     16.0     2 adaptive8@2e+06    1.25e+09      3e+09    3.5e+09   0.62  99.60
+
+ cores   vlen     l2MB  inst policy            snaps   warmup_cyc    p99roll  maxburn alerts
+     4   1024     16.0     2 adaptive8@2e+06      57        4e+06     0.3333    2.500      3
+
+key                                          phase                  cycles  comp%   mem% stall%  scal% l2miss
+vgg16/L02/gemm6/vlen1024/l2:4194304/lanes8/int macro-kernel            1e+08   70.0   15.0   10.0    5.0      - (100.0%)
+
+fleet                                rtr  chips   area mm2     p50cyc     p99cyc   util   slo%   ok
+2xc4v2048l16i4+1xc1v512l1i1          jsq      3       41.2      5e+09    1.1e+10   0.50 100.00  yes
+
+net       cores   vlen     l2MB  inst layers  mispr   explored   selector     gap%
+vgg16         4   2048      8.0     2     13      3         41  1.907e+08   33.333
+)";
+
+/// `j` as JSON text, for comparing cells field for field: same names, order,
+/// types, and (through %.17g) bit-exact numbers.
+std::string text(const report::Json& j) {
+  std::string out;
+  report::append_json(out, j);
+  return out;
+}
+
+/// A serving-point cell's leading fields: cores, vlen_bits, l2_total_bytes,
+/// instances, then the policy and arrival labels.
+report::Json point_cell(int cores, std::uint64_t l2, int instances,
+                        const std::string& arrivals = "poisson") {
+  return report::Json()
+      .add("cores", cores)
+      .add("vlen_bits", 1024)
+      .add("l2_total_bytes", l2)
+      .add("instances", instances)
+      .add("policy", "adaptive8@2e+06")
+      .add("arrivals", arrivals);
+}
+
 TEST(ReportJson, EmitParseRoundTripIsExact) {
   RunReport rep;
   rep.tool = "roundtrip";
@@ -160,23 +255,31 @@ TEST(ReportJson, EmitParseRoundTripIsExact) {
   r2.has_breakdown = false;
   rep.entries.push_back({r1, report::attribute(r1, rep.roofline)});
   rep.entries.push_back({r2, report::attribute(r2, rep.roofline)});
-  rep.serving.push_back({4, 1024, 16u << 20, 4, 5e8, 8e-9, 12.5});
-  report::DispatchCell dc;
-  dc.net = "vgg16";
-  dc.cores = 4;
-  dc.vlen_bits = 2048;
-  dc.l2_total_bytes = 8u << 20;
-  dc.instances = 2;
-  dc.layers = 13;
-  dc.mispredicted_layers = 3;
-  dc.batches = 917;
-  dc.images = 3668;
-  dc.explorations = 41;
-  dc.learned_conv_cycles = 1.0 / 7.0;  // %.17g must survive bit-exactly
-  dc.oracle_conv_cycles = 2.0 / 7.0;
-  dc.selector_cycles = 4000.0 * 13 * 3668;
-  dc.oracle_gap = 1.0 / 3.0;
-  rep.dispatch.push_back(dc);
+  rep.cells(Section::kServing)
+      .push_back(report::Json()
+                     .add("cores", 4)
+                     .add("vlen_bits", 1024)
+                     .add("l2_total_bytes", 16u << 20)
+                     .add("instances", 4)
+                     .add("cycles_per_image", 5e8)
+                     .add("images_per_cycle", 8e-9)
+                     .add("area_mm2", 12.5));
+  rep.cells(Section::kDispatch)
+      .push_back(report::Json()
+                     .add("net", "vgg16")
+                     .add("cores", 4)
+                     .add("vlen_bits", 2048)
+                     .add("l2_total_bytes", 8u << 20)
+                     .add("instances", 2)
+                     .add("layers", 13)
+                     .add("mispredicted_layers", 3)
+                     .add("batches", 917)
+                     .add("images", 3668)
+                     .add("explorations", 41)
+                     .add("learned_conv_cycles", 1.0 / 7.0)
+                     .add("oracle_conv_cycles", 2.0 / 7.0)
+                     .add("selector_cycles", 4000.0 * 13 * 3668)
+                     .add("oracle_gap", 1.0 / 3.0));
 
   const RunReport back = report::report_from_json(rep.to_json());
   EXPECT_EQ(back.tool, "roundtrip");
@@ -189,240 +292,328 @@ TEST(ReportJson, EmitParseRoundTripIsExact) {
   ASSERT_TRUE(b1.has_breakdown);
   EXPECT_EQ(b1.bd.vec_elems, r1.bd.vec_elems);
   EXPECT_FALSE(back.entries[1].row.has_breakdown);
-  ASSERT_EQ(back.serving.size(), 1u);
-  EXPECT_EQ(back.serving[0].cycles_per_image, 5e8);
-  EXPECT_EQ(back.serving[0].instances, 4);
-  ASSERT_EQ(back.dispatch.size(), 1u);
-  const report::DispatchCell& bd = back.dispatch[0];
-  EXPECT_EQ(bd.net, dc.net);
-  EXPECT_EQ(bd.cores, dc.cores);
-  EXPECT_EQ(bd.vlen_bits, dc.vlen_bits);
-  EXPECT_EQ(bd.l2_total_bytes, dc.l2_total_bytes);
-  EXPECT_EQ(bd.instances, dc.instances);
-  EXPECT_EQ(bd.layers, dc.layers);
-  EXPECT_EQ(bd.mispredicted_layers, dc.mispredicted_layers);
-  EXPECT_EQ(bd.batches, dc.batches);
-  EXPECT_EQ(bd.images, dc.images);
-  EXPECT_EQ(bd.explorations, dc.explorations);
-  EXPECT_EQ(bd.learned_conv_cycles, dc.learned_conv_cycles);
-  EXPECT_EQ(bd.oracle_conv_cycles, dc.oracle_conv_cycles);
-  EXPECT_EQ(bd.selector_cycles, dc.selector_cycles);
-  EXPECT_EQ(bd.oracle_gap, dc.oracle_gap);
+  for (Section s : report::kAllSections) {
+    ASSERT_EQ(back.cells(s).size(), rep.cells(s).size());
+    for (std::size_t i = 0; i < rep.cells(s).size(); ++i) {
+      EXPECT_EQ(text(back.cells(s)[i]), text(rep.cells(s)[i]));
+    }
+  }
+  const report::Json& bd = back.cells(Section::kDispatch)[0];
+  EXPECT_EQ(report::num_at(bd, "learned_conv_cycles"), 1.0 / 7.0);
+  EXPECT_EQ(report::uint_at(bd, "images"), 3668u);
+  EXPECT_EQ(report::int_at(back.cells(Section::kServing)[0], "instances"), 4);
   EXPECT_EQ(back.total_cycles(), rep.total_cycles());
   EXPECT_NE(rep.to_json().find("\"dispatch_cells\": 1"), std::string::npos);
 }
 
-TEST(ReportJson, RequestSimAttributionAndTimelineCellsRoundTrip) {
+TEST(ReportJson, SampleReportRoundTripsByteForByte) {
+  // Re-emitting a parsed report reproduces it, line breaks included, and
+  // summarize() reads every section's fields by name into its table.
+  const RunReport back = report::report_from_json(kSampleReport);
+  EXPECT_EQ(back.to_json(), kSampleReport);
+  const std::string summary = report::summarize(back);
+  ASSERT_NE(summary.find("\n cores"), std::string::npos);
+  EXPECT_EQ(summary.substr(summary.find("\n cores")), kSampleCellTables);
+  // The CSV phase block is headed by the phase cells' field names.
+  EXPECT_NE(back.to_csv().find(
+                "\nkey,phase,cycles,compute_cycles,mem_issue_cycles,"
+                "mem_stall_cycles,scalar_cycles,avg_vl,l1_miss_rate,"
+                "l2_miss_rate,mem_bytes\nvgg16/L02/gemm6/vlen1024/l2:4194304/"
+                "lanes8/int,macro-kernel,100000000,70000000,15000000,10000000,"
+                "5000000,32,0.0625,nan,3000000\n"),
+            std::string::npos);
+}
+
+TEST(ReportJson, RequestSimAttributionAndTimelineSectionsRoundTrip) {
   RunReport rep;
   rep.tool = "roundtrip_tl";
-  report::RequestSimCell rc;
-  rc.cores = 4;
-  rc.vlen_bits = 1024;
-  rc.l2_total_bytes = 8u << 20;
-  rc.instances = 2;
-  rc.policy = "adaptive8@2e+06";
-  rc.arrivals = "poisson";
-  rc.offered = 2000;
-  rc.completed = 1990;
-  rc.dropped = 10;
-  rc.mean_latency = 3.0 / 7.0;  // %.17g must survive bit-exactly
-  rc.mean_queue_wait = 1.0 / 7.0;
-  rc.mean_formation_wait = 1.0 / 13.0;
-  rc.mean_service = 2.0 / 11.0;
-  rep.request_sim.push_back(rc);
-  report::TimelineCell tc;
-  tc.cores = 4;
-  tc.vlen_bits = 1024;
-  tc.l2_total_bytes = 8u << 20;
-  tc.instances = 2;
-  tc.policy = "adaptive8@2e+06";
-  tc.arrivals = "poisson";
-  tc.snapshots = 57;
-  tc.interval_cycles = 1e6;
-  tc.alerts = 3;
-  tc.warmup_cycles = 4e6;
-  tc.steady_p99 = 1.0 / 3.0;
-  tc.max_burn_rate = 2.5;
-  tc.time_in_alert_cycles = 7e6;
-  rep.timeline.push_back(tc);
+  report::Json rc = point_cell(4, 8u << 20, 2);
+  rc.add("load_rps", 20.0)
+      .add("slo_cycles", 8e9)
+      .add("offered", 2000)
+      .add("completed", 1990)
+      .add("dropped", 10)
+      .add("p50", 1e9)
+      .add("p95", 2e9)
+      .add("p99", 3e9)
+      .add("p999", 4e9)
+      .add("mean_latency", 3.0 / 7.0)  // %.17g must survive bit-exactly
+      .add("utilization", 0.5)
+      .add("mean_queue", 1.5)
+      .add("slo_attainment", 0.995)
+      .add("mean_queue_wait", 1.0 / 7.0)
+      .add("mean_formation_wait", 1.0 / 13.0)
+      .add("mean_service", 2.0 / 11.0);
+  rep.cells(Section::kRequestSim).push_back(rc);
+  report::Json tc = point_cell(4, 8u << 20, 2);
+  tc.add("snapshots", 57)
+      .add("interval_cycles", 1e6)
+      .add("alerts", 3)
+      .add("warmup_cycles", 4e6)
+      .add("steady_p99", 1.0 / 3.0)
+      .add("max_burn_rate", 2.5)
+      .add("time_in_alert_cycles", 7e6);
+  rep.cells(Section::kTimeline).push_back(tc);
 
   const std::string json = rep.to_json();
   EXPECT_NE(json.find("\"timeline_cells\": 1"), std::string::npos);
   const RunReport back = report::report_from_json(json);
-  ASSERT_EQ(back.request_sim.size(), 1u);
-  EXPECT_EQ(back.request_sim[0].mean_queue_wait, rc.mean_queue_wait);
-  EXPECT_EQ(back.request_sim[0].mean_formation_wait, rc.mean_formation_wait);
-  EXPECT_EQ(back.request_sim[0].mean_service, rc.mean_service);
-  ASSERT_EQ(back.timeline.size(), 1u);
-  const report::TimelineCell& bt = back.timeline[0];
-  EXPECT_EQ(bt.cores, tc.cores);
-  EXPECT_EQ(bt.vlen_bits, tc.vlen_bits);
-  EXPECT_EQ(bt.l2_total_bytes, tc.l2_total_bytes);
-  EXPECT_EQ(bt.instances, tc.instances);
-  EXPECT_EQ(bt.policy, tc.policy);
-  EXPECT_EQ(bt.arrivals, tc.arrivals);
-  EXPECT_EQ(bt.snapshots, tc.snapshots);
-  EXPECT_EQ(bt.interval_cycles, tc.interval_cycles);
-  EXPECT_EQ(bt.alerts, tc.alerts);
-  EXPECT_EQ(bt.warmup_cycles, tc.warmup_cycles);
-  EXPECT_EQ(bt.steady_p99, tc.steady_p99);  // bit-exact, not NEAR
-  EXPECT_EQ(bt.max_burn_rate, tc.max_burn_rate);
-  EXPECT_EQ(bt.time_in_alert_cycles, tc.time_in_alert_cycles);
+  ASSERT_EQ(back.cells(Section::kRequestSim).size(), 1u);
+  const report::Json& brc = back.cells(Section::kRequestSim)[0];
+  EXPECT_EQ(text(brc), text(rc));
+  EXPECT_EQ(report::num_at(brc, "mean_queue_wait"), 1.0 / 7.0);
+  ASSERT_EQ(back.cells(Section::kTimeline).size(), 1u);
+  const report::Json& btc = back.cells(Section::kTimeline)[0];
+  EXPECT_EQ(text(btc), text(tc));
+  EXPECT_EQ(report::num_at(btc, "steady_p99"), 1.0 / 3.0);  // bit-exact
+  EXPECT_EQ(report::uint_at(btc, "snapshots"), 57u);
   // The summary table renders the timeline section.
-  const std::string text = report::summarize(back);
-  EXPECT_NE(text.find("adaptive8@2e+06"), std::string::npos);
+  const std::string summary = report::summarize(back);
+  EXPECT_NE(summary.find("adaptive8@2e+06"), std::string::npos);
 
   // Pre-attribution reports (no attribution keys, no timeline section) still
-  // parse, with the new fields defaulting to zero.
+  // parse, with the attribution fields reading as zero.
   RunReport old;
   old.tool = "old";
-  report::RequestSimCell oc;
-  oc.policy = "nobatch";
-  oc.arrivals = "poisson";
-  old.request_sim.push_back(oc);
+  old.cells(Section::kRequestSim).push_back(rc);
   std::string old_json = old.to_json();
   for (const char* key : {"\"mean_queue_wait\"", "\"mean_formation_wait\"",
                           "\"mean_service\""}) {
     // Rename the keys so the parser sees a file without them (unknown keys
-    // are ignored), exactly like a report written before they existed.
+    // are kept, but read by no one), exactly like a report written before
+    // they existed.
     const std::size_t at = old_json.find(key);
     ASSERT_NE(at, std::string::npos);
     old_json.replace(at, 6, "\"gone_");
   }
+  const std::size_t tl = old_json.find("  \"timeline\": [],\n");
+  ASSERT_NE(tl, std::string::npos);
+  old_json.erase(tl, std::string("  \"timeline\": [],\n").size());
   const RunReport oldback = report::report_from_json(old_json);
-  ASSERT_EQ(oldback.request_sim.size(), 1u);
-  EXPECT_EQ(oldback.request_sim[0].mean_queue_wait, 0.0);
-  EXPECT_EQ(oldback.request_sim[0].mean_service, 0.0);
+  ASSERT_EQ(oldback.cells(Section::kRequestSim).size(), 1u);
+  const report::Json& oc = oldback.cells(Section::kRequestSim)[0];
+  EXPECT_EQ(report::num_at(oc, "mean_queue_wait"), 0.0);
+  EXPECT_EQ(report::num_at(oc, "mean_formation_wait"), 0.0);
+  EXPECT_EQ(report::num_at(oc, "mean_service"), 0.0);
+  EXPECT_TRUE(oldback.cells(Section::kTimeline).empty());
 }
 
-TEST(ReportJson, PhaseCellsRoundTripWithNaNMissRates) {
+/// A kernel-phase cell of grid point `key`.
+report::Json phase_cell(const std::string& key, const std::string& phase,
+                        double cycles, double l1_miss_rate = 0.125,
+                        double l2_miss_rate = 2.0 / 3.0) {
+  return report::Json()
+      .add("key", key)
+      .add("phase", phase)
+      .add("cycles", cycles)
+      .add("compute_cycles", 1.0 / 7.0)
+      .add("mem_issue_cycles", 1.0 / 11.0)
+      .add("mem_stall_cycles", 1.0 / 13.0)
+      .add("scalar_cycles", 1.0 / 17.0)
+      .add("avg_vl", 14.5)
+      .add("l1_miss_rate", l1_miss_rate)
+      .add("l2_miss_rate", l2_miss_rate)
+      .add("mem_bytes", 65536.0);
+}
+
+TEST(ReportJson, PhaseSectionRoundTripsWithNaNMissRates) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::string key = "vgg16/L02/gemm6/vlen512/l2:1048576/lanes8/int";
   RunReport rep;
   rep.tool = "roundtrip_ph";
-  report::PhaseCell pc;
-  pc.key = "vgg16/L02/gemm6/vlen512/l2:1048576/lanes8/int";
-  pc.phase = "macro-kernel";
-  pc.cycles = 1.0 / 3.0;  // %.17g must survive bit-exactly
-  pc.compute_cycles = 1.0 / 7.0;
-  pc.mem_issue_cycles = 1.0 / 11.0;
-  pc.mem_stall_cycles = 1.0 / 13.0;
-  pc.scalar_cycles = 1.0 / 17.0;
-  pc.avg_vl = 14.5;
-  pc.l1_miss_rate = 0.125;
-  pc.l2_miss_rate = 2.0 / 3.0;
-  pc.mem_bytes = 65536.0;
-  rep.phases.push_back(pc);
-  report::PhaseCell im2col;  // a phase that issued no cache accesses
-  im2col.key = pc.key;
-  im2col.phase = "im2col";
-  im2col.cycles = 42.0;
-  im2col.l1_miss_rate = std::numeric_limits<double>::quiet_NaN();
-  im2col.l2_miss_rate = std::numeric_limits<double>::quiet_NaN();
-  rep.phases.push_back(im2col);
+  rep.cells(Section::kPhases)
+      .push_back(phase_cell(key, "macro-kernel", 1.0 / 3.0));
+  // A phase that issued no cache accesses has NaN miss rates.
+  rep.cells(Section::kPhases).push_back(phase_cell(key, "im2col", 42.0, kNaN, kNaN));
 
   const std::string json = rep.to_json();
   EXPECT_NE(json.find("\"phase_cells\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"l1_miss_rate\": null"), std::string::npos);
   const RunReport back = report::report_from_json(json);
-  ASSERT_EQ(back.phases.size(), 2u);
-  const report::PhaseCell& bp = back.phases[0];
-  EXPECT_EQ(bp.key, pc.key);
-  EXPECT_EQ(bp.phase, pc.phase);
-  EXPECT_EQ(bp.cycles, pc.cycles);  // bit-exact, not NEAR
-  EXPECT_EQ(bp.compute_cycles, pc.compute_cycles);
-  EXPECT_EQ(bp.mem_issue_cycles, pc.mem_issue_cycles);
-  EXPECT_EQ(bp.mem_stall_cycles, pc.mem_stall_cycles);
-  EXPECT_EQ(bp.scalar_cycles, pc.scalar_cycles);
-  EXPECT_EQ(bp.avg_vl, pc.avg_vl);
-  EXPECT_EQ(bp.l1_miss_rate, pc.l1_miss_rate);
-  EXPECT_EQ(bp.l2_miss_rate, pc.l2_miss_rate);
-  EXPECT_EQ(bp.mem_bytes, pc.mem_bytes);
+  ASSERT_EQ(back.cells(Section::kPhases).size(), 2u);
+  const report::Json& bp = back.cells(Section::kPhases)[0];
+  EXPECT_EQ(text(bp), text(rep.cells(Section::kPhases)[0]));
+  EXPECT_EQ(report::num_at(bp, "cycles"), 1.0 / 3.0);  // bit-exact, not NEAR
   // NaN serializes as JSON null and parses back as NaN, not 0.
-  EXPECT_TRUE(std::isnan(back.phases[1].l1_miss_rate));
-  EXPECT_TRUE(std::isnan(back.phases[1].l2_miss_rate));
+  const report::Json& bi = back.cells(Section::kPhases)[1];
+  EXPECT_TRUE(std::isnan(report::num_at(bi, "l1_miss_rate")));
+  EXPECT_TRUE(std::isnan(report::num_at(bi, "l2_miss_rate")));
   // The summary table renders the phase section (and "-" for the NaN rate).
-  const std::string text = report::summarize(back);
-  EXPECT_NE(text.find("macro-kernel"), std::string::npos);
-  EXPECT_NE(text.find("im2col"), std::string::npos);
+  const std::string summary = report::summarize(back);
+  EXPECT_NE(summary.find("macro-kernel"), std::string::npos);
+  EXPECT_NE(summary.find("im2col"), std::string::npos);
   // Pre-kernprof reports (no "phases" key) still parse with no cells.
   RunReport old;
   old.tool = "old";
-  const RunReport oldback = report::report_from_json(old.to_json());
-  EXPECT_TRUE(oldback.phases.empty());
-  // CSV grows a phase block only when cells exist.
+  std::string old_json = old.to_json();
+  const std::size_t ph = old_json.find("  \"phases\": [],\n");
+  ASSERT_NE(ph, std::string::npos);
+  old_json.erase(ph, std::string("  \"phases\": [],\n").size());
+  EXPECT_TRUE(report::report_from_json(old_json).cells(Section::kPhases).empty());
+  // CSV grows a phase block only when cells exist; NaN prints as nan there.
   EXPECT_EQ(old.to_csv().find("l1_miss_rate"), std::string::npos);
   EXPECT_NE(rep.to_csv().find("key,phase,cycles"), std::string::npos);
+  EXPECT_NE(rep.to_csv().find(",im2col,42,"), std::string::npos);
+  EXPECT_NE(rep.to_csv().find(",14.5,nan,nan,65536\n"), std::string::npos);
 }
 
 TEST(ReportCollector, RecordPhasesKeyedDedupAndKeyOrder) {
   report::Collector c;
-  report::PhaseCell pc;
-  pc.phase = "im2col";
-  pc.cycles = 100.0;
   // Record keys out of order; re-record the second to confirm last-write-wins
-  // replaces the whole vector for that key.
-  pc.key = "b";
-  c.record_phases("b", {pc, pc});
-  pc.key = "a";
-  c.record_phases("a", {pc});
-  pc.key = "b";
-  pc.cycles = 50.0;
-  c.record_phases("b", {pc});
+  // replaces the whole group for that key.
+  c.record(Section::kPhases,
+           {phase_cell("b", "im2col", 100.0), phase_cell("b", "pack", 100.0)});
+  c.record(Section::kPhases, {phase_cell("a", "im2col", 100.0)});
+  c.record(Section::kPhases, {phase_cell("b", "im2col", 50.0)});
   const RunReport snap = c.snapshot("t", 0.0);
-  ASSERT_EQ(snap.phases.size(), 2u);  // flattened in key order, b deduped
-  EXPECT_EQ(snap.phases[0].key, "a");
-  EXPECT_EQ(snap.phases[0].cycles, 100.0);
-  EXPECT_EQ(snap.phases[1].key, "b");
-  EXPECT_EQ(snap.phases[1].cycles, 50.0);
+  const std::vector<report::Json>& phases = snap.cells(Section::kPhases);
+  ASSERT_EQ(phases.size(), 2u);  // flattened in key order, b replaced whole
+  EXPECT_EQ(report::str_at(phases[0], "key"), "a");
+  EXPECT_EQ(report::num_at(phases[0], "cycles"), 100.0);
+  EXPECT_EQ(report::str_at(phases[1], "key"), "b");
+  EXPECT_EQ(report::num_at(phases[1], "cycles"), 50.0);
+  // A group keeps its recorded order.
+  c.record(Section::kPhases,
+           {phase_cell("a", "pack", 1.0), phase_cell("a", "im2col", 2.0)});
+  const RunReport again = c.snapshot("t", 0.0);
+  ASSERT_EQ(again.cells(Section::kPhases).size(), 3u);
+  EXPECT_EQ(report::str_at(again.cells(Section::kPhases)[0], "phase"), "pack");
   c.reset();
-  EXPECT_TRUE(c.snapshot("t", 0.0).phases.empty());
+  EXPECT_TRUE(c.snapshot("t", 0.0).cells(Section::kPhases).empty());
 }
 
 TEST(ReportCollector, RecordTimelineKeyedDedup) {
   report::Collector c;
-  report::TimelineCell tc;
-  tc.cores = 2;
-  tc.vlen_bits = 512;
-  tc.l2_total_bytes = 4u << 20;
-  tc.instances = 1;
-  tc.policy = "nobatch";
-  tc.arrivals = "poisson";
-  tc.max_burn_rate = 0.5;
-  c.record_timeline(tc);
-  tc.max_burn_rate = 0.25;  // same key: later record wins
-  c.record_timeline(tc);
-  tc.arrivals = "closed_loop";  // different key: second cell
-  tc.max_burn_rate = 0.125;
-  c.record_timeline(tc);
+  auto timeline = [](const std::string& arrivals, double max_burn_rate) {
+    return point_cell(2, 4u << 20, 1, arrivals)
+        .add("max_burn_rate", max_burn_rate);
+  };
+  c.record(Section::kTimeline, {timeline("poisson", 0.5)});
+  c.record(Section::kTimeline, {timeline("poisson", 0.25)});  // later wins
+  c.record(Section::kTimeline, {timeline("closed_loop", 0.125)});  // new key
   const RunReport snap = c.snapshot("t", 0.0);
-  ASSERT_EQ(snap.timeline.size(), 2u);
-  EXPECT_EQ(snap.timeline[0].max_burn_rate, 0.125);  // closed_loop < poisson
-  EXPECT_EQ(snap.timeline[1].max_burn_rate, 0.25);
+  const std::vector<report::Json>& cells = snap.cells(Section::kTimeline);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(report::num_at(cells[0], "max_burn_rate"), 0.125);  // closed_loop
+  EXPECT_EQ(report::num_at(cells[1], "max_burn_rate"), 0.25);   // < poisson
 }
 
 TEST(ReportCollector, RecordDispatchKeyedDedup) {
   report::Collector c;
-  report::DispatchCell dc;
-  dc.net = "vgg16";
-  dc.cores = 2;
-  dc.vlen_bits = 512;
-  dc.l2_total_bytes = 4u << 20;
-  dc.instances = 1;
-  dc.oracle_gap = 0.5;
-  c.record_dispatch(dc);
-  dc.oracle_gap = 0.25;  // same key: later record wins
-  c.record_dispatch(dc);
-  dc.instances = 2;  // different key: second cell
-  dc.oracle_gap = 0.125;
-  c.record_dispatch(dc);
+  auto dispatch = [](int instances, double oracle_gap) {
+    return report::Json()
+        .add("net", "vgg16")
+        .add("cores", 2)
+        .add("vlen_bits", 512)
+        .add("l2_total_bytes", 4u << 20)
+        .add("instances", instances)
+        .add("oracle_gap", oracle_gap);
+  };
+  c.record(Section::kDispatch, {dispatch(1, 0.5)});
+  c.record(Section::kDispatch, {dispatch(1, 0.25)});   // same key: later wins
+  c.record(Section::kDispatch, {dispatch(2, 0.125)});  // different key
   const RunReport snap = c.snapshot("t", 0.0);
-  ASSERT_EQ(snap.dispatch.size(), 2u);
-  EXPECT_EQ(snap.dispatch[0].oracle_gap, 0.25);
-  EXPECT_EQ(snap.dispatch[1].oracle_gap, 0.125);
+  const std::vector<report::Json>& cells = snap.cells(Section::kDispatch);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(report::num_at(cells[0], "oracle_gap"), 0.25);
+  EXPECT_EQ(report::num_at(cells[1], "oracle_gap"), 0.125);
+}
+
+TEST(ReportCollector, KeysCompareNumbersAsNumbersAndMustBeComplete) {
+  report::Collector c;
+  // Text order would put cores 16 before 4, and 16 MiB before 4 MiB.
+  for (int cores : {16, 4}) {
+    for (std::uint64_t l2 : {16ull << 20, 4ull << 20}) {
+      c.record(Section::kServing, {point_cell(cores, l2, 1)});
+    }
+  }
+  const RunReport snap = c.snapshot("t", 0.0);
+  std::vector<std::pair<int, std::uint64_t>> order;
+  for (const report::Json& cell : snap.cells(Section::kServing)) {
+    order.emplace_back(report::int_at(cell, "cores"),
+                       report::uint_at(cell, "l2_total_bytes"));
+  }
+  const std::vector<std::pair<int, std::uint64_t>> want = {
+      {4, 4u << 20}, {4, 16u << 20}, {16, 4u << 20}, {16, 16u << 20}};
+  EXPECT_EQ(order, want);
+  // A cell short of its section's key fields is a producer bug.
+  EXPECT_THROW(c.record(Section::kFleet, {report::Json().add("label", "x")}),
+               std::invalid_argument);
 }
 
 TEST(ReportJson, RejectsWrongSchema) {
   EXPECT_THROW(report::report_from_json("{\"schema\": \"other.v9\"}"),
                std::runtime_error);
   EXPECT_THROW(report::report_from_json("{]"), std::runtime_error);
+}
+
+/// report_from_json's error for `json`, or "" when it parses.
+std::string report_error(const std::string& json) {
+  try {
+    report::report_from_json(json);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// kSampleReport with the first `from` replaced by `to`.
+std::string sample_with(const std::string& from, const std::string& to) {
+  std::string json = kSampleReport;
+  const std::size_t at = json.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? json : json.replace(at, from.size(), to);
+}
+
+TEST(ReportJson, IntegerFieldsAreCheckedAndEntriesUnique) {
+  EXPECT_EQ(report_error(kSampleReport), "");
+  // A fraction, a sign or an out-of-range value in an integer field names
+  // the field instead of wrapping into another grid point.
+  EXPECT_EQ(report_error(sample_with("\"layer\": 2", "\"layer\": 2.5")),
+            "json: key \"layer\" holds 2.5, expected a signed 32-bit integer");
+  EXPECT_EQ(report_error(sample_with("\"lanes\": 8", "\"lanes\": -8")),
+            "json: key \"lanes\" holds -8, expected an unsigned 32-bit integer");
+  EXPECT_EQ(
+      report_error(sample_with("\"l2_bytes\": 4194304", "\"l2_bytes\": -1")),
+      "json: key \"l2_bytes\" holds -1, expected an unsigned 64-bit integer");
+  EXPECT_EQ(report_error(sample_with("\"layer\": 2", "\"layer\": 1e30")),
+            "json: key \"layer\" holds 1e+30, expected a signed 32-bit integer");
+  EXPECT_NE(report_error(sample_with("\"vlen_bits\": 1024",
+                                     "\"vlen_bits\": 4294967296"))
+                .find("\"vlen_bits\""),
+            std::string::npos);
+  EXPECT_NE(report_error(sample_with("\"stride\": 1", "\"stride\": 1.5"))
+                .find("\"stride\""),
+            std::string::npos);
+  EXPECT_NE(report_error(sample_with("\"algo\": \"gemm6\"",
+                                     "\"algo\": \"gemm7\""))
+                .find("gemm7"),
+            std::string::npos);
+  // Two rows for one grid point: the diff would compare only one of them.
+  RunReport dup;
+  dup.entries.push_back({healthy_row(2), report::attribute(healthy_row(2), {})});
+  dup.entries.push_back(dup.entries.back());
+  EXPECT_EQ(report_error(dup.to_json()),
+            "report: duplicate entry "
+            "tiny/L02/gemm6/vlen512/l2:1048576/lanes8/int");
+  // Document-level sections must have their type, and cells must be objects.
+  EXPECT_NE(report_error(sample_with("\"serving\": [", "\"serving\": 5, \"x\": [")),
+            "");
+  EXPECT_NE(report_error(sample_with("\"entries\": [", "\"entries\": {}, \"x\": [")),
+            "");
+  EXPECT_EQ(report_error(sample_with("\"fleet\": [\n", "\"fleet\": [7,\n")),
+            "report: a \"fleet\" cell is not an object");
+
+  // The accessors on their own: in range passes, at the edges too.
+  const report::Json j = report::parse_json(
+      "{\"neg\": -1, \"big\": 2147483648, \"max\": 4294967295, \"s\": \"x\"}");
+  EXPECT_EQ(report::int_at(j, "neg"), -1);
+  EXPECT_THROW(report::int_at(j, "big"), std::runtime_error);
+  EXPECT_EQ(report::int_at<std::int64_t>(j, "big"), 2147483648);
+  EXPECT_EQ(report::uint_at<std::uint32_t>(j, "max"), 4294967295u);
+  EXPECT_THROW(report::uint_at(j, "neg"), std::runtime_error);
+  EXPECT_THROW(report::uint_at(j, "s"), std::runtime_error);
+  EXPECT_THROW(report::uint_at(j, "absent"), std::runtime_error);
 }
 
 // ---------------------------------------------------------------- diff -----
@@ -503,18 +694,20 @@ TEST_F(ReportTest, SnapshotIsDeterministicAcrossRecordOrder) {
   auto& c = report::Collector::global();
   const SweepRow r0 = healthy_row(0), r1 = healthy_row(1),
                  r2 = healthy_row(2);
+  const report::Json s4 = point_cell(4, 4u << 20, 4).add("area_mm2", 3.5);
+  const report::Json s1 = point_cell(1, 1u << 20, 1).add("area_mm2", 1.5);
   c.record_row(r1);
   c.record_row(r0);
   c.record_row(r2);
-  c.record_serving({4, 512, 4u << 20, 4, 1e6, 4e-6, 3.5});
-  c.record_serving({1, 512, 1u << 20, 1, 2e6, 0.5e-6, 1.5});
+  c.record(Section::kServing, {s4});
+  c.record(Section::kServing, {s1});
   const std::string json_a = c.snapshot("t", 0).to_json();
 
   c.reset();
   c.record_row(r2);
-  c.record_serving({1, 512, 1u << 20, 1, 2e6, 0.5e-6, 1.5});
+  c.record(Section::kServing, {s1});
   c.record_row(r0);
-  c.record_serving({4, 512, 4u << 20, 4, 1e6, 4e-6, 3.5});
+  c.record(Section::kServing, {s4});
   c.record_row(r1);
   const std::string json_b = c.snapshot("t", 0).to_json();
   EXPECT_EQ(json_a, json_b);  // byte-identical regardless of arrival order
@@ -708,6 +901,147 @@ TEST(LabeledJsonl, EveryLineErrorNamesFileAndLine) {
   }
   EXPECT_EQ(jsonl_error("{\"type\":\"x\",\"v\":\"x\"}"),
             ":1: json: key \"v\" holds a string, expected a number");
+}
+
+TEST(LabeledJsonl, DeepNestingFailsWithAnOffsetNotAStackOverflow) {
+  const std::string deep(1000000, '[');
+  try {
+    report::parse_json(deep);
+    ADD_FAILURE() << "a million open brackets parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "json parse error at offset 64: nesting deeper "
+                           "than 64 levels");
+  }
+  // The cap sits far above any artifact's depth (about 4).
+  EXPECT_NO_THROW(
+      report::parse_json(std::string(64, '[') + std::string(64, ']')));
+  EXPECT_THROW(report::report_from_json(deep), std::runtime_error);
+  EXPECT_EQ(jsonl_error("{\"type\":\"x\",\"v\":1}\n" + deep),
+            ":2: json parse error at offset 64: nesting deeper than 64 levels");
+}
+
+// -- seeded mutation fuzz of the report and labeled-JSONL readers ------------
+
+/// Timeline, request-trace and kernel-profile lines in the labeled-JSONL
+/// format, with the fields vlacnn-report reads.
+const char* const kSampleJsonl =
+    R"({"type":"run","label":"cores4/vlen1024/l2:16777216/inst2/nobatch/poisson"}
+{"type":"header","interval_cycles":1000000,"slo_cycles":8000000000,"instances":2}
+{"type":"snapshot","t_start":0,"t_end":1000000,"arrivals":3,"drops":0,"dispatches":2,"completions":2,"queue_depth":1,"in_flight":1,"mean_queue":0.5,"utilization":0.625,"rolling_p99":3000000,"rolling_count":2,"burn_short":0,"burn_long":null,"alert":false,"cum_offered":3,"cum_completed":2,"cum_dropped":0}
+{"type":"alert","t":2000000,"burn_rate":2.5}
+{"type":"run","label":"fleet/1xc4v1024l16i2/jsq/poisson"}
+{"type":"header","slo_cycles":8000000000,"offered":2,"completed":2,"dropped":0,"violations":1}
+{"type":"exemplar","bucket_upper":128.5,"latency":110,"id":7}
+{"type":"request","id":7,"arrival":0,"dispatch":10,"completion":110,"latency":110,"queue_wait":10,"formation_wait":0,"service":100,"router_hop":0,"chip":1,"batch":2,"instance":-1,"dropped":false,"within_slo":true,"keep":"slow","layers":[{"name":"conv1/gemm6","cycles":60},{"name":"conv2/direct","cycles":40}],"notes":[{"k":"explore","v":"none"}]}
+{"type":"run","label":"vgg16/L02/gemm6/vlen1024/l2:4194304/lanes8/int"}
+{"type":"kernel","net":"vgg16","layer":2,"algo":"gemm6","vlen_bits":1024,"l2_bytes":4194304,"lanes":8,"attach":"int","interval_cycles":1000000,"cycles":100,"compute_cycles":70,"mem_issue_cycles":15,"mem_stall_cycles":10,"scalar_cycles":5}
+{"type":"phase","name":"macro-kernel","cycles":100,"raw_cycles":100,"compute_cycles":70,"mem_issue_cycles":15,"mem_stall_cycles":10,"scalar_cycles":5,"avg_vl":32,"flops":4096,"l1_accesses":64,"l1_misses":4,"l2_accesses":4,"l2_misses":1,"mem_bytes":256}
+{"type":"window","t_start":0,"t_end":100,"compute_cycles":70,"mem_issue_cycles":15,"mem_stall_cycles":10,"scalar_cycles":5,"avg_vl":32,"lane_utilization":0.5,"l1_miss_rate":0.0625,"l2_miss_rate":0.25,"dram_bytes_per_cycle":2.56}
+)";
+
+/// Reads a labeled-JSONL line the way vlacnn-report's loaders do, by type:
+/// 'n' a number (null reads as 0), 'u' a count, 'i' a signed int (an index
+/// that may be -1), 'b' a bool, 's' a string, 'a' layer segments.
+bool read_like_vlacnn_report(const report::Json& j, const std::string& type) {
+  static const std::map<std::string,
+                        std::vector<std::pair<const char*, char>>>
+      kReads = {
+          {"header",
+           {{"slo_cycles", 'n'}}},
+          {"snapshot",
+           {{"t_end", 'n'}, {"arrivals", 'u'}, {"queue_depth", 'u'},
+            {"in_flight", 'i'}, {"burn_long", 'n'}, {"alert", 'b'},
+            {"cum_dropped", 'u'}}},
+          {"alert", {{"t", 'n'}, {"burn_rate", 'n'}}},
+          {"exemplar", {{"latency", 'n'}, {"id", 'u'}}},
+          {"request",
+           {{"id", 'u'}, {"latency", 'n'}, {"chip", 'i'}, {"batch", 'i'},
+            {"instance", 'i'}, {"dropped", 'b'}, {"keep", 's'},
+            {"layers", 'a'}}},
+          {"kernel",
+           {{"net", 's'}, {"layer", 'i'}, {"vlen_bits", 'u'},
+            {"l2_bytes", 'u'}, {"lanes", 'u'}, {"cycles", 'n'}}},
+          {"phase", {{"name", 's'}, {"cycles", 'n'}, {"mem_bytes", 'n'}}},
+          {"window", {{"t_end", 'n'}, {"l2_miss_rate", 'n'}}},
+      };
+  const auto reads = kReads.find(type);
+  if (reads == kReads.end()) return false;
+  for (const auto& [key, kind] : reads->second) {
+    switch (kind) {
+      case 'n': report::num_at(j, key, 0.0); break;
+      case 'u': report::uint_at(j, key); break;
+      case 'i': report::int_at(j, key); break;
+      case 'b': report::bool_at(j, key); break;
+      case 's': report::str_at(j, key); break;
+      default:
+        for (const report::Json& seg : report::array_at(j, key)) {
+          report::str_at(seg, "name");
+          report::num_at(seg, "cycles", 0.0);
+        }
+    }
+  }
+  return true;
+}
+
+/// One random edit: a bit flip, a deletion, a duplicated span, a truncation,
+/// a digit replaced by '-', '.' or "e99", or a run of '['.
+void mutate(Rng& rng, std::string& s) {
+  if (s.empty()) {
+    s = "[";
+    return;
+  }
+  const std::size_t at = rng.next_below(s.size());
+  switch (rng.next_below(8)) {
+    case 0: s[at] = static_cast<char>(s[at] ^ (1 << rng.next_below(8))); break;
+    case 1: s.erase(at, 1 + rng.next_below(16)); break;
+    case 2: s.insert(at, s.substr(at, 1 + rng.next_below(64))); break;
+    case 3: s.resize(at); break;
+    case 7: s.insert(at, std::string(1 + rng.next_below(128), '[')); break;
+    default: {
+      const std::size_t digit = s.find_first_of("0123456789", at);
+      if (digit != std::string::npos) {
+        static const char* const kJunk[] = {"-", ".", "e99"};
+        s.replace(digit, 1, kJunk[rng.next_below(3)]);
+      }
+    }
+  }
+}
+
+TEST(ReaderFuzz, MutantsParseOrThrowRuntimeError) {
+  // Every mutant must parse (a report then also summarizes) or throw
+  // std::runtime_error: no other exception, crash, hang or sanitizer report.
+  // The seed is fixed, so a failing mutant reproduces.
+  Rng rng(20261017);
+  const std::string path = write_temp("vlacnn_test_fuzz.jsonl", "");
+  constexpr int kMutants = 10000;
+  int reports_read = 0, jsonl_read = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string doc = kSampleReport;
+    std::string jsonl = kSampleJsonl;
+    for (int edits = 1 + static_cast<int>(rng.next_below(3)); edits > 0;
+         --edits) {
+      mutate(rng, doc);
+      mutate(rng, jsonl);
+    }
+    try {
+      report::summarize(report::report_from_json(doc));
+      ++reports_read;
+    } catch (const std::runtime_error&) {
+    }
+    std::ofstream(path, std::ios::trunc) << jsonl;
+    try {
+      report::read_labeled_jsonl(
+          path, [](const std::string&) {}, read_like_vlacnn_report);
+      ++jsonl_read;
+    } catch (const std::runtime_error&) {
+    }
+  }
+  std::filesystem::remove(path);
+  // Both kinds of outcome occur, so the fuzz reaches past the parser.
+  EXPECT_GT(reports_read, kMutants / 20);
+  EXPECT_LT(reports_read, kMutants);
+  EXPECT_GT(jsonl_read, kMutants / 20);
+  EXPECT_LT(jsonl_read, kMutants);
 }
 
 }  // namespace

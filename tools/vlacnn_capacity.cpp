@@ -543,7 +543,7 @@ int main(int argc, char** argv) {
     Network net = net_name == "vgg16" ? make_vgg16(224) : make_yolov3(20, 608);
 
     // When VLACNN_REPORT is set, write <dir>/capacity_plan_<net>.report.json
-    // at exit — with --dispatch learned it carries the per-point DispatchCells
+    // at exit — with --dispatch learned it carries the per-point dispatch cells
     // (oracle gap, explorations) that vlacnn-report summarize tabulates.
     report::arm_exit_report("capacity plan " + net.name());
 

@@ -116,8 +116,9 @@ double num(const vlacnn::report::Json& j, const char* key) {
   return vlacnn::report::num_at(j, key, 0.0);
 }
 
+/// A count field: a non-negative integer, or an error naming `key`.
 std::uint64_t count(const vlacnn::report::Json& j, const char* key) {
-  return static_cast<std::uint64_t>(num(j, key));
+  return vlacnn::report::uint_at(j, key);
 }
 
 std::vector<TimelineRun> load_timeline(const std::string& path) {
@@ -139,7 +140,7 @@ std::vector<TimelineRun> load_timeline(const std::string& path) {
           s.dispatches = count(j, "dispatches");
           s.completions = count(j, "completions");
           s.queue_depth = count(j, "queue_depth");
-          s.in_flight = static_cast<int>(num(j, "in_flight"));
+          s.in_flight = vlacnn::report::int_at(j, "in_flight");
           s.mean_queue = num(j, "mean_queue");
           s.utilization = num(j, "utilization");
           s.arrival_rate = num(j, "arrival_rate");
@@ -273,11 +274,9 @@ std::vector<TraceRunBlock> load_reqtrace(const std::string& path) {
           r.service = num(j, "service");
           // Fleet traces only (obs/reqtrace.h): absent on single-chip files.
           if (j.find("router_hop")) r.router_hop = num(j, "router_hop");
-          if (j.find("chip")) {
-            r.chip = static_cast<int>(vlacnn::report::num_at(j, "chip", -1.0));
-          }
-          r.batch = static_cast<int>(num(j, "batch"));
-          r.instance = static_cast<int>(num(j, "instance"));
+          if (j.find("chip")) r.chip = vlacnn::report::int_at(j, "chip");
+          r.batch = vlacnn::report::int_at(j, "batch");
+          r.instance = vlacnn::report::int_at(j, "instance");
           r.dropped = vlacnn::report::bool_at(j, "dropped");
           r.within_slo = vlacnn::report::bool_at(j, "within_slo");
           r.keep = str_at(j, "keep");
@@ -521,7 +520,7 @@ std::vector<ProfRun> load_kernprof(const std::string& path) {
         ProfRun& run = runs.back();
         if (type == "kernel") {
           run.net = str_at(j, "net");
-          run.layer = static_cast<int>(num(j, "layer"));
+          run.layer = vlacnn::report::int_at(j, "layer");
           run.algo = str_at(j, "algo");
           run.vlen_bits = count(j, "vlen_bits");
           run.l2_bytes = count(j, "l2_bytes");
