@@ -14,6 +14,7 @@
 #include <filesystem>
 
 #include "bench_common.h"
+#include "common/env.h"
 #include "common/thread_pool.h"
 #include "net/models.h"
 
@@ -44,7 +45,8 @@ std::vector<SweepRequest> fig5_requests(const Network& net) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int size = argc > 1 ? std::atoi(argv[1]) : 64;
+  const int size =
+      argc > 1 ? parse_uint<int>("vgg_input_size", argv[1], 1) : 64;
   const Network net = make_vgg16(size);
   const auto reqs = fig5_requests(net);
 

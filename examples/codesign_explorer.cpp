@@ -5,25 +5,31 @@
 //   ./examples/codesign_explorer [ic ih iw oc k stride pad]
 //   (default: YOLOv3 conv #10: 128x152x152 -> 256, 3x3 s2)
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "algos/registry.h"
+#include "common/env.h"
 #include "core/selector.h"
 
 using namespace vlacnn;
 
 int main(int argc, char** argv) {
   ConvLayerDesc d{128, 152, 152, 256, 3, 3, 2, 1};
-  if (argc == 8) {
-    d.ic = std::atoi(argv[1]);
-    d.ih = std::atoi(argv[2]);
-    d.iw = std::atoi(argv[3]);
-    d.oc = std::atoi(argv[4]);
-    d.kh = d.kw = std::atoi(argv[5]);
-    d.stride = std::atoi(argv[6]);
-    d.pad = std::atoi(argv[7]);
-  } else if (argc != 1) {
-    std::fprintf(stderr, "usage: %s [ic ih iw oc k stride pad]\n", argv[0]);
+  try {
+    if (argc == 8) {
+      d.ic = parse_uint<int>("ic", argv[1], 1);
+      d.ih = parse_uint<int>("ih", argv[2], 1);
+      d.iw = parse_uint<int>("iw", argv[3], 1);
+      d.oc = parse_uint<int>("oc", argv[4], 1);
+      d.kh = d.kw = parse_uint<int>("k", argv[5], 1);
+      d.stride = parse_uint<int>("stride", argv[6], 1);
+      d.pad = parse_uint<int>("pad", argv[7]);
+    } else if (argc != 1) {
+      throw std::runtime_error("expected no arguments or all seven");
+    }
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s\nusage: %s [ic ih iw oc k stride pad]\n",
+                 e.what(), argv[0]);
     return 2;
   }
   std::printf("layer: %s  (%.1f MMACs, GEMM %llux%llux%llu)\n",

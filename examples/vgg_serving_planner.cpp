@@ -7,9 +7,10 @@
 //   ./examples/vgg_serving_planner [load_rps] [slo_ms] [area_budget_mm2]
 //   defaults: 2000 req/s, 50 ms, unbounded area
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
+#include <stdexcept>
 
+#include "common/env.h"
 #include "net/models.h"
 #include "serving/request_sim.h"
 
@@ -18,9 +19,19 @@ using namespace vlacnn::serving;
 
 int main(int argc, char** argv) {
   CapacityQuery q;
-  q.load_rps = argc > 1 ? std::atof(argv[1]) : 2000.0;
-  q.slo_ms = argc > 2 ? std::atof(argv[2]) : 50.0;
-  q.area_budget_mm2 = argc > 3 ? std::atof(argv[3]) : 0.0;
+  q.load_rps = 2000.0;
+  try {
+    if (argc > 1) q.load_rps = parse_real("load_rps", argv[1], kPositive);
+    if (argc > 2) q.slo_ms = parse_real("slo_ms", argv[2], kPositive);
+    if (argc > 3) {
+      q.area_budget_mm2 = parse_real("area_budget_mm2", argv[3], kNonNegative);
+    }
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr,
+                 "%s\nusage: %s [load_rps] [slo_ms] [area_budget_mm2]\n",
+                 e.what(), argv[0]);
+    return 2;
+  }
   q.policy = {BatchPolicySpec::Kind::kAdaptive, 8, 2e6};  // 1 ms flush
 
   std::printf("planning VGG-16 serving: %.0f req/s Poisson, %.0f ms SLO at "

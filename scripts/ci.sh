@@ -28,9 +28,12 @@ echo "== asan/ubsan: the full suite under VLACNN_SANITIZE=address|undefined ====
 # Every test, not a subset: the serving loop's index arithmetic and every file
 # reader run under both. UBSan builds with -fno-sanitize-recover
 # (CMakeLists.txt), so the first report aborts its test instead of scrolling by.
+# The UBSan build also makes the two CLIs, for the exit-code gate below.
 for san in address undefined; do
   cmake -B "build-$san" -S . -DVLACNN_SANITIZE="$san" >/dev/null
-  cmake --build "build-$san" -j "$JOBS" --target vlacnn_tests
+  targets=(vlacnn_tests)
+  if [ "$san" = undefined ]; then targets+=(vlacnn_report vlacnn_capacity); fi
+  cmake --build "build-$san" -j "$JOBS" --target "${targets[@]}"
   ctest --test-dir "build-$san" --output-on-failure -j "$JOBS"
 done
 
@@ -148,6 +151,11 @@ echo "kernprof JSONL byte-identical at VLACNN_THREADS=1 and 8"
 
 echo "== cli: exit-code contract (usage=2, runtime=1) ========================"
 scripts/test_cli_exit_codes.sh build
+# The same cases on the halting-UBSan tools, so the tools' own code (flag
+# parsing, the renderers fed hostile files) runs under a sanitizer too: a
+# UBSan halt exits 1 like a runtime failure, and the gate fails any case whose
+# stderr carries "runtime error:".
+scripts/test_cli_exit_codes.sh build-undefined
 
 echo "== obs: disabled-path overhead budget (<2% or sub-noise) ==============="
 # bench_obs_overhead self-gates both hot loops (conv inner loop + serving

@@ -9,6 +9,10 @@
 #
 #   scripts/test_cli_exit_codes.sh [build-dir]    # default build dir: build/
 #
+# Any case whose stderr carries a sanitizer's "runtime error:" fails: a
+# halting-UBSan build (build-undefined) exits 1 on undefined behaviour, the
+# same code as a runtime failure, so exit codes alone would miss it.
+#
 # The infeasible-capacity and failed-diff cases exercise real runs: the first
 # rides the committed sweep cache (results/sweep_cache.csv) so it stays fast,
 # the second diffs the committed report baseline against a copy with one
@@ -24,23 +28,34 @@ rm -rf "$TMP"; mkdir -p "$TMP"
 fail=0
 
 # expect <want-code> <check> <label> -- cmd args...
-# check=yes additionally asserts the usage text landed on stderr only; no
+# check=yes additionally asserts the usage text landed on stderr only;
+# usage:<regex> asserts that and that stderr matches the extended regex; no
 # checks nothing more; anything else is an extended regex stderr must match,
 # with no usage text on either stream (a runtime error, not a usage error).
 expect() {
   local want="$1" usage="$2" label="$3"; shift 4
-  local out="$TMP/out" err="$TMP/err" got=0
+  local out="$TMP/out" err="$TMP/err" got=0 re=""
+  case "$usage" in
+    yes|no) ;;
+    usage:*) re="${usage#usage:}"; usage=yes ;;
+    *) re="$usage" ;;
+  esac
   "$@" >"$out" 2>"$err" || got=$?
-  if [ "$got" != "$want" ]; then
-    echo "FAIL: $label: exit $got, want $want" >&2
+  if [ "$got" != "$want" ] || grep -q 'runtime error:' "$err"; then
+    echo "FAIL: $label: exit $got, want $want (or a sanitizer report)" >&2
+    sed 's/^/  stderr: /' "$err" >&2
+    fail=1
+    return
+  fi
+  if [ -n "$re" ] && ! grep -qE -e "$re" "$err"; then
+    echo "FAIL: $label: stderr lacks /$re/" >&2
     sed 's/^/  stderr: /' "$err" >&2
     fail=1
     return
   fi
   if [ "$usage" != yes ] && [ "$usage" != no ]; then
-    if ! grep -qE "$usage" "$err" || grep -q '^usage:' "$out" "$err"; then
-      echo "FAIL: $label: stderr lacks /$usage/ or carries usage text" >&2
-      sed 's/^/  stderr: /' "$err" >&2
+    if grep -q '^usage:' "$out" "$err"; then
+      echo "FAIL: $label: a runtime error carries usage text" >&2
       fail=1
       return
     fi
@@ -75,6 +90,32 @@ expect 2 yes "fleet: malformed --router"     -- "$CAP" fleet --router random
 expect 2 yes "fleet: malformed --max-chips"  -- "$CAP" fleet --max-chips zero
 expect 2 yes "fleet: flag missing value"     -- "$CAP" fleet --slo
 
+# -- malformed flag values: exit 2, naming the flag and quoting the value -----
+# Each used to be misread: a wrapped or truncated number, 0 for garbage, or a
+# non-finite value that failed deep inside the run. The cheap --requests 100
+# up front keeps a misread run short; a later flag overrides it.
+# bad_value [fleet] FLAG VALUE
+bad_value() {
+  local sub=()
+  if [ "$1" = fleet ]; then sub=(fleet); shift; fi
+  expect 2 "usage:vlacnn-capacity: $1: expected .*, got '$2'" \
+    "${sub[*]:-capacity}: $1 $2" -- "$CAP" "${sub[@]}" --requests 100 "$1" "$2"
+}
+bad_value --requests -1
+bad_value --requests 100x
+bad_value --seed abc
+bad_value fleet --hop abc
+bad_value --area-budget abc
+bad_value --area-budget -5
+bad_value --queue -1
+bad_value --max-batch 1e3
+bad_value fleet --max-chips 2e9
+bad_value --load 0x14
+bad_value --slo inf
+bad_value --load inf
+bad_value --flush-ms inf
+bad_value fleet --hop inf
+
 # -- vlacnn-capacity fleet: infeasible query exits 1 (not 2) -----------------
 # 1e6 req/s against a 1 ms deadline: no composition survives the optimistic
 # prune, so the planner reports no feasible fleet. Warm cache keeps it fast.
@@ -97,6 +138,11 @@ expect 2 yes "report: profile missing file"  -- "$REP" profile
 expect 2 yes "report: malformed --windows"   -- "$REP" profile x.jsonl --windows bogus
 expect 2 yes "report: profile flag no value" -- "$REP" profile x.jsonl --point
 
+expect 2 "usage:--top: .*'2\.9'" "report: fractional --top" \
+  -- "$REP" requests /dev/null --top 2.9
+expect 2 "usage:--top: .*'1e30'" "report: --top past size_t" \
+  -- "$REP" requests /dev/null --top 1e30
+
 # -- vlacnn-report: runtime failures exit 1 (not 2) --------------------------
 expect 1 no "report: unreadable summarize input" -- "$REP" summarize "$TMP/nope.json"
 expect 1 no "report: unreadable requests input"  -- "$REP" requests "$TMP/nope.jsonl"
@@ -112,6 +158,29 @@ printf '%s\n%s\n%s\n' \
 expect 1 no "report: profile fold mismatch" -- "$REP" profile "$TMP/broken-fold.jsonl"
 expect 1 no "report: profile point no match" \
   -- "$REP" profile "$TMP/broken-fold.jsonl" --point nosuchlayer
+
+# Hostile but well-typed files: a span or phase share far past 1 renders a
+# full bar (no out-of-range cast to int), then the attribution cross-check
+# fails the file. The request's queue wait is 1e300 times its latency; the
+# phase is 1e300 times its kernel, and a window's compute band is 1e600 times
+# its busy cycles.
+printf '%s\n%s\n%s\n' \
+  '{"type":"run","label":"hostile"}' \
+  '{"type":"header","slo_cycles":1,"offered":1,"completed":1,"dropped":0,"violations":0}' \
+  '{"type":"request","id":1,"arrival":0,"dispatch":0,"completion":1e-300,"latency":1e-300,"queue_wait":1,"formation_wait":0,"service":0,"batch":1,"instance":0,"dropped":false,"within_slo":true,"keep":"slow","layers":[],"notes":[]}' \
+  > "$TMP/hostile-reqtrace.jsonl"
+expect 1 'span-attribution identities violated' \
+  "report: requests with a share of 1e300" \
+  -- "$REP" requests "$TMP/hostile-reqtrace.jsonl"
+printf '%s\n%s\n%s\n%s\n' \
+  '{"type":"run","label":"hostile/L00/gemm3/vlen512/l2:1048576/lanes8/int"}' \
+  '{"type":"kernel","net":"hostile","layer":0,"algo":"gemm3","vlen_bits":512,"l2_bytes":1048576,"lanes":8,"attach":"int","interval_cycles":1,"cycles":1e-300,"compute_cycles":0,"mem_issue_cycles":0,"mem_stall_cycles":0,"scalar_cycles":0}' \
+  '{"type":"phase","name":"im2col","cycles":1,"raw_cycles":1,"compute_cycles":1,"mem_issue_cycles":0,"mem_stall_cycles":0,"scalar_cycles":0,"avg_vl":16,"flops":1,"l1_accesses":0,"l1_misses":0,"l2_accesses":0,"l2_misses":0,"mem_bytes":0}' \
+  '{"type":"window","t_start":0,"t_end":1,"compute_cycles":1e300,"mem_issue_cycles":-1e300,"mem_stall_cycles":1e-300,"scalar_cycles":0,"avg_vl":16,"lane_utilization":1,"l1_miss_rate":0,"l2_miss_rate":0,"dram_bytes_per_cycle":0}' \
+  > "$TMP/hostile-kernprof.jsonl"
+expect 1 'profile blocks violate the phase partition' \
+  "report: profile with shares of 1e300 and 1e600" \
+  -- "$REP" profile "$TMP/hostile-kernprof.jsonl"
 
 # Malformed JSONL: a mistyped field is an error, not a silent 0 or an
 # "(unlabeled run)", and every per-line error names file:line.
@@ -203,6 +272,23 @@ if cmp -s BENCH_report_baseline.json "$TMP/regressed.json"; then
 fi
 expect 1 no "report: failed regression gate" \
   -- "$REP" diff BENCH_report_baseline.json "$TMP/regressed.json" --budget-pct 2
+# A budget must be a finite number: nan and inf passed every regression.
+for budget in nan inf; do
+  expect 2 "usage:--budget-pct: .*'$budget'" "report: --budget-pct $budget" \
+    -- "$REP" diff BENCH_report_baseline.json "$TMP/regressed.json" \
+       --budget-pct "$budget"
+done
+# A JSON number is one RFC 8259 token: 97338839-7.95... is a parse error, not
+# 97338839 with the rest ignored (which diffed clean against the baseline).
+sed -E '0,/"cycles": ([0-9]+)\./s//"cycles": \1-7./' BENCH_report_baseline.json \
+  > "$TMP/cycles-minus.json"
+if cmp -s BENCH_report_baseline.json "$TMP/cycles-minus.json"; then
+  echo "FAIL: sed produced no cycles-minus mutant" >&2
+  fail=1
+fi
+expect 1 'json parse error at offset' "report: diff against 97338839-7.95..." \
+  -- "$REP" diff BENCH_report_baseline.json "$TMP/cycles-minus.json" \
+     --budget-pct 0
 expect 0 no "report: clean diff passes" \
   -- "$REP" diff BENCH_report_baseline.json BENCH_report_baseline.json \
      --budget-pct 2

@@ -26,14 +26,8 @@ std::vector<std::string> split_line(const std::string& line) {
 
 }  // namespace
 
-int CsvTable::column(const std::string& name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-CsvTable parse_csv(const std::string& text, const CsvReadOptions& opts) {
+CsvTable parse_csv(const std::string& text, const CsvReadOptions& opts,
+                   const std::string& source) {
   CsvTable table;
   table.complete_tail = text.empty() || text.back() == '\n';
 
@@ -55,6 +49,7 @@ CsvTable parse_csv(const std::string& text, const CsvReadOptions& opts) {
     auto fields = split_line(lines[i].first);
     if (i == 0) {
       table.header = std::move(fields);
+      table.header_line = lines[i].second;
       continue;
     }
     if (fields.size() != table.header.size()) {
@@ -62,7 +57,8 @@ CsvTable parse_csv(const std::string& text, const CsvReadOptions& opts) {
         table.dropped_partial_tail = true;
         break;
       }
-      throw std::runtime_error("csv: ragged row ('" + lines[i].first + "')");
+      throw std::runtime_error(source + ":" + std::to_string(lines[i].second) +
+                               ": ragged row ('" + lines[i].first + "')");
     }
     table.rows.push_back(std::move(fields));
     table.row_lines.push_back(lines[i].second);
@@ -75,7 +71,7 @@ CsvTable read_csv_file(const std::string& path, const CsvReadOptions& opts) {
   if (!in) return {};
   std::ostringstream buf;
   buf << in.rdbuf();
-  return parse_csv(buf.str(), opts);
+  return parse_csv(buf.str(), opts, path);
 }
 
 namespace {
@@ -104,28 +100,6 @@ void write_csv_file(const std::string& path, const CsvTable& table) {
   if (!out) throw std::runtime_error("csv: cannot write " + path);
   write_fields(out, table.header);
   for (const auto& row : table.rows) write_fields(out, row);
-}
-
-void append_csv_rows(const std::string& path,
-                     const std::vector<std::string>& header,
-                     const std::vector<std::vector<std::string>>& rows) {
-  ensure_parent_dir(path);
-  bool exists = std::filesystem::exists(path) &&
-                std::filesystem::file_size(path) > 0;
-  if (exists) {
-    // Validate header compatibility before appending.
-    std::ifstream in(path);
-    std::string first_line;
-    std::getline(in, first_line);
-    CsvTable probe = parse_csv(first_line + "\n");
-    if (probe.header != header) {
-      throw std::runtime_error("csv: header mismatch appending to " + path);
-    }
-  }
-  std::ofstream out(path, std::ios::app);
-  if (!out) throw std::runtime_error("csv: cannot append " + path);
-  if (!exists) write_fields(out, header);
-  for (const auto& row : rows) write_fields(out, row);
 }
 
 }  // namespace vlacnn

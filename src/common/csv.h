@@ -1,4 +1,4 @@
-// Minimal CSV reading/writing used by the sweep results cache and the ML dataset.
+// Minimal CSV reading/writing used by the sweep results cache.
 //
 // The format is deliberately restricted: no quoting, no embedded commas in fields.
 // Every producer in this library writes plain numeric/identifier fields, so the
@@ -16,8 +16,9 @@ struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
 
-  /// 1-based source line number of each entry in `rows` (header is line 1
-  /// unless blank lines precede it). Parallel to `rows`.
+  /// 1-based source line number of the header (1 unless blank lines precede
+  /// it) and of each entry in `rows` (parallel to `rows`).
+  int header_line = 0;
   std::vector<int> row_lines;
 
   /// True when lenient parsing skipped a ragged final line (see
@@ -28,9 +29,6 @@ struct CsvTable {
   /// means the last line may have been cut mid-write; callers that append to
   /// the file should treat that final row as suspect.
   bool complete_tail = true;
-
-  /// Index of a column by name; -1 if absent.
-  int column(const std::string& name) const;
 };
 
 struct CsvReadOptions {
@@ -42,20 +40,17 @@ struct CsvReadOptions {
   bool tolerate_partial_tail = false;
 };
 
-/// Parse CSV text. Throws std::runtime_error on ragged rows (subject to
+/// Parse CSV text. Throws std::runtime_error "<source>:<line>: ragged row ..."
+/// on a row whose field count differs from the header's (subject to
 /// `opts.tolerate_partial_tail` for the final line).
-CsvTable parse_csv(const std::string& text, const CsvReadOptions& opts = {});
+CsvTable parse_csv(const std::string& text, const CsvReadOptions& opts = {},
+                   const std::string& source = "csv");
 
-/// Read a CSV file; returns empty table if the file does not exist.
+/// Read a CSV file, its errors naming `path`; returns an empty table if the
+/// file does not exist.
 CsvTable read_csv_file(const std::string& path, const CsvReadOptions& opts = {});
 
 /// Serialize and write a table. Creates parent directory if needed.
 void write_csv_file(const std::string& path, const CsvTable& table);
-
-/// Append rows to an existing CSV file (writing the header if the file is new).
-/// Header mismatch with an existing file throws.
-void append_csv_rows(const std::string& path,
-                     const std::vector<std::string>& header,
-                     const std::vector<std::vector<std::string>>& rows);
 
 }  // namespace vlacnn

@@ -1,10 +1,10 @@
 #include "report/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
 
+#include "common/env.h"
 #include "obs/json_util.h"
 
 namespace vlacnn::report {
@@ -192,22 +192,39 @@ class Parser {
     }
   }
 
+  /// Consumes a run of digits; false when there is none.
+  bool digits() {
+    const std::size_t from = pos_;
+    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+    return pos_ > from;
+  }
+
+  bool consume(char c) {
+    if (pos_ >= s_.size() || s_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  /// An RFC 8259 number token, `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+  /// ([eE] [+-]? [0-9]+)?`, converted as a whole by common/env.h's real
+  /// grammar (finite, so an overflow is an error too).
   Json parse_number() {
-    std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
+    const std::size_t start = pos_;
+    consume('-');
+    if (!consume('0') && !digits()) fail("expected value");
+    if (consume('.') && !digits()) fail("expected a digit after '.'");
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
+      if (!digits()) fail("expected an exponent digit");
     }
-    if (pos_ == start) fail("expected value");
     Json v;
     v.type = Json::Type::kNumber;
     try {
-      v.number = std::stod(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("bad number");
+      v.number = parse_real("number",
+                            std::string_view(s_).substr(start, pos_ - start));
+    } catch (const std::runtime_error& e) {
+      pos_ = start;
+      fail(e.what());
     }
     return v;
   }

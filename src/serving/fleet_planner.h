@@ -1,8 +1,8 @@
 // Fleet capacity planner (DESIGN.md §15): the cheapest total silicon that
 // carries a mixed-model load inside a latency SLO.
 //
-// Extends CapacityPlanner (one chip, one model) to N heterogeneous chips and
-// routed multi-model traffic. The search space is deliberately two-level:
+// Generalizes CapacityPlanner (one chip, one model) to N heterogeneous chips
+// and routed multi-model traffic. The search space is deliberately two-level:
 //   1. chip *types* — the Pareto frontier of (chip area, mix-weighted
 //      per-image service time per instance) over the single-chip Fig-12 grid,
 //      thinned to a small menu;
@@ -30,17 +30,10 @@ namespace vlacnn::serving {
 
 /// A fleet-planning question: the cheapest total silicon (sum of
 /// AreaModel::chip_mm2 over the fleet) that carries `load_rps` of the mixed
-/// Poisson traffic with `attainment_target` of requests inside `slo_ms`.
-struct FleetQuery {
-  double load_rps = 1000;
-  double slo_ms = 50;
-  double attainment_target = 0.99;
-  std::uint64_t requests = 2000;  ///< simulated request count per candidate
-  std::uint64_t seed = 42;        ///< arrival-process seed (shared)
-  double clock_hz = 2e9;
-  double area_budget_mm2 = 0;     ///< 0 = unbounded
-  BatchPolicySpec policy{BatchPolicySpec::Kind::kAdaptive, 8, 0};
-  std::size_t queue_capacity = 0;
+/// Poisson traffic with `attainment_target` of requests inside `slo_ms`. The
+/// CapacityQuery fields keep their single-chip meaning (`requests` per
+/// candidate, `seed` shared by every candidate's arrivals).
+struct FleetQuery : CapacityQuery {
   RouterSpec router;              ///< routing policy + seed for every fleet
   double router_hop_cycles = 0;   ///< constant front-end hop, cycles
   int max_chips = 4;       ///< largest fleet size searched (>= 1)
@@ -80,10 +73,10 @@ std::string composition_label(const std::vector<ServingPoint>& types,
 /// target load + SLO over a multi-model traffic mix. Thread-safe const API
 /// (state is a SweepDriver — internally synchronized — and a value-type
 /// AreaModel); plan() fans candidate simulations out on the pool.
-class FleetPlanner : public CapacityPlanner {
+class FleetPlanner {
  public:
   explicit FleetPlanner(SweepDriver* driver, AreaModel area = {})
-      : CapacityPlanner(driver, area), driver_(driver), area_(area) {}
+      : driver_(driver), area_(area) {}
 
   /// Search fleet compositions for `mix` over `nets` (one Network per mix
   /// model, same order as mix.names). `pool` overrides the shared pool
@@ -112,8 +105,6 @@ class FleetPlanner : public CapacityPlanner {
                                       const std::vector<int>& counts) const;
 
  private:
-  // CapacityPlanner keeps its driver/area private; the fleet search needs
-  // both directly, so it carries its own copies of the same pointers/values.
   SweepDriver* driver_;
   AreaModel area_;
 };

@@ -1,5 +1,6 @@
 #include "sweep/results_db.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 #include <vector>
@@ -110,76 +111,53 @@ std::string join_fields(const std::vector<std::string>& fields) {
   return line;
 }
 
-// Strict numeric parsers: reject trailing junk, which plain std::stoi/stod
-// silently accept ("1.2e" truncated from "1.2e+07" must not parse as 1.2).
-int field_int(const std::string& s) {
-  std::size_t pos = 0;
-  const int v = std::stoi(s, &pos);
-  if (pos != s.size()) {
-    throw std::invalid_argument("trailing characters in integer '" + s + "'");
-  }
-  return v;
-}
-
-std::uint64_t field_u64(const std::string& s) {
-  std::size_t pos = 0;
-  const unsigned long long v = std::stoull(s, &pos);
-  if (pos != s.size()) {
-    throw std::invalid_argument("trailing characters in integer '" + s + "'");
-  }
-  return v;
-}
-
-double field_double(const std::string& s) {
-  std::size_t pos = 0;
-  const double v = std::stod(s, &pos);
-  if (pos != s.size()) {
-    throw std::invalid_argument("trailing characters in number '" + s + "'");
-  }
-  return v;
-}
-
+/// One row's fields, each read by the one grammar of common/env.h: integers
+/// are plain digits within their key or desc field's range, reals are finite
+/// and >= 0, and an error names the field's column.
 SweepRow row_from_fields(const std::vector<std::string>& f) {
+  const auto i32 = [&](std::size_t i) {
+    return parse_uint<int>(kHeader[i], f[i]);
+  };
+  const auto u32 = [&](std::size_t i) {
+    return parse_uint<std::uint32_t>(kHeader[i], f[i]);
+  };
+  const auto real = [&](std::size_t i) {
+    return parse_real(kHeader[i], f[i], kNonNegative);
+  };
   SweepRow r;
   r.key.net = f[0];
-  r.key.layer = field_int(f[1]);
+  r.key.layer = i32(1);
   r.key.algo = algo_from_string(f[2]);
-  r.key.vlen_bits = static_cast<std::uint32_t>(field_u64(f[3]));
-  r.key.l2_bytes = field_u64(f[4]);
-  r.key.lanes = static_cast<std::uint32_t>(field_u64(f[5]));
-  if (f[6] != "int" && f[6] != "dec") {
-    throw std::invalid_argument("bad attach '" + f[6] + "'");
-  }
-  r.key.attach = f[6] == "int" ? VpuAttach::kIntegratedL1
-                               : VpuAttach::kDecoupledL2;
-  r.desc = ConvLayerDesc{field_int(f[7]),  field_int(f[8]),  field_int(f[9]),
-                         field_int(f[10]), field_int(f[11]), field_int(f[12]),
-                         field_int(f[13]), field_int(f[14])};
-  r.cycles = field_double(f[15]);
-  r.avg_vl = field_double(f[16]);
-  r.l2_miss_rate = field_double(f[17]);
-  r.mem_bytes = field_double(f[18]);
-  r.flops = field_double(f[19]);
-  if (f.size() == kHeaderV1.size()) return r;  // v1 row: no breakdown
-  std::size_t empties = 0;
-  for (std::size_t i = kHeaderV1.size(); i < f.size(); ++i) {
-    if (f[i].empty()) ++empties;
-  }
-  if (empties == kHeader.size() - kHeaderV1.size()) return r;  // unknown
-  if (empties != 0) {
-    throw std::invalid_argument("breakdown columns must be all set or all empty");
+  r.key.vlen_bits = u32(3);
+  r.key.l2_bytes = parse_uint<std::uint64_t>(kHeader[4], f[4]);
+  r.key.lanes = u32(5);
+  r.key.attach = parse_word(kHeader[6], f[6], {{"int", 0}, {"dec", 1}}).value
+                     ? VpuAttach::kDecoupledL2
+                     : VpuAttach::kIntegratedL1;
+  r.desc = ConvLayerDesc{i32(7),  i32(8),  i32(9),  i32(10),
+                         i32(11), i32(12), i32(13), i32(14)};
+  r.cycles = real(15);
+  r.avg_vl = real(16);
+  r.l2_miss_rate = real(17);
+  r.mem_bytes = real(18);
+  r.flops = real(19);
+  // A v1 row has no breakdown columns; a v2 row's ten are all empty (loaded
+  // from a v1 cache, breakdown unknown) or all numbers.
+  if (std::all_of(f.begin() + kHeaderV1.size(), f.end(),
+                  [](const std::string& v) { return v.empty(); })) {
+    return r;
   }
   r.has_breakdown = true;
-  r.bd.compute_cycles = field_double(f[20]);
-  r.bd.mem_issue_cycles = field_double(f[21]);
-  r.bd.mem_stall_cycles = field_double(f[22]);
-  r.bd.scalar_cycles = field_double(f[23]);
-  r.bd.vec_instructions = field_double(f[24]);
-  r.bd.vec_elems = field_double(f[25]);
-  r.bd.l1_accesses = field_double(f[26]);
-  r.bd.l1_misses = field_double(f[27]);
-  r.bd.l2_accesses = field_double(f[28]);
-  r.bd.l2_misses = field_double(f[29]);
+  r.bd.compute_cycles = real(20);
+  r.bd.mem_issue_cycles = real(21);
+  r.bd.mem_stall_cycles = real(22);
+  r.bd.scalar_cycles = real(23);
+  r.bd.vec_instructions = real(24);
+  r.bd.vec_elems = real(25);
+  r.bd.l1_accesses = real(26);
+  r.bd.l1_misses = real(27);
+  r.bd.l2_accesses = real(28);
+  r.bd.l2_misses = real(29);
   return r;
 }
 
@@ -194,8 +172,10 @@ ResultsDb::ResultsDb(std::string path) : path_(std::move(path)) {
   // — but is healed onto the current schema so subsequent appends line up.
   const bool old_schema = t.header == kHeaderV1;
   if (!old_schema && t.header != kHeader) {
-    throw std::runtime_error("results_db: incompatible cache file " + path_ +
-                             " (delete it to regenerate)");
+    throw std::runtime_error("results_db: " + path_ + ":" +
+                             std::to_string(t.header_line) +
+                             ": incompatible cache header (delete the file "
+                             "to regenerate)");
   }
   bool heal = t.dropped_partial_tail || old_schema;
   if (!t.complete_tail && !t.dropped_partial_tail && !t.rows.empty()) {

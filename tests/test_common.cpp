@@ -108,12 +108,16 @@ TEST(Csv, ParseRoundTrip) {
   ASSERT_EQ(t.header.size(), 3u);
   ASSERT_EQ(t.rows.size(), 2u);
   EXPECT_EQ(t.rows[1][2], "6");
-  EXPECT_EQ(t.column("b"), 1);
-  EXPECT_EQ(t.column("zzz"), -1);
 }
 
 TEST(Csv, RaggedRowThrows) {
   EXPECT_THROW(parse_csv("a,b\n1,2,3\n"), std::runtime_error);
+  try {
+    parse_csv("\na,b\n1,2\n3\n4,5\n", {}, "f.csv");
+    ADD_FAILURE() << "a ragged row parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "f.csv:4: ragged row ('3')");  // names source:line
+  }
 }
 
 TEST(Csv, TracksLineNumbersAndTail) {
@@ -121,6 +125,8 @@ TEST(Csv, TracksLineNumbersAndTail) {
   ASSERT_EQ(t.row_lines.size(), 2u);
   EXPECT_EQ(t.row_lines[0], 3);  // blank line 2 skipped
   EXPECT_EQ(t.row_lines[1], 4);
+  EXPECT_EQ(t.header_line, 1);
+  EXPECT_EQ(parse_csv("\n\na,b\n").header_line, 3);
   EXPECT_TRUE(t.complete_tail);
   EXPECT_FALSE(parse_csv("a,b\n1,2").complete_tail);
 }
@@ -168,20 +174,6 @@ TEST_F(CsvFileTest, WriteReadRoundTrip) {
   CsvTable r = read_csv_file(path_.string());
   EXPECT_EQ(r.header, t.header);
   EXPECT_EQ(r.rows, t.rows);
-}
-
-TEST_F(CsvFileTest, AppendCreatesHeaderOnce) {
-  append_csv_rows(path_.string(), {"a", "b"}, {{"1", "2"}});
-  append_csv_rows(path_.string(), {"a", "b"}, {{"3", "4"}});
-  CsvTable r = read_csv_file(path_.string());
-  ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(r.rows[1][1], "4");
-}
-
-TEST_F(CsvFileTest, AppendHeaderMismatchThrows) {
-  append_csv_rows(path_.string(), {"a", "b"}, {{"1", "2"}});
-  EXPECT_THROW(append_csv_rows(path_.string(), {"a", "c"}, {{"3", "4"}}),
-               std::runtime_error);
 }
 
 // ------------------------------------------------------------- Linalg ------
@@ -422,6 +414,36 @@ TEST(EnvKnobs, OneGrammarForEveryKind) {
     }
   }
   ::unsetenv(k);
+
+  // Flags and file fields read through the same parsers, naming their own
+  // source: a range is the destination type's unless the caller narrows it.
+  EXPECT_EQ(parse_uint<int>("--max-batch", "2147483647"), 2147483647);
+  for (const char* bad : {"-0", "-1", "2147483648", "1e3"}) {
+    EXPECT_THROW(parse_uint<int>("--max-batch", bad), std::runtime_error)
+        << bad;
+  }
+  EXPECT_THROW(parse_uint<std::uint32_t>("vlen", "4294967808"),
+               std::runtime_error);
+  EXPECT_EQ(parse_real("number", "-0.5e1"), -5.0);
+  const auto real_error = [](const char* text, RealRange range) {
+    try {
+      parse_real("--attainment", text, range);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(real_error("1", {0, 1, true}), "");
+  EXPECT_EQ(real_error("0", {0, 1, true}),
+            "--attainment: expected a finite number in (0, 1], got '0'");
+  EXPECT_EQ(real_error("-5", kNonNegative),
+            "--attainment: expected a finite number >= 0, got '-5'");
+  EXPECT_EQ(real_error("nan", {}),
+            "--attainment: expected a finite number, got 'nan'");
+  EXPECT_STREQ(
+      parse_word("--policy", "AdaPtive", {{"nobatch", 0}, {"adaptive", 2}})
+          .word,
+      "adaptive");
 }
 
 }  // namespace

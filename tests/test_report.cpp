@@ -9,6 +9,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <string>
@@ -901,6 +902,19 @@ TEST(LabeledJsonl, EveryLineErrorNamesFileAndLine) {
   }
   EXPECT_EQ(jsonl_error("{\"type\":\"x\",\"v\":\"x\"}"),
             ":1: json: key \"v\" holds a string, expected a number");
+  // A number is one RFC 8259 token, converted whole: a token with a tail is
+  // a parse error, not its prefix (97338839-7.95 used to read as 97338839).
+  for (const char* v : {"97338839-7.953200221", "1.0.0", "+8", ".5", "01",
+                        "1.", "1e", "1e+", "2-1"}) {
+    EXPECT_NE(jsonl_error(std::string("{\"type\":\"x\",\"v\":") + v + "}")
+                  .find(":1: json parse error at offset "),
+              std::string::npos)
+        << v;
+  }
+  EXPECT_EQ(jsonl_error("{\"type\":\"x\",\"v\":1e400}"),
+            ":1: json parse error at offset 16: number: expected a finite "
+            "number, got '1e400'");
+  EXPECT_EQ(jsonl_error("{\"type\":\"x\",\"v\":-0.5E+3}"), "");
 }
 
 TEST(LabeledJsonl, DeepNestingFailsWithAnOffsetNotAStackOverflow) {
@@ -920,7 +934,7 @@ TEST(LabeledJsonl, DeepNestingFailsWithAnOffsetNotAStackOverflow) {
             ":2: json parse error at offset 64: nesting deeper than 64 levels");
 }
 
-// -- seeded mutation fuzz of the report and labeled-JSONL readers ------------
+// -- seeded mutation fuzz of the report, labeled-JSONL and sweep-cache readers
 
 /// Timeline, request-trace and kernel-profile lines in the labeled-JSONL
 /// format, with the fields vlacnn-report reads.
@@ -1042,6 +1056,79 @@ TEST(ReaderFuzz, MutantsParseOrThrowRuntimeError) {
   EXPECT_LT(reports_read, kMutants);
   EXPECT_GT(jsonl_read, kMutants / 20);
   EXPECT_LT(jsonl_read, kMutants);
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// True when `msg` names `path:<line>:`.
+bool names_path_line(const std::string& msg, const std::string& path) {
+  const std::size_t at = msg.find(path + ":");
+  if (at == std::string::npos) return false;
+  std::size_t i = at + path.size() + 1;
+  const std::size_t digits_from = i;
+  while (i < msg.size() && msg[i] >= '0' && msg[i] <= '9') ++i;
+  return i > digits_from && i < msg.size() && msg[i] == ':';
+}
+
+TEST(ReaderFuzz, SweepCacheMutantsLoadHealOrThrowNamingTheLine) {
+  // Every mutant of a cache in the committed format loads (healing a torn
+  // tail) or throws std::runtime_error naming path:line. A mutant that heals
+  // reloads to the same rows: a torn tail appended to its rewrite forces one
+  // more rewrite, which must reproduce the first byte for byte.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("vlacnn_test_fuzz_cache_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  std::filesystem::remove(path);
+  {
+    ResultsDb db(path);
+    for (int i = 0; i < 20; ++i) {
+      SweepRow r = healthy_row(i, kAllAlgos[i % 4]);
+      r.key.vlen_bits = 512u << (i % 4);
+      r.key.l2_bytes = (1ull << 20) << (i % 7);
+      r.cycles = 97338839.953200221 * (i + 1);
+      r.l2_miss_rate = 0.49136542951466489 / (i + 1);
+      r.has_breakdown = i != 7;  // one legacy row, breakdown columns empty
+      db.put(r);
+    }
+  }
+  const std::string cache = read_text(path);
+  Rng rng(20261018);
+  constexpr int kMutants = 8000;
+  int loaded = 0, healed = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string text = cache;
+    for (int edits = 1 + static_cast<int>(rng.next_below(3)); edits > 0;
+         --edits) {
+      mutate(rng, text);
+    }
+    std::ofstream(path, std::ios::trunc) << text;
+    std::size_t rows = 0;
+    try {
+      const ResultsDb db(path);
+      ++loaded;
+      if (!db.healed_on_load()) continue;
+      rows = db.size();
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(names_path_line(e.what(), path)) << e.what();
+      continue;
+    }
+    ++healed;
+    const std::string rewrite = read_text(path);
+    std::ofstream(path, std::ios::app) << "x";
+    const ResultsDb again(path);
+    EXPECT_TRUE(again.healed_on_load());
+    EXPECT_EQ(again.size(), rows);
+    EXPECT_EQ(read_text(path), rewrite) << text;
+  }
+  std::filesystem::remove(path);
+  // Mutants load clean, heal and throw, so the fuzz reaches every outcome.
+  EXPECT_GT(healed, kMutants / 20);
+  EXPECT_GT(loaded - healed, kMutants / 50);
+  EXPECT_LT(loaded, kMutants);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/csv.h"
 #include "sweep/results_db.h"
 
 namespace vlacnn {
@@ -306,6 +308,51 @@ TEST_F(ResultsDbTest, CorruptMiddleRowNamesFileAndLine) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find(path_), std::string::npos) << msg;
     EXPECT_NE(msg.find(":2:"), std::string::npos) << msg;
+  }
+}
+
+TEST_F(ResultsDbTest, BadFieldBeforeAGoodRowNamesLineAndColumn) {
+  // Most of these used to load as another number: a vlen past 32 bits
+  // wrapped onto the real 512-bit row's key, a sign wrapped, and nan, a
+  // leading space or a hex prefix read as (part of) a number. The rest threw
+  // without naming the column.
+  const struct {
+    const char* column;
+    const char* value;
+  } cases[] = {{"layer", "-0"},        {"vlen", "4294967808"},
+               {"l2_bytes", "+1048576"}, {"lanes", "-1"},
+               {"attach", "both"},     {"ic", "3.0"},
+               {"pad", "1e0"},         {"cycles", "nan"},
+               {"cycles", " 5"},       {"avg_vl", "inf"},
+               {"mem_bytes", "0x10"},  {"flops", "-1"},
+               {"l2_misses", ""}};
+  {
+    ResultsDb db(path_);
+    SweepRow r = make_row(0, Algo::kGemm3, 100.5);
+    r.has_breakdown = true;
+    db.put(r);
+    db.put(make_row(1, Algo::kDirect, 200.25));
+  }
+  const CsvTable good = read_csv_file(path_);
+  for (const auto& c : cases) {
+    const auto col = std::find(good.header.begin(), good.header.end(),
+                               std::string(c.column));
+    ASSERT_NE(col, good.header.end()) << c.column;
+    CsvTable bad = good;
+    bad.rows[0][static_cast<std::size_t>(col - good.header.begin())] = c.value;
+    write_csv_file(path_, bad);
+    try {
+      ResultsDb db(path_);
+      ADD_FAILURE() << c.column << " '" << c.value << "' loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(path_ + ":2: " + c.column + ": expected "),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find(std::string("got '") + c.value + "'"),
+                std::string::npos)
+          << msg;
+    }
   }
 }
 

@@ -42,12 +42,12 @@
 // 2 usage error (bad flag or subcommand; usage goes to stderr).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "report/json.h"
@@ -79,25 +79,11 @@ vlacnn::report::RunReport load(const std::string& path) {
   return vlacnn::report::report_from_json(ss.str());
 }
 
-/// A malformed flag value — exits through the usage path (2), unlike runtime
-/// failures (1).
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-double pct_arg(const char* flag, const char* value) {
-  std::size_t pos = 0;
-  double v = 0;
-  try {
-    v = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != std::string(value).size() || v < 0) {
-    throw UsageError(std::string(flag) +
-                     " expects a non-negative number, got '" + value + "'");
-  }
-  return v;
+/// Columns of a `width`-column bar for `share`. The share comes from the
+/// file, so it is clamped to [0, 1] (NaN reads as 0) before the cast.
+int bar_columns(double share, int width) {
+  return static_cast<int>((share > 0 ? std::min(share, 1.0) : 0.0) * width +
+                          0.5);
 }
 
 /// One run block out of a VLACNN_TIMELINE JSONL file, rebuilt into the
@@ -344,9 +330,9 @@ void print_waterfall(const TraceReq& r) {
   double critical_cycles = spans[0].second;
   for (const auto& [span_name, span_cycles] : spans) {
     const double share = r.latency > 0 ? span_cycles / r.latency : 0;
-    const int bar = static_cast<int>(share * 24.0 + 0.5);
     std::printf("     %-15s %12.6g  %5.1f%%  %.*s\n", span_name, span_cycles,
-                share * 100.0, bar, "########################");
+                share * 100.0, bar_columns(share, 24),
+                "########################");
     if (span_cycles > critical_cycles) {
       critical = span_name;
       critical_cycles = span_cycles;
@@ -604,7 +590,6 @@ void print_profile_table(const ProfRun& run) {
               "share", "", "avg_vl", "l1miss", "l2miss", "dram_B");
   for (const ProfPhase& p : run.phases) {
     const double share = run.cycles > 0 ? p.cycles / run.cycles : 0;
-    const int bar = static_cast<int>(share * 20.0 + 0.5);
     char l1[8] = "     -", l2[8] = "     -";
     if (p.l1_accesses > 0) {
       std::snprintf(l1, sizeof l1, "%7.4f", p.l1_misses / p.l1_accesses);
@@ -613,8 +598,9 @@ void print_profile_table(const ProfRun& run) {
       std::snprintf(l2, sizeof l2, "%7.4f", p.l2_misses / p.l2_accesses);
     }
     std::printf("  %-16s %12.6g %5.1f%%  %-20.*s %6.1f %7s %7s %10.4g\n",
-                p.name.c_str(), p.cycles, share * 100.0, bar,
-                "####################", p.avg_vl, l1, l2, p.mem_bytes);
+                p.name.c_str(), p.cycles, share * 100.0,
+                bar_columns(share, 20), "####################", p.avg_vl, l1,
+                l2, p.mem_bytes);
   }
 }
 
@@ -646,8 +632,7 @@ void print_profile_timeline(const ProfRun& run, std::size_t max_windows) {
                  {'S', w.mem_stall},
                  {'.', w.scalar}};
     for (const auto& b : bands) {
-      const int width =
-          busy > 0 ? static_cast<int>(b.cycles / busy * 32.0 + 0.5) : 0;
+      const int width = busy > 0 ? bar_columns(b.cycles / busy, 32) : 0;
       for (int k = 0; k < width && pos < 32; ++k) bar[pos++] = b.glyph;
     }
     while (pos < 32) bar[pos++] = ' ';
@@ -730,6 +715,47 @@ int render_profile(const std::string& path, const std::string& point,
   return 0;
 }
 
+/// Every flag value of the subcommands, defaulted.
+struct Options {
+  vlacnn::report::DiffOptions diff;
+  std::size_t snapshots = 12, top = 10, waterfall = 3, windows = 16;
+  std::string point;
+};
+
+/// The one flag loop: the flags `cmd` takes after its `first` argv index.
+/// Throws on an unknown flag, a missing value or a malformed one.
+Options parse_options(const std::string& cmd, int first, int argc,
+                      char** argv) {
+  using vlacnn::kNonNegative;
+  using vlacnn::parse_real;
+  using vlacnn::parse_uint;
+  Options o;
+  for (int i = first; i < argc; i += 2) {
+    const std::string flag = argv[i];
+    const std::string bad = "unknown or incomplete option '" + flag + "'";
+    if (i + 1 == argc) throw std::runtime_error(bad);
+    const char* v = argv[i + 1];
+    if (cmd == "diff" && flag == "--budget-pct") {
+      o.diff.cycle_budget_pct = parse_real(flag, v, kNonNegative);
+    } else if (cmd == "diff" && flag == "--wall-budget-pct") {
+      o.diff.wall_budget_pct = parse_real(flag, v, kNonNegative);
+    } else if (cmd == "timeline" && flag == "--snapshots") {
+      o.snapshots = parse_uint<std::size_t>(flag, v);
+    } else if (cmd == "requests" && flag == "--top") {
+      o.top = parse_uint<std::size_t>(flag, v);
+    } else if (cmd == "requests" && flag == "--waterfall") {
+      o.waterfall = parse_uint<std::size_t>(flag, v);
+    } else if (cmd == "profile" && flag == "--point") {
+      o.point = v;
+    } else if (cmd == "profile" && flag == "--windows") {
+      o.windows = parse_uint<std::size_t>(flag, v);
+    } else {
+      throw std::runtime_error(bad);
+    }
+  }
+  return o;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -738,93 +764,33 @@ int main(int argc, char** argv) {
   // die on a CLI error still flush their files (the tracer only writes if its
   // singleton was constructed before exit).
   vlacnn::obs::install_exit_report();
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  const int files = cmd == "diff" ? 2 : 1;
+  if ((cmd != "summarize" && cmd != "diff" && cmd != "timeline" &&
+       cmd != "requests" && cmd != "profile") ||
+      argc < 2 + files) {
+    return usage(argv[0]);
+  }
+  Options o;
   try {
-    if (argc < 2) return usage(argv[0]);
-    const std::string cmd = argv[1];
-    if (cmd == "timeline") {
-      if (argc < 3) return usage(argv[0]);
-      std::size_t max_snaps = 12;
-      for (int i = 3; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (flag == "--snapshots" && i + 1 < argc) {
-          max_snaps =
-              static_cast<std::size_t>(pct_arg("--snapshots", argv[++i]));
-        } else {
-          std::fprintf(stderr, "unknown or incomplete option '%s'\n",
-                       flag.c_str());
-          return usage(argv[0]);
-        }
-      }
-      return render_timeline(argv[2], max_snaps);
-    }
-    if (cmd == "requests") {
-      if (argc < 3) return usage(argv[0]);
-      std::size_t top_n = 10, waterfall_n = 3;
-      for (int i = 3; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (flag == "--top" && i + 1 < argc) {
-          top_n = static_cast<std::size_t>(pct_arg("--top", argv[++i]));
-        } else if (flag == "--waterfall" && i + 1 < argc) {
-          waterfall_n =
-              static_cast<std::size_t>(pct_arg("--waterfall", argv[++i]));
-        } else {
-          std::fprintf(stderr, "unknown or incomplete option '%s'\n",
-                       flag.c_str());
-          return usage(argv[0]);
-        }
-      }
-      return render_requests(argv[2], top_n, waterfall_n);
-    }
-    if (cmd == "profile") {
-      if (argc < 3) return usage(argv[0]);
-      std::string point;
-      std::size_t max_windows = 16;
-      for (int i = 3; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (flag == "--point" && i + 1 < argc) {
-          point = argv[++i];
-        } else if (flag == "--windows" && i + 1 < argc) {
-          max_windows =
-              static_cast<std::size_t>(pct_arg("--windows", argv[++i]));
-        } else {
-          std::fprintf(stderr, "unknown or incomplete option '%s'\n",
-                       flag.c_str());
-          return usage(argv[0]);
-        }
-      }
-      return render_profile(argv[2], point, max_windows);
-    }
+    o = parse_options(cmd, 2 + files, argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "vlacnn-report: %s\n", e.what());
+    return usage(argv[0]);
+  }
+  try {
+    if (cmd == "timeline") return render_timeline(argv[2], o.snapshots);
+    if (cmd == "requests") return render_requests(argv[2], o.top, o.waterfall);
+    if (cmd == "profile") return render_profile(argv[2], o.point, o.windows);
     if (cmd == "summarize") {
-      if (argc != 3) return usage(argv[0]);
       std::fputs(summarize(load(argv[2])).c_str(), stdout);
       return 0;
     }
-    if (cmd == "diff") {
-      if (argc < 4) return usage(argv[0]);
-      DiffOptions opt;
-      for (int i = 4; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if ((flag == "--budget-pct" || flag == "--wall-budget-pct") &&
-            i + 1 < argc) {
-          const double v = pct_arg(flag.c_str(), argv[++i]);
-          (flag == "--budget-pct" ? opt.cycle_budget_pct
-                                  : opt.wall_budget_pct) = v;
-        } else {
-          std::fprintf(stderr, "unknown or incomplete option '%s'\n",
-                       flag.c_str());
-          return usage(argv[0]);
-        }
-      }
-      const RunReport base = load(argv[2]);
-      const RunReport cur = load(argv[3]);
-      const DiffResult d = diff_reports(base, cur, opt);
-      std::fputs(diff_to_string(d, opt).c_str(), stdout);
-      return d.ok() ? 0 : 1;
-    }
-    return usage(argv[0]);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "vlacnn-report: %s\n", e.what());
-    return usage(argv[0]);
+    const RunReport base = load(argv[2]);
+    const RunReport cur = load(argv[3]);
+    const DiffResult d = diff_reports(base, cur, o.diff);
+    std::fputs(diff_to_string(d, o.diff).c_str(), stdout);
+    return d.ok() ? 0 : 1;
   } catch (const std::exception& e) {
     // Runtime failures (unreadable or malformed input) exit 1; only usage
     // errors exit 2 — the contract scripts/test_cli_exit_codes.sh asserts
