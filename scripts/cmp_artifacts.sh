@@ -9,9 +9,12 @@
 # is cmp'ed with that one line masked, and so is the `vlacnn-report
 # summarize` text of each report, whose first line prints it as `wall=`. The
 # fig01 report also goes through `vlacnn-report diff --budget-pct 0`, which
-# must list no changed key. The ci.sh gates compare two thread counts of one
-# build; this compares two builds, so it also sees a byte drift that both
-# thread counts share.
+# must list no changed key. The text the three JSONL renderers print
+# (`vlacnn-report profile`, `requests` and `timeline`, each build's own tool
+# over its own file; none prints host time) is cmp'ed too, with the exit
+# status appended when one fails. The ci.sh gates compare two thread counts
+# of one build; this compares two builds, so it also sees a byte drift that
+# both thread counts share.
 #
 # VLACNN_*/REPRO_* knobs from the caller's environment are cleared. Outputs go
 # to build/cmp-artifacts/{old,new}. Exit 0 when every artifact matches, 1
@@ -30,6 +33,13 @@ for knob in $(env | sed -nE 's/^((VLACNN|REPRO)_[A-Z_]*)=.*/\1/p'); do
 done
 OUT=build/cmp-artifacts
 REPORT=fig_1_per_layer_algorithm_comparison_vgg_16.report
+
+# render OUT CMD...: CMD's stdout into OUT, then its exit status when it fails.
+render() {
+  local out="$1"
+  shift
+  "$@" > "$out" || echo "exit $?" >> "$out"
+}
 
 # produce BUILD DIR: every compared artifact of one build, into DIR.
 produce() {
@@ -70,6 +80,15 @@ produce() {
   REPRO_RESULTS_DIR="$d/cold" VLACNN_THREADS=1 \
     "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
   unset REPRO_RESULTS_DIR
+  # The JSONL readers' text.
+  local rep="$b/tools/vlacnn-report"
+  render "$d/fig01-kernprof.profile" \
+    "$rep" profile "$d/fig01-kernprof.jsonl" --windows 0
+  render "$d/capacity-reqtrace.requests" \
+    "$rep" requests "$d/capacity-reqtrace.jsonl"
+  render "$d/fleet-reqtrace.requests" "$rep" requests "$d/fleet-reqtrace.jsonl"
+  render "$d/capacity-timeline.timeline" \
+    "$rep" timeline "$d/capacity-timeline.jsonl"
   # The one line of host wall time, masked so the rest of each report JSON
   # can be cmp'ed; the summary prints it once too, on its first line.
   local json
@@ -92,7 +111,9 @@ for f in capacity.json capacity-learned.json capacity-timeline.jsonl \
          capacity-reqtrace.jsonl capacity-learned-reqtrace.jsonl \
          capacity-learned-timeline.jsonl fleet.json fleet-reqtrace.jsonl \
          fleet-timeline.jsonl fig01-kernprof.jsonl $reports \
-         cold/sweep_cache.csv; do
+         cold/sweep_cache.csv fig01-kernprof.profile \
+         capacity-reqtrace.requests fleet-reqtrace.requests \
+         capacity-timeline.timeline; do
   if cmp -s "$OUT/old/$f" "$OUT/new/$f"; then
     echo "identical  $f ($(wc -c < "$OUT/new/$f") bytes)"
   else

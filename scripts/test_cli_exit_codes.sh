@@ -175,7 +175,7 @@ expect 1 'span-attribution identities violated' \
 printf '%s\n%s\n%s\n%s\n' \
   '{"type":"run","label":"hostile/L00/gemm3/vlen512/l2:1048576/lanes8/int"}' \
   '{"type":"kernel","net":"hostile","layer":0,"algo":"gemm3","vlen_bits":512,"l2_bytes":1048576,"lanes":8,"attach":"int","interval_cycles":1,"cycles":1e-300,"compute_cycles":0,"mem_issue_cycles":0,"mem_stall_cycles":0,"scalar_cycles":0}' \
-  '{"type":"phase","name":"im2col","cycles":1,"raw_cycles":1,"compute_cycles":1,"mem_issue_cycles":0,"mem_stall_cycles":0,"scalar_cycles":0,"avg_vl":16,"flops":1,"l1_accesses":0,"l1_misses":0,"l2_accesses":0,"l2_misses":0,"mem_bytes":0}' \
+  '{"type":"phase","name":"im2col","cycles":1,"raw_cycles":1,"compute_cycles":1,"mem_issue_cycles":0,"mem_stall_cycles":0,"scalar_cycles":0,"vec_instructions":1,"vec_elems":16,"avg_vl":16,"flops":1,"l1_accesses":0,"l1_misses":0,"l2_accesses":0,"l2_misses":0,"mem_bytes":0}' \
   '{"type":"window","t_start":0,"t_end":1,"compute_cycles":1e300,"mem_issue_cycles":-1e300,"mem_stall_cycles":1e-300,"scalar_cycles":0,"avg_vl":16,"lane_utilization":1,"l1_miss_rate":0,"l2_miss_rate":0,"dram_bytes_per_cycle":0}' \
   > "$TMP/hostile-kernprof.jsonl"
 expect 1 'profile blocks violate the phase partition' \

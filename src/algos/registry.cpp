@@ -1,18 +1,16 @@
 #include "algos/registry.h"
 
-#include <cstdio>
 #include <stdexcept>
-#include <utility>
 
 #include "algos/direct.h"
 #include "algos/gemm3.h"
 #include "algos/gemm6.h"
 #include "algos/winograd.h"
+#include "obs/json_util.h"
 #include "obs/kernprof.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "vpu/functional_engine.h"
-#include "vpu/pmu.h"
 #include "vpu/trace_engine.h"
 
 namespace vlacnn {
@@ -122,84 +120,82 @@ TimingStats simulate_impl(Algo algo, const ConvLayerDesc& d,
   return timing.stats();
 }
 
-/// Grid-point label for the kernel-profile sink, matching report::entry_key
-/// when the point carries a (net, layer) identity; shape-string fallback
-/// otherwise. Built here rather than via src/report — the algos layer sits
-/// below report in the include order.
+/// Grid-point label for the kernel-profile sink: report::entry_key when the
+/// point carries a (net, layer) identity, the layer's shape string as the
+/// head otherwise.
 std::string kernprof_label(Algo algo, const ConvLayerDesc& d,
                            const SimConfig& c) {
-  std::string head;
-  if (!c.net.empty()) {
-    char layer[8];
-    std::snprintf(layer, sizeof layer, "L%02d", c.layer);
-    head = c.net + "/" + layer;
-  } else {
-    head = d.to_string();
-  }
-  return head + "/" + to_string(algo) + "/vlen" +
-         std::to_string(c.vpu.vlen_bits) + "/l2:" +
-         std::to_string(c.mem.l2.size_bytes) + "/lanes" +
-         std::to_string(c.vpu.lanes) + "/" +
-         (c.vpu.attach == VpuAttach::kIntegratedL1 ? "int" : "dec");
+  const std::string head =
+      c.net.empty() ? d.to_string() : layer_head(c.net, c.layer);
+  return point_label(head, to_string(algo), c.vpu.vlen_bits,
+                     c.mem.l2.size_bytes, c.vpu.lanes, c.vpu.attach);
 }
 
-/// Convert a finalized PMU into the obs-layer profile record.
-obs::KernProfRun kernprof_run_from_pmu(const Pmu& pmu, Algo algo,
-                                       const ConvLayerDesc& d,
-                                       const SimConfig& c,
-                                       const TimingStats& stats) {
-  obs::KernProfRun run;
-  run.label = kernprof_label(algo, d, c);
-  run.net = c.net;
-  run.layer = c.layer;
-  run.algo = to_string(algo);
-  run.vlen_bits = c.vpu.vlen_bits;
-  run.l2_bytes = c.mem.l2.size_bytes;
-  run.lanes = c.vpu.lanes;
-  run.attach = c.vpu.attach == VpuAttach::kIntegratedL1 ? "int" : "dec";
-  run.interval_cycles = pmu.interval_cycles();
-  run.cycles = stats.cycles;
-  run.compute_cycles = stats.compute_cycles;
-  run.mem_issue_cycles = stats.mem_issue_cycles;
-  run.mem_stall_cycles = stats.mem_stall_cycles;
-  run.scalar_cycles = stats.scalar_cycles;
+/// The kernel-profile JSONL block of one finalized PMU (DESIGN.md §14): a
+/// "kernel" line with the grid-point identity and the cycle buckets of
+/// `total`, one "phase" line per phase and one "window" line per counter
+/// window. Byte-stable: fixed key order, %.17g numbers.
+std::string kernprof_block(const Pmu& pmu, const TimingStats& total,
+                           Algo algo, const SimConfig& c) {
+  using obs::append_kv;
+  std::string out = "{\"type\":\"kernel\"";
+  append_kv(out, "net", c.net);
+  append_kv(out, "layer", c.layer);
+  append_kv(out, "algo", std::string(to_string(algo)));
+  append_kv(out, "vlen_bits", static_cast<std::uint64_t>(c.vpu.vlen_bits));
+  append_kv(out, "l2_bytes", c.mem.l2.size_bytes);
+  append_kv(out, "lanes", static_cast<std::uint64_t>(c.vpu.lanes));
+  append_kv(out, "attach", std::string(to_string(c.vpu.attach)));
+  append_kv(out, "interval_cycles", pmu.interval_cycles());
+  append_kv(out, "cycles", total.cycles);
+  append_kv(out, "compute_cycles", total.compute_cycles);
+  append_kv(out, "mem_issue_cycles", total.mem_issue_cycles);
+  append_kv(out, "mem_stall_cycles", total.mem_stall_cycles);
+  append_kv(out, "scalar_cycles", total.scalar_cycles);
+  append_kv(out, "phase_count",
+            static_cast<std::uint64_t>(pmu.phases().size()));
+  append_kv(out, "window_count",
+            static_cast<std::uint64_t>(pmu.windows().size()));
+  out += "}\n";
   for (const PmuPhaseStats& p : pmu.phases()) {
-    obs::KernProfPhase out;
-    out.name = p.name;
-    out.cycles = p.cycles;
-    out.raw_cycles = p.raw_cycles;
-    out.compute_cycles = p.compute_cycles;
-    out.mem_issue_cycles = p.mem_issue_cycles;
-    out.mem_stall_cycles = p.mem_stall_cycles;
-    out.scalar_cycles = p.scalar_cycles;
-    out.vec_instructions = p.vec_instructions;
-    out.vec_elems = p.vec_elems;
-    out.avg_vl = p.avg_vl();
-    out.flops = p.flops;
-    out.l1_accesses = p.first_level_accesses;
-    out.l1_misses = p.first_level_misses;
-    out.l2_accesses = p.l2_accesses;
-    out.l2_misses = p.l2_misses;
-    out.mem_bytes = p.mem_bytes;
-    run.phases.push_back(std::move(out));
+    const TimingStats& r = p.raw;
+    out += "{\"type\":\"phase\"";
+    append_kv(out, "name", p.name);
+    append_kv(out, "cycles", p.cycles);
+    append_kv(out, "raw_cycles", r.cycles);
+    append_kv(out, "compute_cycles", r.compute_cycles);
+    append_kv(out, "mem_issue_cycles", r.mem_issue_cycles);
+    append_kv(out, "mem_stall_cycles", r.mem_stall_cycles);
+    append_kv(out, "scalar_cycles", r.scalar_cycles);
+    append_kv(out, "vec_instructions", r.vec_instructions);
+    append_kv(out, "vec_elems", r.vec_elems);
+    append_kv(out, "avg_vl", r.avg_vl());
+    append_kv(out, "flops", r.flops);
+    append_kv(out, "l1_accesses", r.first_level_accesses);
+    append_kv(out, "l1_misses", r.first_level_misses);
+    append_kv(out, "l2_accesses", r.l2_accesses);
+    append_kv(out, "l2_misses", r.l2_misses);
+    append_kv(out, "mem_bytes", r.mem_bytes);
+    out += "}\n";
   }
   for (const PmuWindow& w : pmu.windows()) {
-    obs::KernProfWindow out;
-    out.t_start = w.t_start;
-    out.t_end = w.t_end;
-    out.compute_cycles = w.compute_cycles;
-    out.mem_issue_cycles = w.mem_issue_cycles;
-    out.mem_stall_cycles = w.mem_stall_cycles;
-    out.scalar_cycles = w.scalar_cycles;
-    out.avg_vl = w.avg_vl();
-    out.lane_utilization = w.lane_utilization(c.vpu.lanes);
-    out.l1_miss_rate = w.l1_miss_rate();
-    out.l2_miss_rate = w.l2_miss_rate();
-    out.dram_bytes_per_cycle = w.dram_bytes_per_cycle();
-    out.mem_bytes = w.mem_bytes;
-    run.windows.push_back(out);
+    const TimingStats& d = w.delta;
+    out += "{\"type\":\"window\"";
+    append_kv(out, "t_start", w.t_start);
+    append_kv(out, "t_end", w.t_end);
+    append_kv(out, "compute_cycles", d.compute_cycles);
+    append_kv(out, "mem_issue_cycles", d.mem_issue_cycles);
+    append_kv(out, "mem_stall_cycles", d.mem_stall_cycles);
+    append_kv(out, "scalar_cycles", d.scalar_cycles);
+    append_kv(out, "avg_vl", d.avg_vl());
+    append_kv(out, "lane_utilization", w.lane_utilization(c.vpu.lanes));
+    append_kv(out, "l1_miss_rate", d.l1_miss_rate());
+    append_kv(out, "l2_miss_rate", d.l2_miss_rate());
+    append_kv(out, "dram_bytes_per_cycle", w.dram_bytes_per_cycle());
+    append_kv(out, "mem_bytes", d.mem_bytes);
+    out += "}\n";
   }
-  return run;
+  return out;
 }
 
 }  // namespace
@@ -210,7 +206,8 @@ TimingStats conv_simulate_no_obs(Algo algo, const ConvLayerDesc& d,
 }
 
 TimingStats conv_simulate(Algo algo, const ConvLayerDesc& d,
-                          const SimConfig& config, obs::KernProfRun* profile) {
+                          const SimConfig& config,
+                          std::vector<PmuPhaseStats>* phases) {
   obs::Span span("conv_simulate");
   if (span.active()) {
     span.arg("algo", to_string(algo));
@@ -223,9 +220,9 @@ TimingStats conv_simulate(Algo algo, const ConvLayerDesc& d,
             obs::kernprof_interval_overridden());
     stats = simulate_impl(algo, d, config, &pmu);
     pmu.finalize(stats);
-    obs::KernProfRun run = kernprof_run_from_pmu(pmu, algo, d, config, stats);
-    obs::KernProfSink::global().record(run.label, run.to_jsonl());
-    if (profile != nullptr) *profile = std::move(run);
+    obs::KernProfSink::global().record(kernprof_label(algo, d, config),
+                                       kernprof_block(pmu, stats, algo, config));
+    if (phases != nullptr) *phases = pmu.phases();
   } else {
     stats = simulate_impl(algo, d, config, nullptr);
   }

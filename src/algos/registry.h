@@ -16,12 +16,9 @@
 #include "memsim/memory_system.h"
 #include "tensor/conv_desc.h"
 #include "tensor/tensor.h"
+#include "vpu/pmu.h"
 #include "vpu/timing_model.h"
 #include "vpu/vpu_config.h"
-
-namespace vlacnn::obs {
-struct KernProfRun;
-}  // namespace vlacnn::obs
 
 namespace vlacnn {
 
@@ -52,11 +49,12 @@ SimConfig make_sim_config(std::uint32_t vlen_bits, std::uint64_t l2_bytes,
 /// and per-point cycle/host-time histograms when observability is on.
 /// When VLACNN_KERNPROF is set, a simulated PMU rides along (vpu/pmu.h): the
 /// per-phase attribution and counter windows are recorded to the process-wide
-/// KernProfSink under the grid-point label, and copied to `profile` when the
-/// caller passes one (the PMU never changes the returned stats).
+/// KernProfSink under the grid-point label, and the PMU's phases are copied to
+/// `phases` when the caller passes it (the PMU never changes the returned
+/// stats; `phases` is left untouched when profiling is off).
 TimingStats conv_simulate(Algo algo, const ConvLayerDesc& desc,
                           const SimConfig& config,
-                          obs::KernProfRun* profile = nullptr);
+                          std::vector<PmuPhaseStats>* phases = nullptr);
 
 /// conv_simulate minus the observability hooks: the no-obs baseline that
 /// bench_obs_overhead measures the disabled-path cost against. Numerically

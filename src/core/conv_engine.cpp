@@ -1,27 +1,17 @@
 #include "core/conv_engine.h"
 
-#include <stdexcept>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace vlacnn {
 
 ConvEngine::ConvEngine(VpuConfig vpu, std::uint64_t l2_bytes)
-    : vpu_(vpu),
-      l2_bytes_(l2_bytes),
-      selector_(std::make_shared<HeuristicSelector>()) {
+    : vpu_(vpu), l2_bytes_(l2_bytes) {
   validate(vpu_);
 }
 
-void ConvEngine::set_selector(
-    std::shared_ptr<const AlgorithmSelector> selector) {
-  if (!selector) throw std::invalid_argument("conv_engine: null selector");
-  selector_ = std::move(selector);
-}
-
 Algo ConvEngine::choose(const ConvLayerDesc& desc) const {
-  return selector_->select(desc, vpu_.vlen_bits, l2_bytes_);
+  return HeuristicSelector().select(desc, vpu_.vlen_bits, l2_bytes_);
 }
 
 Tensor ConvEngine::run(const ConvLayerDesc& desc, const Tensor& input,

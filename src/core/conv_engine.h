@@ -2,15 +2,14 @@
 //
 // Configure it with a target vector architecture (vector length, lanes, L2
 // size); it executes convolutional layers numerically with any of the four
-// algorithms, predicts per-layer cycle costs on that architecture, and — given
-// a selector — picks the best algorithm per layer automatically.
+// algorithms, predicts per-layer cycle costs on that architecture, and picks
+// an algorithm per layer with the HeuristicSelector when none is given.
 //
 //   ConvEngine engine({.vlen_bits = 1024, .lanes = 8}, 4 << 20);
 //   Tensor out = engine.run(desc, input, weights);          // auto-selected
 //   TimingStats t = engine.estimate(desc, Algo::kWinograd); // what-if
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -24,17 +23,14 @@ class ConvEngine {
  public:
   explicit ConvEngine(VpuConfig vpu = {}, std::uint64_t l2_bytes = 1u << 20);
 
-  /// Replace the default HeuristicSelector with any AlgorithmSelector.
-  void set_selector(std::shared_ptr<const AlgorithmSelector> selector);
-
   const VpuConfig& vpu() const { return vpu_; }
   std::uint64_t l2_bytes() const { return l2_bytes_; }
 
-  /// Algorithm the current selector picks for this layer.
+  /// Algorithm the HeuristicSelector picks for this layer.
   Algo choose(const ConvLayerDesc& desc) const;
 
   /// Execute numerically (NCHW in, OIHW weights, NCHW out). With no explicit
-  /// algorithm, the selector chooses.
+  /// algorithm, choose() picks one.
   Tensor run(const ConvLayerDesc& desc, const Tensor& input,
              const std::vector<float>& weights_oihw,
              std::optional<Algo> algo = std::nullopt) const;
@@ -46,7 +42,6 @@ class ConvEngine {
  private:
   VpuConfig vpu_;
   std::uint64_t l2_bytes_;
-  std::shared_ptr<const AlgorithmSelector> selector_;
 };
 
 }  // namespace vlacnn

@@ -15,20 +15,12 @@
 
 namespace vlacnn {
 
-class AlgorithmSelector {
- public:
-  virtual ~AlgorithmSelector() = default;
-
-  /// Pick an algorithm for the layer; the result is always applicable.
-  virtual Algo select(const ConvLayerDesc& desc, std::uint32_t vlen_bits,
-                      std::uint64_t l2_bytes) const = 0;
-};
-
 /// Rule-based baseline distilled from the papers' per-layer findings.
-class HeuristicSelector final : public AlgorithmSelector {
+class HeuristicSelector {
  public:
+  /// Pick an algorithm for the layer; the result is always applicable.
   Algo select(const ConvLayerDesc& desc, std::uint32_t vlen_bits,
-              std::uint64_t l2_bytes) const override;
+              std::uint64_t l2_bytes) const;
 };
 
 }  // namespace vlacnn

@@ -20,6 +20,14 @@ namespace vlacnn {
 /// Where vector memory operations enter the hierarchy.
 enum class VpuAttach { kIntegratedL1, kDecoupledL2 };
 
+/// Each attachment's word in grid-point labels, report keys and the sweep
+/// cache's attach column, indexed by VpuAttach.
+inline constexpr const char* kAttachWords[] = {"int", "dec"};
+
+inline const char* to_string(VpuAttach a) {
+  return kAttachWords[static_cast<int>(a)];
+}
+
 /// Full hierarchy parameters.
 struct MemConfig {
   CacheConfig l1{64u << 10, 4, 64, 4};

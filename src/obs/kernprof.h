@@ -14,17 +14,15 @@
 //                                     interval also disables the PMU's
 //                                     window auto-coarsening.
 //
-// This header is deliberately vpu-agnostic (plain strings and doubles): the
-// obs layer sits at the bottom of the include order, so the simulation driver
-// (algos/registry) converts Pmu state into these records. The process-wide
+// This header holds only the knobs and the sink: the obs layer sits at the
+// bottom of the include order, so conv_simulate (algos/registry) writes each
+// block straight from the finalized Pmu's own records. The process-wide
 // KernProfSink is a labeled-JSONL sink: one block per labeled grid point,
-// written in label order at exit, so a parallel sweep emits the same bytes as
-// a serial one at any VLACNN_THREADS.
+// written in label order at exit, so a parallel sweep emits the same bytes
+// as a serial one at any VLACNN_THREADS.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/jsonl_sink.h"
 
@@ -43,76 +41,10 @@ double kernprof_interval_cycles();
 bool kernprof_interval_overridden();
 void set_kernprof_interval_cycles(double cycles);
 
-// -- profile records ----------------------------------------------------------
-
-/// One annotated phase of one kernel run. `cycles` is the phase's share of
-/// the exact Sterbenz partition (the per-run phase cycles fold right-to-left
-/// to the kernel's aggregate cycles bit for bit); the remaining fields are
-/// raw counter deltas accumulated over the phase's visits.
-struct KernProfPhase {
-  std::string name;
-  double cycles = 0;
-  double raw_cycles = 0;
-  double compute_cycles = 0;
-  double mem_issue_cycles = 0;
-  double mem_stall_cycles = 0;
-  double scalar_cycles = 0;
-  double vec_instructions = 0;
-  double vec_elems = 0;
-  double avg_vl = 0;
-  double flops = 0;
-  double l1_accesses = 0;
-  double l1_misses = 0;
-  double l2_accesses = 0;
-  double l2_misses = 0;
-  double mem_bytes = 0;
-};
-
-/// One counter window [t_start, t_end) of one kernel run. Derived rates are
-/// precomputed by the driver so the record is renderer-ready.
-struct KernProfWindow {
-  double t_start = 0;
-  double t_end = 0;
-  double compute_cycles = 0;
-  double mem_issue_cycles = 0;
-  double mem_stall_cycles = 0;
-  double scalar_cycles = 0;
-  double avg_vl = 0;
-  double lane_utilization = 0;
-  double l1_miss_rate = 0;
-  double l2_miss_rate = 0;
-  double dram_bytes_per_cycle = 0;
-  double mem_bytes = 0;
-};
-
-/// One simulated grid point's complete kernel profile.
-struct KernProfRun {
-  std::string label;   ///< sink key; the sweep's entry-key grid-point label
-  std::string net;     ///< "" when the point was simulated outside a network
-  int layer = -1;
-  std::string algo;
-  std::uint32_t vlen_bits = 0;
-  std::uint64_t l2_bytes = 0;
-  std::uint32_t lanes = 0;
-  std::string attach;  ///< "int" or "dec"
-  double interval_cycles = 0;  ///< effective window cadence (post-coarsening)
-  double cycles = 0;
-  double compute_cycles = 0;
-  double mem_issue_cycles = 0;
-  double mem_stall_cycles = 0;
-  double scalar_cycles = 0;
-  std::vector<KernProfPhase> phases;
-  std::vector<KernProfWindow> windows;
-
-  /// The JSONL block: one "kernel" line, then "phase" and "window" lines.
-  /// Byte-stable: fixed key order, %.17g numbers.
-  std::string to_jsonl() const;
-};
-
 // -- sink ---------------------------------------------------------------------
 
 /// The process-wide labeled-JSONL sink of kernel-profile blocks, written to
-/// kernprof_path() and labeled by grid point (KernProfRun::label).
+/// kernprof_path() and labeled by grid point (the report's entry key).
 class KernProfSink final : public LabeledJsonlSink {
  public:
   static KernProfSink& global();

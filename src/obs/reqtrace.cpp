@@ -1,24 +1,14 @@
 #include "obs/reqtrace.h"
 
-#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 
 #include "common/env.h"
+#include "common/exact_split.h"
 #include "common/rng.h"
 #include "obs/json_util.h"
-
-namespace vlacnn::serving {
-// Declared here instead of including serving/request_sim.h: the obs layer
-// sits below serving in the include order, and the recorder needs exactly one
-// function from it — the Sterbenz-exact splitter the latency attribution is
-// built on (defined in serving/request_sim.cpp; same static library, so the
-// reference always resolves). A test pins reqtrace's segment sums against the
-// serving-side attribution, so the two cannot drift apart silently.
-std::pair<double, double> exact_split(double total, double head_approx);
-}  // namespace vlacnn::serving
 
 namespace vlacnn::obs {
 
@@ -192,35 +182,13 @@ ReqTraceConfig default_reqtrace_config(double slo_cycles) {
 
 std::vector<TraceSegment> split_service_span(
     double total, const std::vector<std::pair<std::string, double>>& layers) {
-  std::vector<TraceSegment> out;
-  if (layers.empty()) return out;
-  out.reserve(layers.size());
-  // Chain exact_split over the not-yet-assigned remainder: each layer's share
-  // is its weight over the *remaining* weights, so proportions are honoured,
-  // and because every cut is Sterbenz-exact the right-to-left fold of the
-  // durations telescopes back to `total` bit for bit. (A left fold of naive
-  // per-layer products would not: each product rounds independently.)
-  double remaining = total;
-  double weight_left = 0;
-  for (const auto& [name, w] : layers) weight_left += w > 0 ? w : 0;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const double w = layers[i].second > 0 ? layers[i].second : 0;
-    TraceSegment seg;
-    seg.name = layers[i].first;
-    if (i + 1 == layers.size()) {
-      seg.duration = remaining;  // the last segment absorbs the remainder
-    } else {
-      const double approx =
-          weight_left > 0 && std::isfinite(weight_left)
-              ? remaining * (w / weight_left)
-              : 0;
-      const auto [head, tail] = serving::exact_split(remaining, approx);
-      seg.duration = head;
-      remaining = tail;
-      weight_left -= w;
-    }
-    out.push_back(std::move(seg));
-  }
+  std::vector<TraceSegment> out(layers.size());
+  exact_partition(
+      total, layers.size(), [&](std::size_t i) { return layers[i].second; },
+      [&](std::size_t i, double d) {
+        out[i].name = layers[i].first;
+        out[i].duration = d;
+      });
   return out;
 }
 

@@ -9,6 +9,7 @@
 
 #include "obs/json_util.h"
 #include "report/json.h"
+#include "vpu/vpu_config.h"
 
 namespace vlacnn::report {
 
@@ -17,13 +18,10 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-const char* attach_str(VpuAttach a) {
-  return a == VpuAttach::kIntegratedL1 ? "int" : "dec";
-}
-
 VpuAttach attach_from(const std::string& s) {
-  if (s == "int") return VpuAttach::kIntegratedL1;
-  if (s == "dec") return VpuAttach::kDecoupledL2;
+  for (VpuAttach a : {VpuAttach::kIntegratedL1, VpuAttach::kDecoupledL2}) {
+    if (s == to_string(a)) return a;
+  }
   throw std::runtime_error("report: bad attach '" + s + "'");
 }
 
@@ -131,11 +129,8 @@ Attribution attribute(const SweepRow& row, const RooflineParams& p) {
 }
 
 std::string entry_key(const SweepKey& k) {
-  char layer[8];
-  std::snprintf(layer, sizeof layer, "L%02d", k.layer);
-  return k.net + "/" + layer + "/" + to_string(k.algo) + "/vlen" +
-         std::to_string(k.vlen_bits) + "/l2:" + std::to_string(k.l2_bytes) +
-         "/lanes" + std::to_string(k.lanes) + "/" + attach_str(k.attach);
+  return point_label(layer_head(k.net, k.layer), to_string(k.algo),
+                     k.vlen_bits, k.l2_bytes, k.lanes, k.attach);
 }
 
 double RunReport::total_cycles() const {
@@ -167,7 +162,7 @@ std::string RunReport::to_json() const {
     out += ", \"vlen_bits\": " + std::to_string(r.key.vlen_bits);
     out += ", \"l2_bytes\": " + std::to_string(r.key.l2_bytes);
     out += ", \"lanes\": " + std::to_string(r.key.lanes);
-    out += ", \"attach\": " + json_quote(attach_str(r.key.attach));
+    out += ", \"attach\": " + json_quote(to_string(r.key.attach));
     out += ",\n     \"desc\": {\"ic\": " + std::to_string(r.desc.ic) +
            ", \"ih\": " + std::to_string(r.desc.ih) +
            ", \"iw\": " + std::to_string(r.desc.iw) +
@@ -259,7 +254,7 @@ std::string RunReport::to_csv() const {
     out += r.key.net + "," + std::to_string(r.key.layer) + "," +
            to_string(r.key.algo) + "," + std::to_string(r.key.vlen_bits) +
            "," + std::to_string(r.key.l2_bytes) + "," +
-           std::to_string(r.key.lanes) + "," + attach_str(r.key.attach) + "," +
+           std::to_string(r.key.lanes) + "," + to_string(r.key.attach) + "," +
            std::to_string(r.desc.ic) + "," + std::to_string(r.desc.ih) + "," +
            std::to_string(r.desc.iw) + "," + std::to_string(r.desc.oc) + "," +
            std::to_string(r.desc.kh) + "," + std::to_string(r.desc.kw) + "," +

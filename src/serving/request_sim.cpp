@@ -145,21 +145,6 @@ double nearest_rank(const std::vector<double>& sorted_ascending, double q) {
   return sorted_ascending[nearest_rank_index(sorted_ascending.size(), q)];
 }
 
-std::pair<double, double> exact_split(double total, double head_approx) {
-  if (!(total > 0)) return {0.0, 0.0};
-  double head = head_approx;
-  if (!(head > 0)) head = 0;
-  if (head > total) head = total;
-  // Sterbenz: for x in [total/2, total], total - x is computed exactly. Put
-  // whichever part is the larger one through that subtraction and the pair
-  // reconstitutes total with no rounding at all.
-  if (head >= 0.5 * total) {
-    return {head, total - head};
-  }
-  const double tail = total - head;  // rounded, but lands in [total/2, total]
-  return {total - tail, tail};
-}
-
 double ServingStats::throughput_rps(double clock_hz) const {
   if (!(makespan > 0)) return 0;
   return static_cast<double>(completed) / makespan * clock_hz;

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/exact_split.h"
 #include "serving/arrivals.h"
 #include "serving/batching.h"
 #include "serving/serving.h"
@@ -122,25 +123,15 @@ double nearest_rank(const std::vector<double>& sorted_ascending, double q);
 /// Throws std::invalid_argument when n == 0 or q is outside (0, 1].
 std::size_t nearest_rank_index(std::size_t n, double q);
 
-/// Split `total` (>= 0) into {head, tail} such that head + tail == total
-/// **exactly in floating point**, with head within one rounding of
-/// `head_approx` (clamped to [0, total]). Naive subtraction cannot promise
-/// that: fl(total - head) + head can miss total by an ulp. This uses the
-/// Sterbenz lemma — whichever of the two parts lands in [total/2, total],
-/// subtracting it from total is exact — so the returned pair always
-/// reconstitutes total. Zero/negative/NaN total yields {0, 0}. The latency
-/// attribution below leans on this: components must sum to the latency a
-/// request actually saw, byte for byte.
-std::pair<double, double> exact_split(double total, double head_approx);
-
 /// Per-request latency attribution, appended to RequestSimConfig::request_log
 /// in completion order (batch members in FIFO order within a batch). The
 /// decomposition is exact by construction:
 ///   (queue_wait + formation_wait) + service == completion - arrival
-/// evaluated left-to-right in floating point (see exact_split). queue_wait is
-/// the share of the pre-dispatch wait during which *all* instances were busy
-/// (true capacity queueing); formation_wait is the share with an instance
-/// idle — time the batching policy chose to hold the request back.
+/// evaluated left-to-right in floating point (see common/exact_split.h).
+/// queue_wait is the share of the pre-dispatch wait during which *all*
+/// instances were busy (true capacity queueing); formation_wait is the share
+/// with an instance idle — time the batching policy chose to hold the
+/// request back.
 struct RequestRecord {
   double arrival = 0;         ///< cycles: joined the queue
   double dispatch = 0;        ///< cycles: batch started

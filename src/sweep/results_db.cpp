@@ -71,7 +71,7 @@ std::vector<std::string> to_fields(const SweepRow& r) {
       std::to_string(r.key.vlen_bits),
       std::to_string(r.key.l2_bytes),
       std::to_string(r.key.lanes),
-      r.key.attach == VpuAttach::kIntegratedL1 ? "int" : "dec",
+      to_string(r.key.attach),
       std::to_string(r.desc.ic),
       std::to_string(r.desc.ih),
       std::to_string(r.desc.iw),
@@ -131,9 +131,9 @@ SweepRow row_from_fields(const std::vector<std::string>& f) {
   r.key.vlen_bits = u32(3);
   r.key.l2_bytes = parse_uint<std::uint64_t>(kHeader[4], f[4]);
   r.key.lanes = u32(5);
-  r.key.attach = parse_word(kHeader[6], f[6], {{"int", 0}, {"dec", 1}}).value
-                     ? VpuAttach::kDecoupledL2
-                     : VpuAttach::kIntegratedL1;
+  r.key.attach = static_cast<VpuAttach>(
+      parse_word(kHeader[6], f[6],
+                 {{kAttachWords[0], 0}, {kAttachWords[1], 1}}).value);
   r.desc = ConvLayerDesc{i32(7),  i32(8),  i32(9),  i32(10),
                          i32(11), i32(12), i32(13), i32(14)};
   r.cycles = real(15);

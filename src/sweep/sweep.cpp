@@ -43,30 +43,31 @@ SweepRow row_from_stats(const SweepKey& key, const ConvLayerDesc& desc,
   return r;
 }
 
-/// Report phase cells from a kernel profile's phases, keyed by the
-/// profile's grid-point label (which matches report::entry_key for sweep
-/// points — the driver fills SimConfig.net/.layer below). A miss rate is NaN
-/// when the phase made no accesses at that level.
-std::vector<report::Json> phase_cells(const obs::KernProfRun& prof) {
+/// Report phase cells from a kernel profile's phases, keyed by the point's
+/// report entry key (the kernprof block's label). A miss rate is NaN when
+/// the phase made no accesses at that level.
+std::vector<report::Json> phase_cells(const SweepKey& key,
+                                      const std::vector<PmuPhaseStats>& phases) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::string label = report::entry_key(key);
   std::vector<report::Json> cells;
-  cells.reserve(prof.phases.size());
-  for (const obs::KernProfPhase& p : prof.phases) {
+  cells.reserve(phases.size());
+  for (const PmuPhaseStats& p : phases) {
+    const TimingStats& r = p.raw;
     cells.push_back(
         report::Json()
-            .add("key", prof.label)
+            .add("key", label)
             .add("phase", p.name)
             .add("cycles", p.cycles)
-            .add("compute_cycles", p.compute_cycles)
-            .add("mem_issue_cycles", p.mem_issue_cycles)
-            .add("mem_stall_cycles", p.mem_stall_cycles)
-            .add("scalar_cycles", p.scalar_cycles)
-            .add("avg_vl", p.avg_vl)
+            .add("compute_cycles", r.compute_cycles)
+            .add("mem_issue_cycles", r.mem_issue_cycles)
+            .add("mem_stall_cycles", r.mem_stall_cycles)
+            .add("scalar_cycles", r.scalar_cycles)
+            .add("avg_vl", r.avg_vl())
             .add("l1_miss_rate",
-                 p.l1_accesses > 0 ? p.l1_misses / p.l1_accesses : kNaN)
-            .add("l2_miss_rate",
-                 p.l2_accesses > 0 ? p.l2_misses / p.l2_accesses : kNaN)
-            .add("mem_bytes", p.mem_bytes));
+                 r.first_level_accesses > 0 ? r.l1_miss_rate() : kNaN)
+            .add("l2_miss_rate", r.l2_accesses > 0 ? r.l2_miss_rate() : kNaN)
+            .add("mem_bytes", r.mem_bytes));
   }
   return cells;
 }
@@ -101,13 +102,13 @@ SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
     config.sampler.exact = repro_exact_mode();
     // Grid-point identity for kernprof labeling: with these set the profile
     // label equals report::entry_key(key), so profile blocks and report rows
-    // join on the same string.
+    // join on the same string (vpu_config.h's point_label).
     config.net = net_name;
     config.layer = conv_ordinal;
     return config;
   };
-  obs::KernProfRun prof;
-  bool have_prof = false;
+  // The PMU's phases when this call simulated with VLACNN_KERNPROF on.
+  std::vector<PmuPhaseStats> phases;
   SweepRow row = db_->get_or_compute(key, [&] {
     // Only cache misses reach this lambda, so the span/sim-point metrics
     // count actual simulations, tagged with the full grid coordinate.
@@ -120,8 +121,7 @@ SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
       span.arg("l2", std::to_string(l2_bytes));
     }
     SimConfig config = sim_config();
-    const TimingStats stats = conv_simulate(algo, desc, config, &prof);
-    have_prof = obs::kernprof_enabled();
+    const TimingStats stats = conv_simulate(algo, desc, config, &phases);
     if (obs::metrics_enabled()) {
       static obs::Counter& points =
           obs::Registry::global().counter("sweep.sim_points");
@@ -144,12 +144,11 @@ SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
     obs::Span span("sweep.upgrade");
     if (span.active()) span.arg("net", net_name);
     SimConfig config = sim_config();
-    const TimingStats stats = conv_simulate(algo, desc, config, &prof);
-    have_prof = obs::kernprof_enabled();
+    const TimingStats stats = conv_simulate(algo, desc, config, &phases);
     row = row_from_stats(key, desc, stats);
     db_->put(row);
   }
-  if (obs::kernprof_enabled() && !have_prof) {
+  if (obs::kernprof_enabled() && phases.empty()) {
     // The row came out of a warm ResultsDb, so no PMU rode along. Re-simulate
     // purely for the profile — same discipline as the v1 upgrade above: the
     // simulation is deterministic, so the recorded block is byte-identical to
@@ -157,14 +156,13 @@ SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
     obs::Span span("sweep.kernprof");
     if (span.active()) span.arg("net", net_name);
     SimConfig config = sim_config();
-    conv_simulate(algo, desc, config, &prof);
-    have_prof = true;
+    conv_simulate(algo, desc, config, &phases);
   }
   if (report::enabled()) {
     report::Collector::global().record_row(row);
-    if (have_prof) {
+    if (!phases.empty()) {
       report::Collector::global().record(report::Section::kPhases,
-                                         phase_cells(prof));
+                                         phase_cells(key, phases));
     }
   }
   return row;

@@ -1,77 +1,11 @@
 #include "vpu/pmu.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-namespace vlacnn::serving {
-// Declared here instead of including serving/request_sim.h: the vpu layer
-// sits below serving in the include order, and the PMU needs exactly one
-// function from it — the Sterbenz-exact splitter the §13 span trees are built
-// on (defined in serving/request_sim.cpp; same static library, so the
-// reference always resolves). Using the same splitter keeps the phase
-// partition under the same bit-exact fold discipline as request attribution.
-std::pair<double, double> exact_split(double total, double head_approx);
-}  // namespace vlacnn::serving
+#include "common/exact_split.h"
 
 namespace vlacnn {
-
-namespace {
-
-/// b - a for every raw counter field, accumulated into a PmuPhaseStats.
-void accumulate_delta(PmuPhaseStats& p, const TimingStats& a,
-                      const TimingStats& b) {
-  p.raw_cycles += b.cycles - a.cycles;
-  p.compute_cycles += b.compute_cycles - a.compute_cycles;
-  p.mem_issue_cycles += b.mem_issue_cycles - a.mem_issue_cycles;
-  p.mem_stall_cycles += b.mem_stall_cycles - a.mem_stall_cycles;
-  p.scalar_cycles += b.scalar_cycles - a.scalar_cycles;
-  p.vec_instructions += b.vec_instructions - a.vec_instructions;
-  p.vec_elems += b.vec_elems - a.vec_elems;
-  p.flops += b.flops - a.flops;
-  p.first_level_accesses += b.first_level_accesses - a.first_level_accesses;
-  p.first_level_misses += b.first_level_misses - a.first_level_misses;
-  p.l2_accesses += b.l2_accesses - a.l2_accesses;
-  p.l2_misses += b.l2_misses - a.l2_misses;
-  p.mem_bytes += b.mem_bytes - a.mem_bytes;
-}
-
-/// The counter delta [a, b) as a window.
-PmuWindow window_delta(const TimingStats& a, const TimingStats& b) {
-  PmuWindow w;
-  w.t_start = a.cycles;
-  w.t_end = b.cycles;
-  w.compute_cycles = b.compute_cycles - a.compute_cycles;
-  w.mem_issue_cycles = b.mem_issue_cycles - a.mem_issue_cycles;
-  w.mem_stall_cycles = b.mem_stall_cycles - a.mem_stall_cycles;
-  w.scalar_cycles = b.scalar_cycles - a.scalar_cycles;
-  w.vec_instructions = b.vec_instructions - a.vec_instructions;
-  w.vec_elems = b.vec_elems - a.vec_elems;
-  w.first_level_accesses = b.first_level_accesses - a.first_level_accesses;
-  w.first_level_misses = b.first_level_misses - a.first_level_misses;
-  w.l2_accesses = b.l2_accesses - a.l2_accesses;
-  w.l2_misses = b.l2_misses - a.l2_misses;
-  w.mem_bytes = b.mem_bytes - a.mem_bytes;
-  return w;
-}
-
-/// Merge window b into a (adjacent windows; a precedes b).
-void merge_into(PmuWindow& a, const PmuWindow& b) {
-  a.t_end = b.t_end;
-  a.compute_cycles += b.compute_cycles;
-  a.mem_issue_cycles += b.mem_issue_cycles;
-  a.mem_stall_cycles += b.mem_stall_cycles;
-  a.scalar_cycles += b.scalar_cycles;
-  a.vec_instructions += b.vec_instructions;
-  a.vec_elems += b.vec_elems;
-  a.first_level_accesses += b.first_level_accesses;
-  a.first_level_misses += b.first_level_misses;
-  a.l2_accesses += b.l2_accesses;
-  a.l2_misses += b.l2_misses;
-  a.mem_bytes += b.mem_bytes;
-}
-
-}  // namespace
 
 Pmu::Pmu(double interval_cycles, bool interval_locked, std::size_t max_windows)
     : interval_(interval_cycles),
@@ -107,7 +41,7 @@ void Pmu::begin_phase(const char* name, const TimingStats& now) {
 
 void Pmu::end_phase(const TimingStats& now) {
   if (!in_phase_) throw std::logic_error("pmu: end_phase with no open phase");
-  accumulate_delta(phases_[open_index_], phase_start_, now);
+  phases_[open_index_].raw += now - phase_start_;
   in_phase_ = false;
 }
 
@@ -117,7 +51,7 @@ void Pmu::on_event(const TimingStats& now) {
 }
 
 void Pmu::close_window(const TimingStats& now) {
-  windows_.push_back(window_delta(window_start_, now));
+  windows_.push_back({window_start_.cycles, now.cycles, now - window_start_});
   window_start_ = now;
   next_boundary_ = now.cycles + interval_;
   if (interval_locked_ || windows_.size() < max_windows_) return;
@@ -127,7 +61,8 @@ void Pmu::close_window(const TimingStats& now) {
   std::size_t i = 0;
   for (; i + 1 < windows_.size(); i += 2) {
     PmuWindow m = windows_[i];
-    merge_into(m, windows_[i + 1]);
+    m.t_end = windows_[i + 1].t_end;
+    m.delta += windows_[i + 1].delta;
     windows_[out++] = m;
   }
   if (i < windows_.size()) windows_[out++] = windows_[i];
@@ -144,50 +79,22 @@ void Pmu::finalize(const TimingStats& total) {
   // Trailing partial window (skipped when the last event landed exactly on a
   // boundary, or the run produced no cycles at all).
   if (total.cycles > window_start_.cycles)
-    windows_.push_back(window_delta(window_start_, total));
+    windows_.push_back(
+        {window_start_.cycles, total.cycles, total - window_start_});
 
   // "(other)" absorbs everything no annotated phase claimed: per-counter
-  // residuals of total minus the sum of the raw phase deltas.
-  PmuPhaseStats other;
-  other.name = kOtherPhase;
-  accumulate_delta(other, TimingStats{}, total);
-  for (const PmuPhaseStats& p : phases_) {
-    other.raw_cycles -= p.raw_cycles;
-    other.compute_cycles -= p.compute_cycles;
-    other.mem_issue_cycles -= p.mem_issue_cycles;
-    other.mem_stall_cycles -= p.mem_stall_cycles;
-    other.scalar_cycles -= p.scalar_cycles;
-    other.vec_instructions -= p.vec_instructions;
-    other.vec_elems -= p.vec_elems;
-    other.flops -= p.flops;
-    other.first_level_accesses -= p.first_level_accesses;
-    other.first_level_misses -= p.first_level_misses;
-    other.l2_accesses -= p.l2_accesses;
-    other.l2_misses -= p.l2_misses;
-    other.mem_bytes -= p.mem_bytes;
-  }
+  // residuals of total minus the raw phase deltas, in phase order.
+  PmuPhaseStats other{kOtherPhase, 0, total};
+  for (const PmuPhaseStats& p : phases_) other.raw -= p.raw;
   phases_.push_back(std::move(other));
 
-  // Exact cycle partition: chain exact_split over the raw-cycle weights (the
-  // split_service_span discipline from §13 — each split is head+tail == span
-  // bit-exact, the last phase absorbs the remainder), so a right-to-left fold
-  // of phases[i].cycles telescopes back to total.cycles bit for bit.
-  double weight_left = 0.0;
-  for (const PmuPhaseStats& p : phases_)
-    weight_left += std::max(p.raw_cycles, 0.0);
-  double remaining = total.cycles;
-  for (std::size_t i = 0; i < phases_.size(); ++i) {
-    if (i + 1 == phases_.size()) {
-      phases_[i].cycles = remaining;
-      break;
-    }
-    const double w = std::max(phases_[i].raw_cycles, 0.0);
-    const double head = weight_left > 0.0 ? remaining * (w / weight_left) : 0.0;
-    const auto [h, t] = serving::exact_split(remaining, head);
-    phases_[i].cycles = h;
-    remaining = t;
-    weight_left -= w;
-  }
+  // Exact cycle partition over the raw-cycle weights (the split_service_span
+  // chain from §13): a right-to-left fold of phases[i].cycles telescopes
+  // back to total.cycles bit for bit.
+  exact_partition(
+      total.cycles, phases_.size(),
+      [&](std::size_t i) { return phases_[i].raw.cycles; },
+      [&](std::size_t i, double share) { phases_[i].cycles = share; });
 }
 
 }  // namespace vlacnn

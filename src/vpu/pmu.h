@@ -8,14 +8,15 @@
 //     pack-B, macro-kernel, input-transform, ...) with pmu_begin/pmu_end (or
 //     the PmuPhase RAII guard). Each phase accumulates the raw TimingStats
 //     deltas of every visit. finalize() then publishes an *exact* cycle
-//     partition: raw deltas are used as weights in a chain of Sterbenz
-//     exact_split()s (the same discipline as the §13 request-span trees), plus
-//     a trailing "(other)" phase absorbing un-annotated cycles and rounding
-//     dust — so folding the published per-phase cycles back-to-front
-//     (right-to-left) reconstitutes the aggregate TimingStats.cycles bit for
-//     bit, at sampled and unsampled scales alike (EXPECT_EQ-testable; the raw
-//     deltas themselves only sum to the total approximately, since each
-//     snapshot subtraction rounds independently).
+//     partition: raw deltas are the weights of exact_partition()
+//     (common/exact_split.h, the chain of Sterbenz splits that also cuts the
+//     §13 request spans), plus a trailing "(other)" phase absorbing
+//     un-annotated cycles and rounding dust — so folding the published
+//     per-phase cycles back-to-front (right-to-left) reconstitutes the
+//     aggregate TimingStats.cycles bit for bit, at sampled and unsampled
+//     scales alike (EXPECT_EQ-testable; the raw deltas themselves only sum to
+//     the total approximately, since each snapshot subtraction rounds
+//     independently).
 //
 //   * Counter windows: every `interval` simulated cycles the PMU closes a
 //     window holding the counter deltas since the previous boundary —
@@ -41,74 +42,35 @@
 
 namespace vlacnn {
 
-/// One annotated phase's accumulated counters. `cycles` is the exact
-/// partition share (valid after Pmu::finalize()); every other field is the
-/// raw delta summed over the phase's visits.
+/// One annotated phase. `cycles` is its exact share of the kernel total
+/// (valid after Pmu::finalize()); `raw` is the counter delta summed over the
+/// phase's visits, and raw.cycles is the partition's weight.
 struct PmuPhaseStats {
   std::string name;
-  double cycles = 0;      ///< exact partition share of the kernel total
-  double raw_cycles = 0;  ///< accumulated raw snapshot delta (the weight)
-  double compute_cycles = 0;
-  double mem_issue_cycles = 0;
-  double mem_stall_cycles = 0;
-  double scalar_cycles = 0;
-  double vec_instructions = 0;
-  double vec_elems = 0;
-  double flops = 0;
-  double first_level_accesses = 0;
-  double first_level_misses = 0;
-  double l2_accesses = 0;
-  double l2_misses = 0;
-  double mem_bytes = 0;
-
-  double avg_vl() const {
-    return vec_instructions > 0 ? vec_elems / vec_instructions : 0.0;
-  }
-  double l1_miss_rate() const {
-    return first_level_accesses > 0 ? first_level_misses / first_level_accesses
-                                    : 0.0;
-  }
-  double l2_miss_rate() const {
-    return l2_accesses > 0 ? l2_misses / l2_accesses : 0.0;
-  }
+  double cycles = 0;
+  TimingStats raw;
 };
 
-/// One counter window: deltas over [t_start, t_end) simulated cycles.
+/// One counter window: the counter delta over [t_start, t_end) simulated
+/// cycles. Its rates divide by t_end - t_start, the window's span on the
+/// simulated clock (delta.cycles of a merged window sums its halves' spans,
+/// each rounded on its own).
 struct PmuWindow {
   double t_start = 0;
   double t_end = 0;
-  double compute_cycles = 0;
-  double mem_issue_cycles = 0;
-  double mem_stall_cycles = 0;
-  double scalar_cycles = 0;
-  double vec_instructions = 0;
-  double vec_elems = 0;
-  double first_level_accesses = 0;
-  double first_level_misses = 0;
-  double l2_accesses = 0;
-  double l2_misses = 0;
-  double mem_bytes = 0;
+  TimingStats delta;
 
   double duration() const { return t_end - t_start; }
-  double avg_vl() const {
-    return vec_instructions > 0 ? vec_elems / vec_instructions : 0.0;
-  }
-  double l1_miss_rate() const {
-    return first_level_accesses > 0 ? first_level_misses / first_level_accesses
-                                    : 0.0;
-  }
-  double l2_miss_rate() const {
-    return l2_accesses > 0 ? l2_misses / l2_accesses : 0.0;
-  }
   double dram_bytes_per_cycle() const {
-    return duration() > 0 ? mem_bytes / duration() : 0.0;
+    return duration() > 0 ? delta.mem_bytes / duration() : 0.0;
   }
   /// Lane utilization given the machine's lane count: elements retired per
   /// lane-cycle of the window.
   double lane_utilization(std::uint32_t lanes) const {
     const double d = duration();
-    return d > 0 && lanes > 0 ? vec_elems / (static_cast<double>(lanes) * d)
-                              : 0.0;
+    return d > 0 && lanes > 0
+               ? delta.vec_elems / (static_cast<double>(lanes) * d)
+               : 0.0;
   }
 };
 

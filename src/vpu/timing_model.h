@@ -65,6 +65,10 @@ enum class MemPattern { kUnit, kStrided, kIndexed };
 /// TimingModel.BucketsReconcileWithTotalForEveryAlgorithm in
 /// tests/test_vpu.cpp). The report layer relies on this to present the
 /// split as percentages of the total.
+///
+/// This is the one record of the simulator's counters: a PMU phase or window
+/// (vpu/pmu.h) holds a TimingStats delta, and the kernel-profile JSONL and
+/// `vlacnn-report profile` read and write these fields by name.
 struct TimingStats {
   double cycles = 0;
   double compute_cycles = 0;     // vector arithmetic occupancy
@@ -89,10 +93,55 @@ struct TimingStats {
     return compute_cycles + mem_issue_cycles + mem_stall_cycles +
            scalar_cycles;
   }
+  double l1_miss_rate() const {
+    return first_level_accesses > 0 ? first_level_misses / first_level_accesses
+                                    : 0.0;
+  }
   double l2_miss_rate() const {
     return l2_accesses > 0 ? l2_misses / l2_accesses : 0.0;
   }
+
+  /// Fieldwise sum and difference: every field combines with its own
+  /// counterpart alone, so a PMU delta or merge is bit for bit the per-field
+  /// arithmetic.
+  TimingStats& operator+=(const TimingStats& o) {
+    cycles += o.cycles;
+    compute_cycles += o.compute_cycles;
+    mem_issue_cycles += o.mem_issue_cycles;
+    mem_stall_cycles += o.mem_stall_cycles;
+    scalar_cycles += o.scalar_cycles;
+    vec_instructions += o.vec_instructions;
+    vec_elems += o.vec_elems;
+    flops += o.flops;
+    first_level_accesses += o.first_level_accesses;
+    first_level_misses += o.first_level_misses;
+    l2_accesses += o.l2_accesses;
+    l2_misses += o.l2_misses;
+    mem_bytes += o.mem_bytes;
+    return *this;
+  }
+  TimingStats& operator-=(const TimingStats& o) {
+    cycles -= o.cycles;
+    compute_cycles -= o.compute_cycles;
+    mem_issue_cycles -= o.mem_issue_cycles;
+    mem_stall_cycles -= o.mem_stall_cycles;
+    scalar_cycles -= o.scalar_cycles;
+    vec_instructions -= o.vec_instructions;
+    vec_elems -= o.vec_elems;
+    flops -= o.flops;
+    first_level_accesses -= o.first_level_accesses;
+    first_level_misses -= o.first_level_misses;
+    l2_accesses -= o.l2_accesses;
+    l2_misses -= o.l2_misses;
+    mem_bytes -= o.mem_bytes;
+    return *this;
+  }
 };
+
+/// The counter delta b - a, field by field.
+inline TimingStats operator-(TimingStats b, const TimingStats& a) {
+  return b -= a;
+}
 
 class TimingModel {
  public:

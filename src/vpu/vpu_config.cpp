@@ -1,5 +1,6 @@
 #include "vpu/vpu_config.h"
 
+#include <cstdio>
 #include <stdexcept>
 
 namespace vlacnn {
@@ -12,6 +13,20 @@ void validate(const VpuConfig& config) {
   if (config.lanes == 0 || config.lanes > 64) {
     throw std::invalid_argument("vpu: lanes must be in [1, 64]");
   }
+}
+
+std::string point_label(const std::string& head, const char* algo,
+                        std::uint32_t vlen_bits, std::uint64_t l2_bytes,
+                        std::uint32_t lanes, VpuAttach attach) {
+  return head + "/" + algo + "/vlen" + std::to_string(vlen_bits) + "/l2:" +
+         std::to_string(l2_bytes) + "/lanes" + std::to_string(lanes) + "/" +
+         to_string(attach);
+}
+
+std::string layer_head(const std::string& net, int layer) {
+  char buf[8];
+  std::snprintf(buf, sizeof buf, "L%02d", layer);
+  return net + "/" + buf;
 }
 
 }  // namespace vlacnn

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "memsim/memory_system.h"
 
@@ -32,5 +33,17 @@ struct VpuConfig {
 
 /// Validate a config (power-of-two vlen within range, lanes sane). Throws on error.
 void validate(const VpuConfig& config);
+
+/// A grid point's label, the one spelling of its identity shared by report
+/// entry keys, kernel-profile blocks and their joins:
+/// "<head>/<algo>/vlen<bits>/l2:<bytes>/lanes<n>/<attach>". `head` is
+/// layer_head() for a network layer; a layer simulated outside a network
+/// uses its shape string.
+std::string point_label(const std::string& head, const char* algo,
+                        std::uint32_t vlen_bits, std::uint64_t l2_bytes,
+                        std::uint32_t lanes, VpuAttach attach);
+
+/// "<net>/L<layer>", the layer zero-padded to two digits.
+std::string layer_head(const std::string& net, int layer);
 
 }  // namespace vlacnn

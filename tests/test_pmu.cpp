@@ -2,10 +2,12 @@
 // per-phase cycle partition (a right-to-left fold of the published phase
 // cycles reconstitutes the kernel total bit for bit, for every algorithm at
 // sampled and unsampled scales), event-aligned counter windows with
-// auto-coarsening, the error contracts, the VLACNN_KERNPROF knobs, and the
-// deterministic KernProfSink.
+// auto-coarsening, every counter's path through phases, "(other)" and merged
+// windows, the error contracts, the VLACNN_KERNPROF knobs, and the
+// deterministic KernProfSink with the block it is handed.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -16,6 +18,7 @@
 #include "algos/conv_args.h"
 #include "algos/registry.h"
 #include "obs/kernprof.h"
+#include "report/json.h"
 #include "vpu/pmu.h"
 #include "vpu/timing_model.h"
 
@@ -65,12 +68,41 @@ TEST(KernProfKnobs, PathSetterGatesCollectionAndIntervalSetterValidates) {
 
 /// The consumer-side identity: phase cycles folded back-to-front (the order
 /// vlacnn-report profile uses) must equal the kernel total bit for bit.
-double fold_phases(const std::vector<obs::KernProfPhase>& phases) {
+double fold_phases(const std::vector<PmuPhaseStats>& phases) {
   double total = 0;
   for (std::size_t i = phases.size(); i-- > 0;) {
     total = phases[i].cycles + total;
   }
   return total;
+}
+
+/// The kernel-profile sink's file, holding one block.
+struct WrittenBlock {
+  std::string text;
+  std::string label;
+  std::vector<report::Json> lines;  ///< read back as vlacnn-report reads them
+};
+
+WrittenBlock written_block() {
+  WrittenBlock b;
+  const std::string path = obs::KernProfSink::global().write_file();
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  b.text = text.str();
+  int blocks = 0;
+  report::read_labeled_jsonl(
+      path,
+      [&](const std::string& label) {
+        b.label = label;
+        ++blocks;
+      },
+      [&](const report::Json& j, const std::string&) {
+        b.lines.push_back(j);
+        return true;
+      });
+  EXPECT_EQ(blocks, 1);
+  return b;
 }
 
 TEST(Pmu, PartitionFoldsBitExactlyForEveryAlgorithmAndScale) {
@@ -84,20 +116,30 @@ TEST(Pmu, PartitionFoldsBitExactlyForEveryAlgorithmAndScale) {
     for (const bool exact : {false, true}) {
       SimConfig config = make_sim_config(512, 1u << 20);
       config.sampler.exact = exact;
-      obs::KernProfRun prof;
-      const TimingStats s = conv_simulate(a, d, config, &prof);
+      obs::KernProfSink::global().reset();
+      std::vector<PmuPhaseStats> phases;
+      const TimingStats s = conv_simulate(a, d, config, &phases);
       ASSERT_GT(s.cycles, 0.0) << to_string(a);
-      ASSERT_FALSE(prof.phases.empty()) << to_string(a);
+      ASSERT_FALSE(phases.empty()) << to_string(a);
       // Bitwise, not approximate: the Sterbenz partition's whole point.
-      EXPECT_EQ(fold_phases(prof.phases), s.cycles)
+      EXPECT_EQ(fold_phases(phases), s.cycles)
           << to_string(a) << (exact ? " exact" : " sampled");
       // "(other)" is always last; annotated phases precede it.
-      EXPECT_EQ(prof.phases.back().name, Pmu::kOtherPhase);
-      EXPECT_EQ(prof.cycles, s.cycles);
+      EXPECT_EQ(phases.back().name, Pmu::kOtherPhase);
+      // The sink's block carries the same total and the same phases.
+      const std::vector<report::Json> lines = written_block().lines;
+      ASSERT_EQ(lines.size(), 1 + phases.size() +
+                                  report::uint_at(lines.at(0), "window_count"));
+      EXPECT_EQ(report::num_at(lines[0], "cycles"), s.cycles);
+      for (std::size_t i = 0; i < phases.size(); ++i) {
+        EXPECT_EQ(report::str_at(lines[1 + i], "name"), phases[i].name);
+        EXPECT_EQ(report::num_at(lines[1 + i], "cycles"), phases[i].cycles);
+      }
     }
   }
   obs::set_kernprof_path("");
   obs::KernProfSink::global().reset();
+  std::filesystem::remove(path);
 }
 
 TEST(Pmu, ProfileNeverChangesSimulatedCycles) {
@@ -106,8 +148,8 @@ TEST(Pmu, ProfileNeverChangesSimulatedCycles) {
     const SimConfig config = make_sim_config(512, 1u << 20);
     const TimingStats plain = conv_simulate(a, d, config);
     obs::set_kernprof_path("/tmp/vlacnn_test_pmu_noeffect.jsonl");
-    obs::KernProfRun prof;
-    const TimingStats profiled = conv_simulate(a, d, config, &prof);
+    std::vector<PmuPhaseStats> phases;
+    const TimingStats profiled = conv_simulate(a, d, config, &phases);
     obs::set_kernprof_path("");
     obs::KernProfSink::global().reset();
     EXPECT_EQ(plain.cycles, profiled.cycles) << to_string(a);
@@ -120,10 +162,10 @@ TEST(Pmu, ExpectedPhaseNamesPerAlgorithm) {
   const ConvLayerDesc d{16, 16, 16, 16, 3, 3, 1, 1};
   obs::set_kernprof_path("/tmp/vlacnn_test_pmu_names.jsonl");
   auto names = [&](Algo a) {
-    obs::KernProfRun prof;
-    conv_simulate(a, d, make_sim_config(512, 1u << 20), &prof);
+    std::vector<PmuPhaseStats> phases;
+    conv_simulate(a, d, make_sim_config(512, 1u << 20), &phases);
     std::vector<std::string> out;
-    for (const obs::KernProfPhase& p : prof.phases) out.push_back(p.name);
+    for (const PmuPhaseStats& p : phases) out.push_back(p.name);
     return out;
   };
   using V = std::vector<std::string>;
@@ -161,7 +203,7 @@ TEST(Pmu, OtherPhaseAbsorbsUnannotatedCyclesExactly) {
   EXPECT_EQ(pmu.phases()[0].name, "a");
   EXPECT_EQ(pmu.phases()[1].name, "b");
   EXPECT_EQ(pmu.phases()[2].name, Pmu::kOtherPhase);
-  EXPECT_NEAR(pmu.phases()[2].raw_cycles, 7.0, 1e-12);
+  EXPECT_NEAR(pmu.phases()[2].raw.cycles, 7.0, 1e-12);
   double total = 0;
   for (std::size_t i = pmu.phases().size(); i-- > 0;) {
     total = pmu.phases()[i].cycles + total;
@@ -169,24 +211,55 @@ TEST(Pmu, OtherPhaseAbsorbsUnannotatedCyclesExactly) {
   EXPECT_EQ(total, ts.cycles);  // bitwise
 }
 
+/// The 13 counters of TimingStats.
+constexpr double TimingStats::*kCounters[] = {
+    &TimingStats::cycles,           &TimingStats::compute_cycles,
+    &TimingStats::mem_issue_cycles, &TimingStats::mem_stall_cycles,
+    &TimingStats::scalar_cycles,    &TimingStats::vec_instructions,
+    &TimingStats::vec_elems,        &TimingStats::flops,
+    &TimingStats::first_level_accesses, &TimingStats::first_level_misses,
+    &TimingStats::l2_accesses,      &TimingStats::l2_misses,
+    &TimingStats::mem_bytes};
+using Counts = std::array<double, std::size(kCounters)>;
+
+/// Per-counter advances, distinct across every counter of both tables, so a
+/// counter dropped from (or crossed in) the PMU's arithmetic changes a
+/// checked value. Integers keep every sum exact.
+constexpr Counts kVisit = {10, 3, 5, 7, 11, 2, 13, 17, 19, 23, 29, 31, 37};
+constexpr Counts kGap = {1, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89};
+
+void advance(TimingStats& ts, const Counts& by) {
+  for (std::size_t i = 0; i < by.size(); ++i) ts.*kCounters[i] += by[i];
+}
+
+/// Every counter of `got` must be exactly `n` times its advance in `per`.
+void expect_counts(const TimingStats& got, const Counts& per, double n,
+                   const std::string& what) {
+  for (std::size_t i = 0; i < per.size(); ++i) {
+    EXPECT_EQ(got.*kCounters[i], n * per[i]) << what << ", counter " << i;
+  }
+}
+
 TEST(Pmu, RepeatVisitsOfOnePhaseAccumulate) {
   Pmu pmu(1e9, true);
   TimingStats ts;
   for (int visit = 0; visit < 3; ++visit) {
     pmu.begin_phase("loop", ts);
-    ts.cycles += 10.0;
-    ts.vec_instructions += 2.0;
+    advance(ts, kVisit);
     pmu.on_event(ts);
     pmu.end_phase(ts);
-    ts.cycles += 1.0;  // inter-visit gap
+    advance(ts, kGap);  // inter-visit gap
     pmu.on_event(ts);
   }
   pmu.finalize(ts);
   ASSERT_EQ(pmu.phases().size(), 2u);  // "loop" + "(other)"
   EXPECT_EQ(pmu.phases()[0].name, "loop");
-  EXPECT_DOUBLE_EQ(pmu.phases()[0].raw_cycles, 30.0);
-  EXPECT_DOUBLE_EQ(pmu.phases()[0].vec_instructions, 6.0);
-  EXPECT_DOUBLE_EQ(pmu.phases()[1].raw_cycles, 3.0);
+  EXPECT_DOUBLE_EQ(pmu.phases()[0].raw.cycles, 30.0);
+  EXPECT_DOUBLE_EQ(pmu.phases()[0].raw.vec_instructions, 6.0);
+  EXPECT_DOUBLE_EQ(pmu.phases()[1].raw.cycles, 3.0);
+  // Every counter follows its own delta into the phase and the residual.
+  expect_counts(pmu.phases()[0].raw, kVisit, 3, "loop");
+  expect_counts(pmu.phases()[1].raw, kGap, 3, "(other)");
 }
 
 // ------------------------------------------------------------ windows ------
@@ -216,7 +289,7 @@ TEST(Pmu, WindowsAreEventAlignedAndPartitionTheRun) {
     if (i > 0) {
       EXPECT_EQ(ws[i].t_start, ws[i - 1].t_end);  // no gaps
     }
-    bytes += ws[i].mem_bytes;
+    bytes += ws[i].delta.mem_bytes;
   }
   EXPECT_DOUBLE_EQ(bytes, ts.mem_bytes);  // deltas partition the counters
   EXPECT_DOUBLE_EQ(ws[0].dram_bytes_per_cycle(), 24.0 / 120.0);
@@ -226,8 +299,7 @@ TEST(Pmu, AutoCoarseningMergesPairsAndDoublesInterval) {
   Pmu pmu(10.0, false, 4);
   TimingStats ts;
   for (int i = 0; i < 100; ++i) {
-    ts.cycles += 10.0;
-    ts.compute_cycles += 10.0;
+    advance(ts, kVisit);  // 10 cycles per event
     pmu.on_event(ts);
   }
   pmu.finalize(ts);
@@ -240,6 +312,12 @@ TEST(Pmu, AutoCoarseningMergesPairsAndDoublesInterval) {
   EXPECT_DOUBLE_EQ(ws.back().t_end, ts.cycles);
   for (std::size_t i = 1; i < ws.size(); ++i) {
     EXPECT_EQ(ws[i].t_start, ws[i - 1].t_end);
+  }
+  // Every counter of every merged window is the sum of its events' advances.
+  EXPECT_GT(ws.front().duration(), 10.0);  // the first window was merged
+  for (const PmuWindow& w : ws) {
+    expect_counts(w.delta, kVisit, w.duration() / 10.0,
+                  "window ending at " + std::to_string(w.t_end));
   }
 }
 
@@ -326,25 +404,30 @@ TEST(KernProfSink, WriteWithoutPathThrows) {
   obs::set_kernprof_path(before);
 }
 
-TEST(KernProfRun, JsonlShapeAndLabelFallback) {
+TEST(KernProfSink, BlockShapeAndLabelFallback) {
   // Outside a network sweep (empty net) the label falls back to the layer
-  // shape string; the driver is exercised end-to-end via conv_simulate.
+  // shape string; the writer is exercised end-to-end via conv_simulate and
+  // read back through the sink's file.
   const ConvLayerDesc d{4, 8, 8, 4, 3, 3, 1, 1};
-  obs::set_kernprof_path("/tmp/vlacnn_test_pmu_label.jsonl");
+  const std::string path = "/tmp/vlacnn_test_pmu_label.jsonl";
+  obs::set_kernprof_path(path);
   obs::KernProfSink::global().reset();
-  obs::KernProfRun prof;
-  conv_simulate(Algo::kGemm3, d, make_sim_config(512, 1u << 20), &prof);
-  EXPECT_EQ(prof.net, "");
-  EXPECT_EQ(prof.label.find(d.to_string()), 0u);  // shape-string head
-  EXPECT_NE(prof.label.find("/gemm3/vlen512/"), std::string::npos);
-  EXPECT_NE(prof.label.find("/lanes8/int"), std::string::npos);
-  const std::string jsonl = prof.to_jsonl();
-  EXPECT_EQ(jsonl.find("{\"type\":\"kernel\""), 0u);
-  EXPECT_NE(jsonl.find("{\"type\":\"phase\",\"name\":\"im2col\""),
-            std::string::npos);
+  conv_simulate(Algo::kGemm3, d, make_sim_config(512, 1u << 20));
   EXPECT_EQ(obs::KernProfSink::global().block_count(), 1u);
+  const WrittenBlock b = written_block();
+  ASSERT_FALSE(b.lines.empty());
+  EXPECT_EQ(report::str_at(b.lines[0], "net"), "");
+  EXPECT_EQ(b.label.find(d.to_string()), 0u);  // shape-string head
+  EXPECT_NE(b.label.find("/gemm3/vlen512/"), std::string::npos);
+  EXPECT_NE(b.label.find("/lanes8/int"), std::string::npos);
+  // The block follows its run line: a kernel line, then the phase lines.
+  const std::string block = b.text.substr(b.text.find('\n') + 1);
+  EXPECT_EQ(block.find("{\"type\":\"kernel\""), 0u);
+  EXPECT_NE(block.find("{\"type\":\"phase\",\"name\":\"im2col\""),
+            std::string::npos);
   obs::set_kernprof_path("");
   obs::KernProfSink::global().reset();
+  std::filesystem::remove(path);
 }
 
 }  // namespace

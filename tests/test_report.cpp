@@ -949,7 +949,7 @@ const char* const kSampleJsonl =
 {"type":"request","id":7,"arrival":0,"dispatch":10,"completion":110,"latency":110,"queue_wait":10,"formation_wait":0,"service":100,"router_hop":0,"chip":1,"batch":2,"instance":-1,"dropped":false,"within_slo":true,"keep":"slow","layers":[{"name":"conv1/gemm6","cycles":60},{"name":"conv2/direct","cycles":40}],"notes":[{"k":"explore","v":"none"}]}
 {"type":"run","label":"vgg16/L02/gemm6/vlen1024/l2:4194304/lanes8/int"}
 {"type":"kernel","net":"vgg16","layer":2,"algo":"gemm6","vlen_bits":1024,"l2_bytes":4194304,"lanes":8,"attach":"int","interval_cycles":1000000,"cycles":100,"compute_cycles":70,"mem_issue_cycles":15,"mem_stall_cycles":10,"scalar_cycles":5}
-{"type":"phase","name":"macro-kernel","cycles":100,"raw_cycles":100,"compute_cycles":70,"mem_issue_cycles":15,"mem_stall_cycles":10,"scalar_cycles":5,"avg_vl":32,"flops":4096,"l1_accesses":64,"l1_misses":4,"l2_accesses":4,"l2_misses":1,"mem_bytes":256}
+{"type":"phase","name":"macro-kernel","cycles":100,"raw_cycles":100,"compute_cycles":70,"mem_issue_cycles":15,"mem_stall_cycles":10,"scalar_cycles":5,"vec_instructions":8,"vec_elems":256,"avg_vl":32,"flops":4096,"l1_accesses":64,"l1_misses":4,"l2_accesses":4,"l2_misses":1,"mem_bytes":256}
 {"type":"window","t_start":0,"t_end":100,"compute_cycles":70,"mem_issue_cycles":15,"mem_stall_cycles":10,"scalar_cycles":5,"avg_vl":32,"lane_utilization":0.5,"l1_miss_rate":0.0625,"l2_miss_rate":0.25,"dram_bytes_per_cycle":2.56}
 )";
 
@@ -975,7 +975,9 @@ bool read_like_vlacnn_report(const report::Json& j, const std::string& type) {
           {"kernel",
            {{"net", 's'}, {"layer", 'i'}, {"vlen_bits", 'u'},
             {"l2_bytes", 'u'}, {"lanes", 'u'}, {"cycles", 'n'}}},
-          {"phase", {{"name", 's'}, {"cycles", 'n'}, {"mem_bytes", 'n'}}},
+          {"phase",
+           {{"name", 's'}, {"cycles", 'n'}, {"vec_elems", 'n'},
+            {"mem_bytes", 'n'}}},
           {"window", {{"t_end", 'n'}, {"l2_miss_rate", 'n'}}},
       };
   const auto reads = kReads.find(type);

@@ -238,14 +238,15 @@ TEST(SplitServiceSpan, EdgeWeightsAndEmptyLayers) {
 }
 
 TEST(SplitServiceSpan, FirstCutPinsToServingExactSplit) {
-  // reqtrace.cpp re-declares serving::exact_split instead of including the
-  // serving headers; this pin keeps the two attributions the same function.
+  // The per-layer segments and the serving-side latency attribution both
+  // cut with common/exact_split.h; this pin keeps the first segment the
+  // exact_split of its weight share.
   const double total = 12345.6789;
   const double w0 = 0.3, w1 = 0.7;
   const auto segs =
       obs::split_service_span(total, {{"a", w0}, {"b", w1}});
   const auto [head, tail] =
-      serving::exact_split(total, total * (w0 / (w0 + w1)));
+      exact_split(total, total * (w0 / (w0 + w1)));
   ASSERT_EQ(segs.size(), 2u);
   EXPECT_EQ(segs[0].duration, head);
   EXPECT_EQ(segs[1].duration, tail);

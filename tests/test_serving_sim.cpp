@@ -340,38 +340,6 @@ TEST(RequestSim, RejectsNonPositiveServiceModelOutput) {
 
 // ---------------------------------------------------- attribution ----------
 
-TEST(ExactSplit, HeadPlusTailReconstitutesTotalExactly) {
-  // The Sterbenz-based split must reconstitute total bit-for-bit even when
-  // naive subtraction would round: exercise awkward magnitude ratios.
-  const double totals[] = {1.0, 3.0, 0.1, 1e-9, 1e12, 12345.6789,
-                           7.000000000000001};
-  const double fracs[] = {0.0, 1e-17, 0.1, 0.3333333333333333, 0.5,
-                          0.6666666666666666, 0.9999999999999999, 1.0};
-  for (double total : totals) {
-    for (double f : fracs) {
-      const auto [head, tail] = exact_split(total, f * total);
-      EXPECT_EQ(head + tail, total) << total << " " << f;
-      EXPECT_GE(head, 0.0);
-      EXPECT_GE(tail, 0.0);
-      // head stays within a rounding of the request.
-      EXPECT_NEAR(head, f * total, 1e-12 * total + 1e-300);
-    }
-  }
-}
-
-TEST(ExactSplit, ClampsAndDegenerateInputs) {
-  EXPECT_EQ(exact_split(10.0, -5.0).first, 0.0);
-  EXPECT_EQ(exact_split(10.0, -5.0).second, 10.0);
-  EXPECT_EQ(exact_split(10.0, 25.0).first, 10.0);
-  EXPECT_EQ(exact_split(10.0, 25.0).second, 0.0);
-  EXPECT_EQ(exact_split(0.0, 1.0), (std::pair<double, double>{0.0, 0.0}));
-  EXPECT_EQ(exact_split(-3.0, 1.0), (std::pair<double, double>{0.0, 0.0}));
-  EXPECT_EQ(exact_split(std::nan(""), 1.0),
-            (std::pair<double, double>{0.0, 0.0}));
-  EXPECT_EQ(exact_split(10.0, std::nan("")).first, 0.0);
-  EXPECT_EQ(exact_split(10.0, std::nan("")).second, 10.0);
-}
-
 TEST(RequestSim, AttributionSumsExactlyToLatencyForEveryRequest) {
   // The acceptance invariant: per completed request, the three components
   // reconstruct the latency *exactly* in floating point, over a stochastic

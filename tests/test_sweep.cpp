@@ -362,14 +362,9 @@ TEST(ConvEngine, RunAndEstimate) {
   EXPECT_FLOAT_EQ(max_abs_diff(auto_out, explicit_out), 0.0f);
   const TimingStats t = engine.estimate(d, Algo::kGemm3);
   EXPECT_GT(t.cycles, 0.0);
-}
-
-TEST(ConvEngine, SelectorSwap) {
-  ConvEngine engine(VpuConfig{512, 8}, 1u << 20);
-  EXPECT_THROW(engine.set_selector(nullptr), std::invalid_argument);
-  engine.set_selector(std::make_shared<HeuristicSelector>());
-  const ConvLayerDesc d{3, 608, 608, 32, 3, 3, 1, 1};
-  EXPECT_EQ(engine.choose(d), Algo::kDirect);
+  // choose() is the HeuristicSelector: YOLOv3's first layer goes Direct.
+  EXPECT_EQ(engine.choose(ConvLayerDesc{3, 608, 608, 32, 3, 3, 1, 1}),
+            Algo::kDirect);
 }
 
 }  // namespace

@@ -52,6 +52,7 @@
 #include "obs/timeline.h"
 #include "report/json.h"
 #include "report/report.h"
+#include "vpu/pmu.h"
 
 namespace {
 
@@ -467,88 +468,97 @@ int render_requests(const std::string& path, std::size_t top_n,
 
 // -- kernel-profile explorer --------------------------------------------------
 
-/// One phase record out of a VLACNN_KERNPROF JSONL file.
-struct ProfPhase {
-  std::string name;
-  double cycles = 0, raw_cycles = 0;
-  double compute = 0, mem_issue = 0, mem_stall = 0, scalar = 0;
-  double avg_vl = 0, flops = 0;
-  double l1_accesses = 0, l1_misses = 0, l2_accesses = 0, l2_misses = 0;
-  double mem_bytes = 0;
+/// One grid point's profile block, read back into the PMU's own records:
+/// the kernel line's cycle buckets into a TimingStats and each phase line
+/// into a PmuPhaseStats, whose avg VL is recomputed from the counters. Window
+/// lines carry only derived rates, so each is rendered into its trajectory
+/// row as it is read.
+struct KernelBlock {
+  std::string label;
+  std::string point;  ///< "<algo> vlen<N> l2:<N> lanes<N> <attach>"
+  double interval_cycles = 0;
+  vlacnn::TimingStats total;
+  std::vector<vlacnn::PmuPhaseStats> phases;
+  std::vector<std::string> window_rows;
 };
 
-/// One counter window.
-struct ProfWindow {
-  double t_start = 0, t_end = 0;
-  double compute = 0, mem_issue = 0, mem_stall = 0, scalar = 0;
-  double avg_vl = 0, lane_utilization = 0;
-  double l1_miss_rate = 0, l2_miss_rate = 0, dram_bytes_per_cycle = 0;
-};
+/// A window line's trajectory row: its end, a 32-column occupancy bar split
+/// by each bucket's share of the window's busy cycles, and its rates.
+std::string window_row(const vlacnn::report::Json& w) {
+  // Truncation leaves trailing spaces rather than misordering the bands.
+  const struct {
+    char glyph;
+    double cycles;
+  } bands[] = {{'C', num(w, "compute_cycles")},
+               {'M', num(w, "mem_issue_cycles")},
+               {'S', num(w, "mem_stall_cycles")},
+               {'.', num(w, "scalar_cycles")}};
+  const double busy =
+      bands[0].cycles + bands[1].cycles + bands[2].cycles + bands[3].cycles;
+  char bar[33];
+  int pos = 0;
+  for (const auto& b : bands) {
+    const int width = busy > 0 ? bar_columns(b.cycles / busy, 32) : 0;
+    for (int k = 0; k < width && pos < 32; ++k) bar[pos++] = b.glyph;
+  }
+  while (pos < 32) bar[pos++] = ' ';
+  bar[32] = '\0';
+  // Wide enough for any finite double in each fixed-point field (at most
+  // 309 integer digits); a number field that is null reads as 0.
+  char row[2048];
+  std::snprintf(row, sizeof row,
+                "  %12.6g  %-32s %6.1f %6.1f %7.4f %7.4f %7.3f\n",
+                num(w, "t_end"), bar, num(w, "avg_vl"),
+                num(w, "lane_utilization") * 100.0, num(w, "l1_miss_rate"),
+                num(w, "l2_miss_rate"), num(w, "dram_bytes_per_cycle"));
+  return row;
+}
 
-/// One grid point's profile block.
-struct ProfRun {
-  std::string label, net, algo, attach;
-  int layer = -1;
-  std::uint64_t vlen_bits = 0, l2_bytes = 0, lanes = 0;
-  double interval_cycles = 0, cycles = 0;
-  double compute = 0, mem_issue = 0, mem_stall = 0, scalar = 0;
-  std::vector<ProfPhase> phases;
-  std::vector<ProfWindow> windows;
-};
-
-std::vector<ProfRun> load_kernprof(const std::string& path) {
+std::vector<KernelBlock> load_kernprof(const std::string& path) {
   using vlacnn::report::Json;
   using vlacnn::report::str_at;
-  std::vector<ProfRun> runs;
+  std::vector<KernelBlock> runs;
   vlacnn::report::read_labeled_jsonl(
       path, [&](const std::string& label) { runs.emplace_back().label = label; },
       [&](const Json& j, const std::string& type) {
-        ProfRun& run = runs.back();
+        KernelBlock& run = runs.back();
         if (type == "kernel") {
-          run.net = str_at(j, "net");
-          run.layer = vlacnn::report::int_at(j, "layer");
-          run.algo = str_at(j, "algo");
-          run.vlen_bits = count(j, "vlen_bits");
-          run.l2_bytes = count(j, "l2_bytes");
-          run.lanes = count(j, "lanes");
-          run.attach = str_at(j, "attach");
+          // Every identity field is checked, in line order; net and layer
+          // are already in the label, so only the rest prints.
+          str_at(j, "net");
+          vlacnn::report::int_at(j, "layer");
+          const std::string algo = str_at(j, "algo");
+          const std::uint64_t vlen = count(j, "vlen_bits"),
+                              l2 = count(j, "l2_bytes"),
+                              lanes = count(j, "lanes");
+          run.point = algo + " vlen" + std::to_string(vlen) + " l2:" +
+                      std::to_string(l2) + " lanes" + std::to_string(lanes) +
+                      " " + str_at(j, "attach");
           run.interval_cycles = num(j, "interval_cycles");
-          run.cycles = num(j, "cycles");
-          run.compute = num(j, "compute_cycles");
-          run.mem_issue = num(j, "mem_issue_cycles");
-          run.mem_stall = num(j, "mem_stall_cycles");
-          run.scalar = num(j, "scalar_cycles");
+          run.total.cycles = num(j, "cycles");
+          run.total.compute_cycles = num(j, "compute_cycles");
+          run.total.mem_issue_cycles = num(j, "mem_issue_cycles");
+          run.total.mem_stall_cycles = num(j, "mem_stall_cycles");
+          run.total.scalar_cycles = num(j, "scalar_cycles");
         } else if (type == "phase") {
-          ProfPhase p;
+          vlacnn::PmuPhaseStats& p = run.phases.emplace_back();
           p.name = str_at(j, "name");
           p.cycles = num(j, "cycles");
-          p.raw_cycles = num(j, "raw_cycles");
-          p.compute = num(j, "compute_cycles");
-          p.mem_issue = num(j, "mem_issue_cycles");
-          p.mem_stall = num(j, "mem_stall_cycles");
-          p.scalar = num(j, "scalar_cycles");
-          p.avg_vl = num(j, "avg_vl");
-          p.flops = num(j, "flops");
-          p.l1_accesses = num(j, "l1_accesses");
-          p.l1_misses = num(j, "l1_misses");
-          p.l2_accesses = num(j, "l2_accesses");
-          p.l2_misses = num(j, "l2_misses");
-          p.mem_bytes = num(j, "mem_bytes");
-          run.phases.push_back(std::move(p));
+          p.raw.cycles = num(j, "raw_cycles");
+          p.raw.compute_cycles = num(j, "compute_cycles");
+          p.raw.mem_issue_cycles = num(j, "mem_issue_cycles");
+          p.raw.mem_stall_cycles = num(j, "mem_stall_cycles");
+          p.raw.scalar_cycles = num(j, "scalar_cycles");
+          p.raw.vec_instructions = num(j, "vec_instructions");
+          p.raw.vec_elems = num(j, "vec_elems");
+          p.raw.flops = num(j, "flops");
+          p.raw.first_level_accesses = num(j, "l1_accesses");
+          p.raw.first_level_misses = num(j, "l1_misses");
+          p.raw.l2_accesses = num(j, "l2_accesses");
+          p.raw.l2_misses = num(j, "l2_misses");
+          p.raw.mem_bytes = num(j, "mem_bytes");
         } else if (type == "window") {
-          ProfWindow w;
-          w.t_start = num(j, "t_start");
-          w.t_end = num(j, "t_end");
-          w.compute = num(j, "compute_cycles");
-          w.mem_issue = num(j, "mem_issue_cycles");
-          w.mem_stall = num(j, "mem_stall_cycles");
-          w.scalar = num(j, "scalar_cycles");
-          w.avg_vl = num(j, "avg_vl");
-          w.lane_utilization = num(j, "lane_utilization");
-          w.l1_miss_rate = num(j, "l1_miss_rate");
-          w.l2_miss_rate = num(j, "l2_miss_rate");
-          w.dram_bytes_per_cycle = num(j, "dram_bytes_per_cycle");
-          run.windows.push_back(w);
+          run.window_rows.push_back(window_row(j));
         } else {
           return false;
         }
@@ -560,86 +570,63 @@ std::vector<ProfRun> load_kernprof(const std::string& path) {
 /// The per-block cross-check the producer promises: phase cycle slices fold
 /// right-to-left to the kernel's aggregate cycles bit for bit (the PMU's
 /// Sterbenz partition). Returns 0 when exact, 1 on mismatch.
-int profile_fold_mismatch(const ProfRun& run) {
-  if (run.phases.empty()) return run.cycles != 0 ? 1 : 0;
+int profile_fold_mismatch(const KernelBlock& run) {
+  if (run.phases.empty()) return run.total.cycles != 0 ? 1 : 0;
   double total = 0;
   for (std::size_t i = run.phases.size(); i-- > 0;) {
     total = run.phases[i].cycles + total;
   }
-  return total != run.cycles ? 1 : 0;
+  return total != run.total.cycles ? 1 : 0;
 }
 
-void print_profile_table(const ProfRun& run) {
+void print_profile_table(const KernelBlock& run) {
+  const vlacnn::TimingStats& t = run.total;
+  const auto pct = [&](double x) {
+    return t.cycles > 0 ? 100.0 * x / t.cycles : 0.0;
+  };
   std::printf("== %s ==\n",
               run.label.empty() ? "(unlabeled run)" : run.label.c_str());
-  std::printf("  %s vlen%llu l2:%llu lanes%llu %s — %.6g cycles "
+  std::printf("  %s — %.6g cycles "
               "(comp %.1f%%, mem %.1f%%, stall %.1f%%, scalar %.1f%%), "
               "%zu phases, %zu windows x %.4g cycles\n",
-              run.algo.c_str(),
-              static_cast<unsigned long long>(run.vlen_bits),
-              static_cast<unsigned long long>(run.l2_bytes),
-              static_cast<unsigned long long>(run.lanes), run.attach.c_str(),
-              run.cycles,
-              run.cycles > 0 ? 100.0 * run.compute / run.cycles : 0.0,
-              run.cycles > 0 ? 100.0 * run.mem_issue / run.cycles : 0.0,
-              run.cycles > 0 ? 100.0 * run.mem_stall / run.cycles : 0.0,
-              run.cycles > 0 ? 100.0 * run.scalar / run.cycles : 0.0,
-              run.phases.size(), run.windows.size(), run.interval_cycles);
+              run.point.c_str(), t.cycles, pct(t.compute_cycles),
+              pct(t.mem_issue_cycles), pct(t.mem_stall_cycles),
+              pct(t.scalar_cycles), run.phases.size(), run.window_rows.size(),
+              run.interval_cycles);
   if (run.phases.empty()) return;
   std::printf("  %-16s %12s %6s  %-20s %6s %7s %7s %10s\n", "phase", "cycles",
               "share", "", "avg_vl", "l1miss", "l2miss", "dram_B");
-  for (const ProfPhase& p : run.phases) {
-    const double share = run.cycles > 0 ? p.cycles / run.cycles : 0;
+  for (const vlacnn::PmuPhaseStats& p : run.phases) {
+    const double share = t.cycles > 0 ? p.cycles / t.cycles : 0;
     char l1[8] = "     -", l2[8] = "     -";
-    if (p.l1_accesses > 0) {
-      std::snprintf(l1, sizeof l1, "%7.4f", p.l1_misses / p.l1_accesses);
+    if (p.raw.first_level_accesses > 0) {
+      std::snprintf(l1, sizeof l1, "%7.4f", p.raw.l1_miss_rate());
     }
-    if (p.l2_accesses > 0) {
-      std::snprintf(l2, sizeof l2, "%7.4f", p.l2_misses / p.l2_accesses);
+    if (p.raw.l2_accesses > 0) {
+      std::snprintf(l2, sizeof l2, "%7.4f", p.raw.l2_miss_rate());
     }
     std::printf("  %-16s %12.6g %5.1f%%  %-20.*s %6.1f %7s %7s %10.4g\n",
                 p.name.c_str(), p.cycles, share * 100.0,
-                bar_columns(share, 20), "####################", p.avg_vl, l1,
-                l2, p.mem_bytes);
+                bar_columns(share, 20), "####################",
+                p.raw.avg_vl(), l1, l2, p.raw.mem_bytes);
   }
 }
 
-void print_profile_timeline(const ProfRun& run, std::size_t max_windows) {
+void print_profile_timeline(const KernelBlock& run, std::size_t max_windows) {
   std::printf("\noccupancy / miss-rate trajectory for %s:\n",
               run.label.empty() ? "(unlabeled run)" : run.label.c_str());
-  if (run.windows.empty()) {
+  if (run.window_rows.empty()) {
     std::printf("  (no counter windows — kernel shorter than one interval)\n");
     return;
   }
-  const std::size_t n = run.windows.size();
+  const std::size_t n = run.window_rows.size();
   const std::size_t shown =
       max_windows == 0 ? n : std::min<std::size_t>(n, max_windows);
   std::printf("  %12s  %-32s %6s %6s %7s %7s %7s\n", "t_end",
               "occupancy (C/M/S/.=scalar)", "avg_vl", "lane%", "l1miss",
               "l2miss", "B/cyc");
   for (std::size_t i = 0; i < shown; ++i) {
-    const ProfWindow& w = run.windows[i];
-    const double busy = w.compute + w.mem_issue + w.mem_stall + w.scalar;
-    char bar[33];
-    int pos = 0;
-    // 32 columns split by each bucket's share of the window's busy cycles;
-    // truncation leaves trailing spaces rather than misordering the bands.
-    const struct {
-      char glyph;
-      double cycles;
-    } bands[] = {{'C', w.compute},
-                 {'M', w.mem_issue},
-                 {'S', w.mem_stall},
-                 {'.', w.scalar}};
-    for (const auto& b : bands) {
-      const int width = busy > 0 ? bar_columns(b.cycles / busy, 32) : 0;
-      for (int k = 0; k < width && pos < 32; ++k) bar[pos++] = b.glyph;
-    }
-    while (pos < 32) bar[pos++] = ' ';
-    bar[32] = '\0';
-    std::printf("  %12.6g  %-32s %6.1f %6.1f %7.4f %7.4f %7.3f\n", w.t_end,
-                bar, w.avg_vl, w.lane_utilization * 100.0, w.l1_miss_rate,
-                w.l2_miss_rate, w.dram_bytes_per_cycle);
+    std::fputs(run.window_rows[i].c_str(), stdout);
   }
   if (shown < n) {
     std::printf("  ... %zu more windows (--windows 0 shows all)\n", n - shown);
@@ -648,26 +635,30 @@ void print_profile_timeline(const ProfRun& run, std::size_t max_windows) {
 
 int render_profile(const std::string& path, const std::string& point,
                    std::size_t max_windows) {
-  const std::vector<ProfRun> runs = load_kernprof(path);
+  const std::vector<KernelBlock> runs = load_kernprof(path);
   if (runs.empty()) {
     std::printf("%s: no kernel profiles\n", path.c_str());
     return 1;
   }
   int mismatches = 0;
-  for (const ProfRun& run : runs) {
+  for (const KernelBlock& run : runs) {
     print_profile_table(run);
     mismatches += profile_fold_mismatch(run);
   }
 
   // Hottest phases by memory-stall cycles across every profiled point: the
   // ranking that localizes a bandwidth cliff to one phase of one kernel.
-  std::vector<std::pair<const ProfRun*, const ProfPhase*>> ranked;
-  for (const ProfRun& run : runs) {
-    for (const ProfPhase& p : run.phases) ranked.emplace_back(&run, &p);
+  std::vector<std::pair<const KernelBlock*, const vlacnn::PmuPhaseStats*>>
+      ranked;
+  for (const KernelBlock& run : runs) {
+    for (const vlacnn::PmuPhaseStats& p : run.phases) {
+      ranked.emplace_back(&run, &p);
+    }
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) {
-                     return a.second->mem_stall > b.second->mem_stall;
+                     return a.second->raw.mem_stall_cycles >
+                            b.second->raw.mem_stall_cycles;
                    });
   const std::size_t top = std::min<std::size_t>(ranked.size(), 10);
   if (top > 0) {
@@ -675,21 +666,21 @@ int render_profile(const std::string& path, const std::string& point,
     std::printf("  %4s %-44s %-16s %12s %7s\n", "rank", "point", "phase",
                 "stall_cyc", "l2miss");
     for (std::size_t i = 0; i < top; ++i) {
-      const ProfRun& run = *ranked[i].first;
-      const ProfPhase& p = *ranked[i].second;
+      const KernelBlock& run = *ranked[i].first;
+      const vlacnn::PmuPhaseStats& p = *ranked[i].second;
       char l2[8] = "     -";
-      if (p.l2_accesses > 0) {
-        std::snprintf(l2, sizeof l2, "%7.4f", p.l2_misses / p.l2_accesses);
+      if (p.raw.l2_accesses > 0) {
+        std::snprintf(l2, sizeof l2, "%7.4f", p.raw.l2_miss_rate());
       }
       std::printf("  %4zu %-44s %-16s %12.6g %7s\n", i + 1, run.label.c_str(),
-                  p.name.c_str(), p.mem_stall, l2);
+                  p.name.c_str(), p.raw.mem_stall_cycles, l2);
     }
   }
 
   // Windowed trajectory for one chosen point (first label match, or the
   // first block when --point was not given).
-  const ProfRun* chosen = nullptr;
-  for (const ProfRun& run : runs) {
+  const KernelBlock* chosen = nullptr;
+  for (const KernelBlock& run : runs) {
     if (point.empty() || run.label.find(point) != std::string::npos) {
       chosen = &run;
       break;
