@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification, a TSan pass over the concurrency
 # tests (thread pool, results DB single-flight, parallel sweep, obs counters),
-# full-suite ASan and UBSan passes, the artifact gates, and the hostbench
-# smoke test.
+# full-suite ASan and UBSan passes, the artifact gates (an x86-64-v3 build's
+# artifacts included), and the hostbench smoke test.
 #
 # Usage: scripts/ci.sh            # from the repo root
 #   JOBS=8 scripts/ci.sh          # override parallelism (default: nproc)
@@ -148,6 +148,19 @@ cmp "$KP_DIR/kp-t1.jsonl" "$KP_DIR/kp-t8.jsonl"
 ./build/tools/vlacnn-report profile "$KP_DIR/kp-t1.jsonl" --windows 4 \
   >/dev/null
 echo "kernprof JSONL byte-identical at VLACNN_THREADS=1 and 8"
+
+echo "== isa: the same bytes from an x86-64-v3 (AVX2 + FMA) build ============="
+# No build flag may change a number (DESIGN.md §2). GCC fuses a * b + c on a
+# target with FMA unless told not to; the library's -ffp-contract=off is what
+# keeps these artifacts equal to the default build's.
+if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
+  cmake -B build-v3 -S . -DCMAKE_CXX_FLAGS=-march=x86-64-v3 >/dev/null
+  cmake --build build-v3 -j "$JOBS" --target vlacnn_capacity vlacnn_report \
+    bench_fig01_vgg_perlayer bench_p1_lanes
+  scripts/cmp_artifacts.sh build build-v3
+else
+  echo "isa: skipped, this host lacks avx2 or fma"
+fi
 
 echo "== cli: exit-code contract (usage=2, runtime=1) ========================"
 scripts/test_cli_exit_codes.sh build

@@ -14,7 +14,8 @@
 # over its own file; none prints host time) is cmp'ed too, with the exit
 # status appended when one fails. The ci.sh gates compare two thread counts
 # of one build; this compares two builds, so it also sees a byte drift that
-# both thread counts share.
+# both thread counts share. A cold bench_p1_lanes report covers the
+# decoupled attachment and 2- and 4-lane timing, which the rest never reach.
 #
 # VLACNN_*/REPRO_* knobs from the caller's environment are cleared. Outputs go
 # to build/cmp-artifacts/{old,new}. Exit 0 when every artifact matches, 1
@@ -79,6 +80,13 @@ produce() {
   # appended in completion order, which differs from run to run.
   REPRO_RESULTS_DIR="$d/cold" VLACNN_THREADS=1 \
     "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
+  # The decoupled path (vector buffer before L2) and 2/4-lane timing, which
+  # no output above reaches: 135 YOLOv3-20 GEMM3 points simulated cold. The
+  # report is key-ordered, so any thread count writes the same bytes; its
+  # cache is not compared.
+  mkdir -p "$d/p1-cold"
+  REPRO_RESULTS_DIR="$d/p1-cold" VLACNN_REPORT="$d/report-p1-lanes" \
+    "$b/bench/bench_p1_lanes" >/dev/null
   unset REPRO_RESULTS_DIR
   # The JSONL readers' text.
   local rep="$b/tools/vlacnn-report"

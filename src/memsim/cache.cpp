@@ -25,14 +25,13 @@ Cache::Cache(const CacheConfig& config) : config_(config), ways_(config.ways) {
   dirty_.assign(sets * ways_, 0);
 }
 
-ProbeResult Cache::probe(std::uint64_t line_addr, bool write) {
-  ++accesses_;
-  const std::uint64_t set = line_addr & set_mask_;
-  std::uint64_t* tags = &tags_[set * ways_];
-  std::uint8_t* dirty = &dirty_[set * ways_];
+ProbeResult Cache::probe_past_mru(std::uint64_t base, std::uint64_t line_addr,
+                                  bool write) {
+  std::uint64_t* tags = &tags_[base];
+  std::uint8_t* dirty = &dirty_[base];
 
-  // Search; slot 0 is most recently used.
-  for (std::uint32_t w = 0; w < ways_; ++w) {
+  // Search the rest of the set; slot 0 (most recently used) missed in probe.
+  for (std::uint32_t w = 1; w < ways_; ++w) {
     if (tags[w] == line_addr) {
       // Move-to-front, carrying the dirty bit.
       std::uint8_t d = static_cast<std::uint8_t>(dirty[w] | (write ? 1 : 0));

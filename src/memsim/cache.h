@@ -36,8 +36,18 @@ class Cache {
   explicit Cache(const CacheConfig& config);
 
   /// Probe one line address (already shifted by line bits). On miss the line is
-  /// filled, evicting the LRU way.
-  ProbeResult probe(std::uint64_t line_addr, bool write);
+  /// filled, evicting the LRU way. A hit on the most-recently-used way, the
+  /// common case, is decided here inline; the rest of the set is searched
+  /// out of line.
+  ProbeResult probe(std::uint64_t line_addr, bool write) {
+    ++accesses_;
+    const std::uint64_t base = (line_addr & set_mask_) * ways_;
+    if (tags_[base] == line_addr) {
+      dirty_[base] |= static_cast<std::uint8_t>(write);
+      return {true, false, 0};
+    }
+    return probe_past_mru(base, line_addr, write);
+  }
 
   /// Invalidate all contents and zero statistics.
   void reset();
@@ -51,8 +61,12 @@ class Cache {
   }
 
  private:
+  /// probe() past its MRU check: search ways 1..n-1 of the set starting at
+  /// slot `base`, move a hit to the front, or fill a miss over the LRU way.
+  ProbeResult probe_past_mru(std::uint64_t base, std::uint64_t line_addr,
+                             bool write);
+
   CacheConfig config_;
-  std::uint32_t set_shift_ = 0;   // log2(num_sets) not needed; we mask
   std::uint64_t set_mask_ = 0;
   std::uint32_t ways_ = 0;
   // Per set: `ways_` tag slots ordered most-recent-first, plus dirty bits.

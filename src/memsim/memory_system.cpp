@@ -53,60 +53,6 @@ MemorySystem::~MemorySystem() {
   roll.mem_bytes.add(mem_bytes_total_);
 }
 
-AccessResult MemorySystem::access_via(Cache* first, std::uint64_t addr,
-                                      std::uint64_t bytes, bool write) {
-  AccessResult out;
-  if (bytes == 0) return out;
-  const std::uint32_t line_bytes = config_.l2.line_bytes;
-  const std::uint64_t first_line = addr / line_bytes;
-  const std::uint64_t last_line = (addr + bytes - 1) / line_bytes;
-  for (std::uint64_t line = first_line; line <= last_line; ++line) {
-    ++out.lines;
-    bool to_l2 = true;
-    ProbeResult p1;
-    if (first != nullptr) {
-      p1 = first->probe(line, write);
-      if (p1.hit) {
-        to_l2 = false;
-      } else {
-        ++out.l1_misses;
-      }
-    }
-    if (to_l2) {
-      ProbeResult p2 = l2_.probe(line, first == nullptr ? write : false);
-      if (!p2.hit) {
-        ++out.l2_misses;
-        out.mem_bytes += line_bytes;  // fill from DRAM
-      }
-      if (p2.writeback) out.mem_bytes += line_bytes;  // dirty victim to DRAM
-    }
-    // A dirty victim evicted from the first level lands in L2 at the victim's
-    // own address (whole-line dirty write: allocate without a DRAM fill).
-    if (p1.writeback) {
-      ProbeResult wb = l2_.probe(p1.victim_line, true);
-      if (wb.writeback) out.mem_bytes += line_bytes;
-    }
-  }
-  // When there is no first-level cache in the path, L2 misses are also the
-  // "first level" misses from the VPU's point of view.
-  if (first == nullptr) out.l1_misses = out.l2_misses;
-  mem_bytes_total_ += out.mem_bytes;
-  return out;
-}
-
-AccessResult MemorySystem::vector_access(std::uint64_t addr, std::uint64_t bytes,
-                                         bool write) {
-  if (config_.attach == VpuAttach::kIntegratedL1) {
-    return access_via(&l1_, addr, bytes, write);
-  }
-  return access_via(&vbuf_, addr, bytes, write);
-}
-
-AccessResult MemorySystem::scalar_access(std::uint64_t addr, std::uint64_t bytes,
-                                         bool write) {
-  return access_via(&l1_, addr, bytes, write);
-}
-
 AccessResult MemorySystem::prefetch(std::uint64_t addr, std::uint64_t bytes) {
   // Prefetches warm the same path a demand read would take.
   return vector_access(addr, bytes, false);

@@ -36,29 +36,20 @@ void TimingModel::pmu_end() {
   if (pmu_ != nullptr) pmu_->end_phase(stats_);
 }
 
+void TimingModel::notify_pmu() { pmu_->on_event(stats_); }
+
 void TimingModel::push_scale(double s) {
-  if (s <= 0.0) throw std::invalid_argument("timing: scale must be positive");
+  const double scaled = scale_ * s;
+  if (!(s > 0.0) || !std::isfinite(s) || !std::isfinite(scaled))
+    throw std::invalid_argument("timing: scale must be finite and positive");
   scale_stack_.push_back(scale_);
-  scale_ *= s;
+  scale_ = scaled;
 }
 
 void TimingModel::pop_scale() {
   if (scale_stack_.empty()) throw std::logic_error("timing: scale stack empty");
   scale_ = scale_stack_.back();
   scale_stack_.pop_back();
-}
-
-void TimingModel::vec_arith(std::uint64_t vl, std::uint32_t flops_per_elem) {
-  if (vl == 0) return;
-  const double chime =
-      std::ceil(static_cast<double>(vl) / static_cast<double>(vpu_.lanes));
-  const double c = config_.vec_startup_cycles + chime;
-  stats_.cycles += scale_ * c;
-  stats_.compute_cycles += scale_ * c;
-  stats_.vec_instructions += scale_;
-  stats_.vec_elems += scale_ * static_cast<double>(vl);
-  stats_.flops += scale_ * static_cast<double>(vl) * flops_per_elem;
-  if (pmu_ != nullptr) pmu_->on_event(stats_);
 }
 
 void TimingModel::vec_reduce(std::uint64_t vl) {
@@ -74,17 +65,14 @@ void TimingModel::vec_reduce(std::uint64_t vl) {
   if (pmu_ != nullptr) pmu_->on_event(stats_);
 }
 
-void TimingModel::account_mem_result(const AccessResult& r, bool write,
-                                     MemPattern pattern,
-                                     std::uint64_t l2_acc_delta,
-                                     std::uint64_t l2_miss_delta) {
-  stats_.first_level_accesses += scale_ * r.lines;
+void TimingModel::account_misses(const AccessResult& r, bool write,
+                                 std::uint64_t l2_acc_delta,
+                                 std::uint64_t l2_miss_delta) {
   stats_.first_level_misses += scale_ * r.l1_misses;
   stats_.l2_accesses += scale_ * static_cast<double>(l2_acc_delta);
   stats_.l2_misses += scale_ * static_cast<double>(l2_miss_delta);
   stats_.mem_bytes += scale_ * static_cast<double>(r.mem_bytes);
-  if (mem_ == nullptr) return;
-  (void)pattern;
+  // Something missed, so there is a memory system.
   const MemConfig& mc = mem_->config();
   // Latency term: first-level misses pay the next level's latency; memory
   // misses additionally pay DRAM latency. Overlapped by the MLP factor.
@@ -146,7 +134,7 @@ void TimingModel::vec_mem(std::uint64_t addr, std::uint64_t vl,
 
   const std::uint64_t l2a = mem_ ? mem_->l2().accesses() - l2a0 : 0;
   const std::uint64_t l2m = mem_ ? mem_->l2().misses() - l2m0 : 0;
-  account_mem_result(r, write, pattern, l2a, l2m);
+  account_mem_result(r, write, l2a, l2m);
   if (pmu_ != nullptr) pmu_->on_event(stats_);
 }
 
@@ -163,20 +151,6 @@ void TimingModel::scalar_ops(std::uint64_t n) {
   const double c = static_cast<double>(n) / config_.scalar_ipc;
   stats_.cycles += scale_ * c;
   stats_.scalar_cycles += scale_ * c;
-  if (pmu_ != nullptr) pmu_->on_event(stats_);
-}
-
-void TimingModel::scalar_mem(std::uint64_t addr, std::uint64_t bytes,
-                             bool write) {
-  const std::uint64_t l2a0 = mem_ ? mem_->l2().accesses() : 0;
-  const std::uint64_t l2m0 = mem_ ? mem_->l2().misses() : 0;
-  AccessResult r;
-  if (mem_ != nullptr) r = mem_->scalar_access(addr, bytes, write);
-  stats_.cycles += scale_;  // issue slot
-  stats_.scalar_cycles += scale_;
-  const std::uint64_t l2a = mem_ ? mem_->l2().accesses() - l2a0 : 0;
-  const std::uint64_t l2m = mem_ ? mem_->l2().misses() - l2m0 : 0;
-  account_mem_result(r, write, MemPattern::kUnit, l2a, l2m);
   if (pmu_ != nullptr) pmu_->on_event(stats_);
 }
 

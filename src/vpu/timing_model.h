@@ -23,6 +23,7 @@
 // outer loop and report extrapolated totals.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -149,18 +150,44 @@ class TimingModel {
               const TimingConfig& config = {});
 
   // -- sampling ---------------------------------------------------------------
+  /// Multiplies the scale by `s`. Throws std::invalid_argument unless `s` and
+  /// the product are finite and `s` is positive: the memory hot path relies
+  /// on scale * 0 being +-0.0 (DESIGN.md §7).
   void push_scale(double s);
   void pop_scale();
   double current_scale() const { return scale_; }
 
   // -- events -----------------------------------------------------------------
-  void vec_arith(std::uint64_t vl, std::uint32_t flops_per_elem = 2);
+  // vec_arith and scalar_mem, the two most frequent events, are inline.
+  void vec_arith(std::uint64_t vl, std::uint32_t flops_per_elem = 2) {
+    if (vl == 0) return;
+    const double chime =
+        std::ceil(static_cast<double>(vl) / static_cast<double>(vpu_.lanes));
+    const double c = config_.vec_startup_cycles + chime;
+    stats_.cycles += scale_ * c;
+    stats_.compute_cycles += scale_ * c;
+    stats_.vec_instructions += scale_;
+    stats_.vec_elems += scale_ * static_cast<double>(vl);
+    stats_.flops += scale_ * static_cast<double>(vl) * flops_per_elem;
+    if (pmu_ != nullptr) notify_pmu();
+  }
   void vec_reduce(std::uint64_t vl);
   void vec_mem(std::uint64_t addr, std::uint64_t vl, std::int64_t stride_bytes,
                MemPattern pattern, bool write);
   void prefetch(std::uint64_t addr, std::uint64_t bytes);
   void scalar_ops(std::uint64_t n);
-  void scalar_mem(std::uint64_t addr, std::uint64_t bytes, bool write);
+  void scalar_mem(std::uint64_t addr, std::uint64_t bytes, bool write) {
+    const std::uint64_t l2a0 = mem_ ? mem_->l2().accesses() : 0;
+    const std::uint64_t l2m0 = mem_ ? mem_->l2().misses() : 0;
+    AccessResult r;
+    if (mem_ != nullptr) r = mem_->scalar_access(addr, bytes, write);
+    stats_.cycles += scale_;  // issue slot
+    stats_.scalar_cycles += scale_;
+    const std::uint64_t l2a = mem_ ? mem_->l2().accesses() - l2a0 : 0;
+    const std::uint64_t l2m = mem_ ? mem_->l2().misses() - l2m0 : 0;
+    account_mem_result(r, write, l2a, l2m);
+    if (pmu_ != nullptr) notify_pmu();
+  }
 
   const TimingStats& stats() const { return stats_; }
   const VpuConfig& vpu() const { return vpu_; }
@@ -179,9 +206,24 @@ class TimingModel {
   void pmu_end();
 
  private:
-  void account_mem_result(const AccessResult& r, bool write, MemPattern pattern,
+  /// Charges one access's counters and stall. When it missed nowhere, every
+  /// add after the first is scale_ * 0 or a zero stall, i.e. +-0.0, which
+  /// leaves a field that is never -0.0 bit-identical; so that case stops
+  /// after the first add (DESIGN.md §7, memory hot path).
+  void account_mem_result(const AccessResult& r, bool write,
                           std::uint64_t l2_acc_delta,
-                          std::uint64_t l2_miss_delta);
+                          std::uint64_t l2_miss_delta) {
+    stats_.first_level_accesses += scale_ * r.lines;
+    if ((r.l1_misses | r.l2_misses | r.mem_bytes | l2_acc_delta |
+         l2_miss_delta) == 0)
+      return;
+    account_misses(r, write, l2_acc_delta, l2_miss_delta);
+  }
+  /// The rest of account_mem_result, for an access that missed somewhere.
+  void account_misses(const AccessResult& r, bool write,
+                      std::uint64_t l2_acc_delta, std::uint64_t l2_miss_delta);
+  /// Hands the aggregate stats to the attached PMU (Pmu is incomplete here).
+  void notify_pmu();
 
   VpuConfig vpu_;
   MemorySystem* mem_;  // may be null: pure op counting without cache behaviour

@@ -1,6 +1,11 @@
 // Tests for the set-associative cache model and the two-level hierarchy.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "memsim/cache.h"
 #include "memsim/memory_system.h"
 
@@ -96,6 +101,86 @@ TEST(Cache, ResetClearsContentsAndStats) {
   EXPECT_EQ(c.accesses(), 0u);
   EXPECT_EQ(c.misses(), 0u);
   EXPECT_FALSE(c.probe(1, false).hit);
+}
+
+// A deliberately naive LRU: one list of (line, dirty) per set, front = most
+// recently used, back = the victim.
+class ListLru {
+ public:
+  ListLru(std::uint32_t ways, std::uint64_t sets) : ways_(ways), sets_(sets) {}
+
+  ProbeResult probe(std::uint64_t line, bool write) {
+    ++accesses_;
+    std::list<std::pair<std::uint64_t, bool>>& set = sets_[line % sets_.size()];
+    for (auto it = set.begin(); it != set.end(); ++it) {
+      if (it->first == line) {
+        const bool dirty = it->second || write;
+        set.erase(it);
+        set.emplace_front(line, dirty);
+        return {true, false, 0};
+      }
+    }
+    ++misses_;
+    ProbeResult r;
+    if (set.size() == ways_) {
+      if (set.back().second) r = {false, true, set.back().first};
+      set.pop_back();
+    }
+    set.emplace_front(line, write);
+    return r;
+  }
+
+  void reset() {
+    for (auto& set : sets_) set.clear();
+    accesses_ = misses_ = 0;
+  }
+
+  std::uint64_t accesses() const { return accesses_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  std::uint32_t ways_;
+  std::vector<std::list<std::pair<std::uint64_t, bool>>> sets_;
+  std::uint64_t accesses_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+TEST(Cache, MatchesListPerSetLruOnSeededStreams) {
+  // Same seeded (line, write) stream into Cache and the list model, over a
+  // line universe 3x the capacity (hits, misses and dirty evictions all
+  // occur), ~30% writes and one reset midway.
+  constexpr int kProbes = 20000;
+  for (const std::uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
+    for (const std::uint64_t sets : {1ull, 8ull, 64ull}) {
+      SCOPED_TRACE(testing::Message() << ways << " ways x " << sets << " sets");
+      Cache cache(CacheConfig{sets * ways * 64, ways, 64, 1});
+      ListLru model(ways, sets);
+      Rng rng(ways * 1000 + sets);
+      const std::uint64_t universe = 3 * sets * ways;
+      int hits = 0, writebacks = 0;
+      for (int i = 0; i < kProbes; ++i) {
+        if (i == kProbes / 2) {
+          cache.reset();
+          model.reset();
+        }
+        const std::uint64_t line = rng.next_below(universe);
+        const bool write = rng.next_below(10) < 3;
+        const ProbeResult got = cache.probe(line, write);
+        const ProbeResult want = model.probe(line, write);
+        ASSERT_EQ(got.hit, want.hit) << "probe " << i << " line " << line;
+        ASSERT_EQ(got.writeback, want.writeback) << "probe " << i;
+        ASSERT_EQ(got.victim_line, want.victim_line) << "probe " << i;
+        hits += got.hit;
+        writebacks += got.writeback;
+      }
+      EXPECT_EQ(cache.accesses(), model.accesses());
+      EXPECT_EQ(cache.misses(), model.misses());
+      // The stream exercised every outcome.
+      EXPECT_GT(hits, 0);
+      EXPECT_GT(writebacks, 0);
+      EXPECT_GT(cache.misses(), 0u);
+    }
+  }
 }
 
 // ------------------------------------------------------ MemorySystem -------

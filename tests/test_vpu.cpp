@@ -2,6 +2,9 @@
 // functional/trace engine pair (including instruction-stream equivalence).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "algos/registry.h"
 #include "vpu/functional_engine.h"
 #include "vpu/timing_model.h"
@@ -103,6 +106,18 @@ TEST(TimingModel, ScaleStackNests) {
   EXPECT_DOUBLE_EQ(t.current_scale(), 1.0);
   EXPECT_THROW(t.pop_scale(), std::logic_error);
   EXPECT_THROW(t.push_scale(0.0), std::invalid_argument);
+  // A non-finite factor or product would make every scaled increment inf or
+  // NaN (inf * 0 is NaN), and the stall skip relies on scale * 0 == +-0.0.
+  EXPECT_THROW(t.push_scale(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(t.push_scale(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  t.push_scale(1e200);
+  EXPECT_THROW(t.push_scale(1e200), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(t.current_scale(), 1e200);  // the rejected push left it
+  t.pop_scale();
+  EXPECT_DOUBLE_EQ(t.current_scale(), 1.0);
+  t.vec_arith(16);
+  EXPECT_TRUE(std::isfinite(t.stats().cycles));
 }
 
 TEST(TimingModel, ScaledRegionPopsOnExceptionalExit) {
