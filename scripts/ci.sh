@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification, a TSan pass over the concurrency
 # tests (thread pool, results DB single-flight, parallel sweep, obs counters),
-# full-suite ASan and UBSan passes, the artifact gates (an x86-64-v3 build's
-# artifacts included), and the hostbench smoke test.
+# full-suite ASan and UBSan passes, a cold re-simulation of the committed
+# sweep cache, the artifact gates (an x86-64-v3 build's artifacts included),
+# and the hostbench smoke test.
 #
 # Usage: scripts/ci.sh            # from the repo root
 #   JOBS=8 scripts/ci.sh          # override parallelism (default: nproc)
@@ -50,6 +51,17 @@ REPORT_JSON="$REPORT_DIR/fig_1_per_layer_algorithm_comparison_vgg_16.report.json
 ./build/tools/vlacnn-report summarize "$REPORT_JSON"
 ./build/tools/vlacnn-report diff BENCH_report_baseline.json "$REPORT_JSON" \
   --budget-pct 2
+
+echo "== sweep cache: every committed key re-simulates cold to the same bytes ="
+# results/sweep_cache.csv is a function of the code and its key list: one row
+# per key, each with its breakdown, in SweepKey order (DESIGN.md §9). The
+# driver re-simulates every key cold (about 3 minutes on 4 threads), lists
+# each key whose row moved and exits 1 on any; its key-ordered output must be
+# the committed file byte for byte.
+./build/bench/bench_sweep_parallel results/sweep_cache.csv \
+  build/sweep-cache-gate.csv
+cmp build/sweep-cache-gate.csv results/sweep_cache.csv
+echo "sweep cache regenerates byte-identical"
 
 echo "== docs: README/DESIGN drift gate ======================================"
 scripts/check_docs.sh build
@@ -155,8 +167,15 @@ echo "== isa: the same bytes from an x86-64-v3 (AVX2 + FMA) build ============="
 # keeps these artifacts equal to the default build's.
 if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   cmake -B build-v3 -S . -DCMAKE_CXX_FLAGS=-march=x86-64-v3 >/dev/null
+  # The two CLIs and the 21 paper drivers scripts/cmp_artifacts.sh runs.
   cmake --build build-v3 -j "$JOBS" --target vlacnn_capacity vlacnn_report \
-    bench_fig01_vgg_perlayer bench_p1_lanes
+    bench_table1_layers bench_fig01_vgg_perlayer bench_fig02_yolo_perlayer \
+    bench_fig03_vgg_vlen bench_fig04_yolo_vlen bench_fig05_vgg_l2_512 \
+    bench_fig06_vgg_l2_4096 bench_fig07_yolo_l2_512 bench_fig08_yolo_l2_4096 \
+    bench_rf_accuracy bench_fig09_vgg_selection bench_fig10_yolo_selection \
+    bench_fig11_pareto_area bench_fig12_serving bench_p1_table2_blocks \
+    bench_p1_table3_missrate bench_p1_table4_ai bench_p1_fig6_vlen \
+    bench_p1_fig7_l2 bench_p1_lanes bench_p1_wino_codesign
   scripts/cmp_artifacts.sh build build-v3
 else
   echo "isa: skipped, this host lacks avx2 or fma"

@@ -16,6 +16,8 @@
 # of one build; this compares two builds, so it also sees a byte drift that
 # both thread counts share. A cold bench_p1_lanes report covers the
 # decoupled attachment and 2- and 4-lane timing, which the rest never reach.
+# The stdout of the 21 paper figure and table drivers (14 for Paper II, 7 for
+# Paper I), each run warm on the build's copy of the cache, is cmp'ed too.
 #
 # VLACNN_*/REPRO_* knobs from the caller's environment are cleared. Outputs go
 # to build/cmp-artifacts/{old,new}. Exit 0 when every artifact matches, 1
@@ -34,6 +36,14 @@ for knob in $(env | sed -nE 's/^((VLACNN|REPRO)_[A-Z_]*)=.*/\1/p'); do
 done
 OUT=build/cmp-artifacts
 REPORT=fig_1_per_layer_algorithm_comparison_vgg_16.report
+DRIVERS=(bench_table1_layers bench_fig01_vgg_perlayer bench_fig02_yolo_perlayer
+         bench_fig03_vgg_vlen bench_fig04_yolo_vlen bench_fig05_vgg_l2_512
+         bench_fig06_vgg_l2_4096 bench_fig07_yolo_l2_512
+         bench_fig08_yolo_l2_4096 bench_rf_accuracy bench_fig09_vgg_selection
+         bench_fig10_yolo_selection bench_fig11_pareto_area bench_fig12_serving
+         bench_p1_table2_blocks bench_p1_table3_missrate bench_p1_table4_ai
+         bench_p1_fig6_vlen bench_p1_fig7_l2 bench_p1_lanes
+         bench_p1_wino_codesign)
 
 # render OUT CMD...: CMD's stdout into OUT, then its exit status when it fails.
 render() {
@@ -76,6 +86,12 @@ produce() {
   VLACNN_REPORT="$d/report-kernprof" \
     VLACNN_KERNPROF="$d/fig01-kernprof.jsonl" \
     "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
+  # Every paper driver's stdout, warm.
+  mkdir -p "$d/stdout"
+  local drv
+  for drv in "${DRIVERS[@]}"; do
+    render "$d/stdout/$drv" "$b/bench/$drv"
+  done
   # Cold, into an empty cache, on one thread: with more workers the rows are
   # appended in completion order, which differs from run to run.
   REPRO_RESULTS_DIR="$d/cold" VLACNN_THREADS=1 \
@@ -121,7 +137,7 @@ for f in capacity.json capacity-learned.json capacity-timeline.jsonl \
          fleet-timeline.jsonl fig01-kernprof.jsonl $reports \
          cold/sweep_cache.csv fig01-kernprof.profile \
          capacity-reqtrace.requests fleet-reqtrace.requests \
-         capacity-timeline.timeline; do
+         capacity-timeline.timeline "${DRIVERS[@]/#/stdout/}"; do
   if cmp -s "$OUT/old/$f" "$OUT/new/$f"; then
     echo "identical  $f ($(wc -c < "$OUT/new/$f") bytes)"
   else

@@ -324,6 +324,10 @@ const std::vector<Json>& array_at(const Json& obj, const std::string& key) {
   return typed_at(obj, key, Json::Type::kArray).array;
 }
 
+const Json& object_at(const Json& obj, const std::string& key) {
+  return typed_at(obj, key, Json::Type::kObject);
+}
+
 double integer_at(const Json& obj, const std::string& key, int bits,
                   bool is_signed) {
   const double v = num_at(obj, key);

@@ -77,6 +77,7 @@ double num_at(const Json& obj, const std::string& key,
 const std::string& str_at(const Json& obj, const std::string& key);
 bool bool_at(const Json& obj, const std::string& key);
 const std::vector<Json>& array_at(const Json& obj, const std::string& key);
+const Json& object_at(const Json& obj, const std::string& key);
 
 /// num_at, checked to be an integer in [-2^bits, 2^bits) when `is_signed`,
 /// else in [0, 2^bits): a fraction or an out-of-range value throws

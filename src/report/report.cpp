@@ -86,18 +86,12 @@ Attribution attribute(const SweepRow& row, const RooflineParams& p) {
   const bool zero_cycles = !(row.cycles > 0);
   const bool zero_bytes = !(row.mem_bytes > 0);
 
-  if (row.has_breakdown) {
-    a.vec_utilization =
-        zero_cycles ? 0.0 : row.bd.vec_elems / (lanes * row.cycles);
-    a.l1_miss_rate =
-        row.bd.l1_accesses > 0 ? row.bd.l1_misses / row.bd.l1_accesses : kNaN;
-    a.l2_miss_rate =
-        row.bd.l2_accesses > 0 ? row.bd.l2_misses / row.bd.l2_accesses : kNaN;
-  } else {
-    a.vec_utilization = kNaN;
-    a.l1_miss_rate = kNaN;
-    a.l2_miss_rate = kNaN;
-  }
+  a.vec_utilization =
+      zero_cycles ? 0.0 : row.bd.vec_elems / (lanes * row.cycles);
+  a.l1_miss_rate =
+      row.bd.l1_accesses > 0 ? row.bd.l1_misses / row.bd.l1_accesses : kNaN;
+  a.l2_miss_rate =
+      row.bd.l2_accesses > 0 ? row.bd.l2_misses / row.bd.l2_accesses : kNaN;
 
   // Degenerate inputs are clamped here, once, so every emitter downstream
   // sees either a finite number or a deliberate inf/NaN paired with a label.
@@ -119,11 +113,7 @@ Attribution attribute(const SweepRow& row, const RooflineParams& p) {
   } else {
     a.bound = a.arith_intensity >= p.ridge(row.key.lanes) ? Bound::kCompute
                                                           : Bound::kBandwidth;
-    if (zero_bytes) {
-      a.degenerate = "zero_dram_bytes";
-    } else if (!row.has_breakdown) {
-      a.degenerate = "missing_breakdown";
-    }
+    if (zero_bytes) a.degenerate = "zero_dram_bytes";
   }
   return a;
 }
@@ -176,21 +166,17 @@ std::string RunReport::to_json() const {
     out += ", \"l2_miss_rate\": " + json_number(r.l2_miss_rate);
     out += ", \"mem_bytes\": " + json_number(r.mem_bytes);
     out += ", \"flops\": " + json_number(r.flops);
-    if (r.has_breakdown) {
-      out += ",\n     \"breakdown\": {\"compute_cycles\": " +
-             json_number(r.bd.compute_cycles) +
-             ", \"mem_issue_cycles\": " + json_number(r.bd.mem_issue_cycles) +
-             ", \"mem_stall_cycles\": " + json_number(r.bd.mem_stall_cycles) +
-             ", \"scalar_cycles\": " + json_number(r.bd.scalar_cycles) +
-             ", \"vec_instructions\": " + json_number(r.bd.vec_instructions) +
-             ", \"vec_elems\": " + json_number(r.bd.vec_elems) +
-             ", \"l1_accesses\": " + json_number(r.bd.l1_accesses) +
-             ", \"l1_misses\": " + json_number(r.bd.l1_misses) +
-             ", \"l2_accesses\": " + json_number(r.bd.l2_accesses) +
-             ", \"l2_misses\": " + json_number(r.bd.l2_misses) + "}";
-    } else {
-      out += ",\n     \"breakdown\": null";
-    }
+    out += ",\n     \"breakdown\": {\"compute_cycles\": " +
+           json_number(r.bd.compute_cycles) +
+           ", \"mem_issue_cycles\": " + json_number(r.bd.mem_issue_cycles) +
+           ", \"mem_stall_cycles\": " + json_number(r.bd.mem_stall_cycles) +
+           ", \"scalar_cycles\": " + json_number(r.bd.scalar_cycles) +
+           ", \"vec_instructions\": " + json_number(r.bd.vec_instructions) +
+           ", \"vec_elems\": " + json_number(r.bd.vec_elems) +
+           ", \"l1_accesses\": " + json_number(r.bd.l1_accesses) +
+           ", \"l1_misses\": " + json_number(r.bd.l1_misses) +
+           ", \"l2_accesses\": " + json_number(r.bd.l2_accesses) +
+           ", \"l2_misses\": " + json_number(r.bd.l2_misses) + "}";
     out += ",\n     \"attribution\": {\"vec_utilization\": " +
            json_number(a.vec_utilization) +
            ", \"arith_intensity\": " + json_number(a.arith_intensity) +
@@ -261,22 +247,17 @@ std::string RunReport::to_csv() const {
            std::to_string(r.desc.stride) + "," + std::to_string(r.desc.pad) +
            "," + obs::g17(r.cycles) + "," + obs::g17(r.avg_vl) + "," +
            obs::g17(r.l2_miss_rate) + "," + obs::g17(r.mem_bytes) +
-           "," + obs::g17(r.flops) + "," +
-           (r.has_breakdown ? "1" : "0") + ",";
-    if (r.has_breakdown) {
-      out += obs::g17(r.bd.compute_cycles) + "," +
-             obs::g17(r.bd.mem_issue_cycles) + "," +
-             obs::g17(r.bd.mem_stall_cycles) + "," +
-             obs::g17(r.bd.scalar_cycles) + "," +
-             obs::g17(r.bd.vec_instructions) + "," +
-             obs::g17(r.bd.vec_elems) + "," +
-             obs::g17(r.bd.l1_accesses) + "," +
-             obs::g17(r.bd.l1_misses) + "," +
-             obs::g17(r.bd.l2_accesses) + "," +
-             obs::g17(r.bd.l2_misses) + ",";
-    } else {
-      out += ",,,,,,,,,,";
-    }
+           "," + obs::g17(r.flops) + ",1,";
+    out += obs::g17(r.bd.compute_cycles) + "," +
+           obs::g17(r.bd.mem_issue_cycles) + "," +
+           obs::g17(r.bd.mem_stall_cycles) + "," +
+           obs::g17(r.bd.scalar_cycles) + "," +
+           obs::g17(r.bd.vec_instructions) + "," +
+           obs::g17(r.bd.vec_elems) + "," +
+           obs::g17(r.bd.l1_accesses) + "," +
+           obs::g17(r.bd.l1_misses) + "," +
+           obs::g17(r.bd.l2_accesses) + "," +
+           obs::g17(r.bd.l2_misses) + ",";
     out += obs::g17(a.vec_utilization) + "," +
            obs::g17(a.arith_intensity) + "," +
            obs::g17(a.achieved_flops_per_cycle) + "," +
@@ -342,20 +323,17 @@ RunReport report_from_json(const std::string& text) {
     row.l2_miss_rate = num_at(e, "l2_miss_rate");
     row.mem_bytes = num_at(e, "mem_bytes");
     row.flops = num_at(e, "flops");
-    const Json& bd = e.at("breakdown");
-    if (!bd.is_null()) {
-      row.has_breakdown = true;
-      row.bd.compute_cycles = num_at(bd, "compute_cycles");
-      row.bd.mem_issue_cycles = num_at(bd, "mem_issue_cycles");
-      row.bd.mem_stall_cycles = num_at(bd, "mem_stall_cycles");
-      row.bd.scalar_cycles = num_at(bd, "scalar_cycles");
-      row.bd.vec_instructions = num_at(bd, "vec_instructions");
-      row.bd.vec_elems = num_at(bd, "vec_elems");
-      row.bd.l1_accesses = num_at(bd, "l1_accesses");
-      row.bd.l1_misses = num_at(bd, "l1_misses");
-      row.bd.l2_accesses = num_at(bd, "l2_accesses");
-      row.bd.l2_misses = num_at(bd, "l2_misses");
-    }
+    const Json& bd = object_at(e, "breakdown");
+    row.bd.compute_cycles = num_at(bd, "compute_cycles");
+    row.bd.mem_issue_cycles = num_at(bd, "mem_issue_cycles");
+    row.bd.mem_stall_cycles = num_at(bd, "mem_stall_cycles");
+    row.bd.scalar_cycles = num_at(bd, "scalar_cycles");
+    row.bd.vec_instructions = num_at(bd, "vec_instructions");
+    row.bd.vec_elems = num_at(bd, "vec_elems");
+    row.bd.l1_accesses = num_at(bd, "l1_accesses");
+    row.bd.l1_misses = num_at(bd, "l1_misses");
+    row.bd.l2_accesses = num_at(bd, "l2_accesses");
+    row.bd.l2_misses = num_at(bd, "l2_misses");
     // Derived fields in the file are informational; recompute so a stale or
     // hand-edited attribution block cannot skew a diff.
     entry.attr = attribute(row, r.roofline);
@@ -476,7 +454,7 @@ std::string summarize(const RunReport& r) {
       const Attribution& a = e.attr;
       char comp[8] = "   -", mem[8] = "   -", stall[8] = "   -",
            scal[8] = "   -", util[8] = "   -";
-      if (row.has_breakdown && row.cycles > 0) {
+      if (row.cycles > 0) {
         std::snprintf(comp, sizeof comp, "%5.1f",
                       100.0 * row.bd.compute_cycles / row.cycles);
         std::snprintf(mem, sizeof mem, "%5.1f",

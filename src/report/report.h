@@ -38,17 +38,16 @@ Bound bound_from_string(const std::string& s);
 
 /// Derived attribution for one sweep row. Degenerate inputs are clamped and
 /// labeled rather than leaking inf/NaN into emitters ("ai": inf is not valid
-/// JSON): `degenerate` is "" for a healthy row, else one of "zero_cycles",
-/// "zero_dram_bytes", "missing_breakdown". Non-finite fields serialize as
-/// JSON null.
+/// JSON): `degenerate` is "" for a healthy row, else "zero_cycles" or
+/// "zero_dram_bytes". Non-finite fields serialize as JSON null.
 struct Attribution {
-  double vec_utilization = 0;           ///< vec_elems / (lanes * cycles); NaN if unknown
+  double vec_utilization = 0;           ///< vec_elems / (lanes * cycles)
   double arith_intensity = 0;           ///< flops / DRAM bytes; +inf when bytes==0
   double achieved_flops_per_cycle = 0;  ///< flops / cycles
   double attainable_flops_per_cycle = 0;  ///< min(peak, ai * bandwidth)
   double roofline_efficiency = 0;       ///< achieved / attainable, in [0,1]-ish
-  double l1_miss_rate = 0;              ///< bd misses/accesses; NaN if unknown
-  double l2_miss_rate = 0;              ///< bd misses/accesses; NaN if unknown
+  double l1_miss_rate = 0;              ///< bd misses/accesses; NaN if none
+  double l2_miss_rate = 0;              ///< bd misses/accesses; NaN if none
   Bound bound = Bound::kDegenerate;
   std::string degenerate;               ///< "" or the degeneracy label
 };

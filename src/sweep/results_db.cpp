@@ -1,6 +1,7 @@
 #include "sweep/results_db.h"
 
-#include <algorithm>
+#include <array>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <vector>
@@ -22,7 +23,6 @@ struct DbMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
   obs::Counter& waits;
-  obs::Counter& puts;
   obs::Counter& loaded_rows;
   obs::Counter& heals;
 
@@ -32,7 +32,6 @@ struct DbMetrics {
       return DbMetrics{reg.counter("results_db.hit"),
                        reg.counter("results_db.miss"),
                        reg.counter("results_db.singleflight_wait"),
-                       reg.counter("results_db.put"),
                        reg.counter("results_db.loaded_rows"),
                        reg.counter("results_db.heal")};
     }();
@@ -40,28 +39,28 @@ struct DbMetrics {
   }
 };
 
-// v1 schema: headline numbers only. Still loadable; the loader heals such
-// files by rewriting them under the current header, with the breakdown
-// columns left empty until a report-enabled run upgrades the row.
-const std::vector<std::string> kHeaderV1 = {
+// The key, the layer descriptor, the five headline numbers and the ten
+// cycle-attribution breakdown numbers. Every row fills all 30 columns.
+const std::vector<std::string> kHeader = {
     "net",     "layer",  "algo",    "vlen",        "l2_bytes",
     "lanes",   "attach", "ic",      "ih",          "iw",
     "oc",      "kh",     "kw",      "stride",      "pad",
-    "cycles",  "avg_vl", "l2_miss_rate", "mem_bytes", "flops"};
+    "cycles",  "avg_vl", "l2_miss_rate", "mem_bytes", "flops",
+    "compute_cycles",   "mem_issue_cycles", "mem_stall_cycles",
+    "scalar_cycles",    "vec_instructions", "vec_elems",
+    "l1_accesses",      "l1_misses",        "l2_accesses",
+    "l2_misses"};
 
-// v2 schema: v1 plus the cycle-attribution breakdown. The ten breakdown
-// columns are either all populated or all empty on a given row (empty =
-// loaded from a v1 cache, breakdown unknown).
-const std::vector<std::string> kHeader = [] {
-  std::vector<std::string> h = kHeaderV1;
-  const char* extra[] = {"compute_cycles", "mem_issue_cycles",
-                         "mem_stall_cycles", "scalar_cycles",
-                         "vec_instructions", "vec_elems",
-                         "l1_accesses", "l1_misses",
-                         "l2_accesses", "l2_misses"};
-  h.insert(h.end(), std::begin(extra), std::end(extra));
-  return h;
-}();
+/// A row's 15 numbers in column order: the headline values, then the
+/// breakdown.
+std::array<double, 15> numbers(const SweepRow& r) {
+  const SweepBreakdown& d = r.bd;
+  return {r.cycles,           r.avg_vl,           r.l2_miss_rate,
+          r.mem_bytes,        r.flops,            d.compute_cycles,
+          d.mem_issue_cycles, d.mem_stall_cycles, d.scalar_cycles,
+          d.vec_instructions, d.vec_elems,        d.l1_accesses,
+          d.l1_misses,        d.l2_accesses,      d.l2_misses};
+}
 
 std::vector<std::string> to_fields(const SweepRow& r) {
   std::vector<std::string> f = {
@@ -79,25 +78,11 @@ std::vector<std::string> to_fields(const SweepRow& r) {
       std::to_string(r.desc.kh),
       std::to_string(r.desc.kw),
       std::to_string(r.desc.stride),
-      std::to_string(r.desc.pad),
-      // %.17g round-trips every IEEE-754 double exactly: a reloaded cache is
-      // bit-identical to the run that wrote it, so near-tie algorithm picks
-      // in network_optimal cannot flip between cold and cached runs.
-      obs::g17(r.cycles),
-      obs::g17(r.avg_vl),
-      obs::g17(r.l2_miss_rate),
-      obs::g17(r.mem_bytes),
-      obs::g17(r.flops)};
-  if (r.has_breakdown) {
-    for (double v : {r.bd.compute_cycles, r.bd.mem_issue_cycles,
-                     r.bd.mem_stall_cycles, r.bd.scalar_cycles,
-                     r.bd.vec_instructions, r.bd.vec_elems, r.bd.l1_accesses,
-                     r.bd.l1_misses, r.bd.l2_accesses, r.bd.l2_misses}) {
-      f.push_back(obs::g17(v));
-    }
-  } else {
-    f.insert(f.end(), kHeader.size() - kHeaderV1.size(), std::string());
-  }
+      std::to_string(r.desc.pad)};
+  // %.17g round-trips every IEEE-754 double exactly: a reloaded cache is
+  // bit-identical to the run that wrote it, so near-tie algorithm picks in
+  // network_optimal cannot flip between cold and cached runs.
+  for (double v : numbers(r)) f.push_back(obs::g17(v));
   return f;
 }
 
@@ -141,13 +126,6 @@ SweepRow row_from_fields(const std::vector<std::string>& f) {
   r.l2_miss_rate = real(17);
   r.mem_bytes = real(18);
   r.flops = real(19);
-  // A v1 row has no breakdown columns; a v2 row's ten are all empty (loaded
-  // from a v1 cache, breakdown unknown) or all numbers.
-  if (std::all_of(f.begin() + kHeaderV1.size(), f.end(),
-                  [](const std::string& v) { return v.empty(); })) {
-    return r;
-  }
-  r.has_breakdown = true;
   r.bd.compute_cycles = real(20);
   r.bd.mem_issue_cycles = real(21);
   r.bd.mem_stall_cycles = real(22);
@@ -163,24 +141,26 @@ SweepRow row_from_fields(const std::vector<std::string>& f) {
 
 }  // namespace
 
+bool bit_identical(const SweepRow& a, const SweepRow& b) {
+  const auto x = numbers(a), y = numbers(b);
+  return a.desc == b.desc && std::memcmp(x.data(), y.data(), sizeof x) == 0;
+}
+
 ResultsDb::ResultsDb(std::string path) : path_(std::move(path)) {
   CsvReadOptions opts;
   opts.tolerate_partial_tail = true;
   CsvTable t = read_csv_file(path_, opts);
   if (t.header.empty()) return;
-  // An old-schema (v1) cache loads fine — the headline numbers are unchanged
-  // — but is healed onto the current schema so subsequent appends line up.
-  const bool old_schema = t.header == kHeaderV1;
-  if (!old_schema && t.header != kHeader) {
+  if (t.header != kHeader) {
     throw std::runtime_error("results_db: " + path_ + ":" +
                              std::to_string(t.header_line) +
                              ": incompatible cache header (delete the file "
                              "to regenerate)");
   }
-  bool heal = t.dropped_partial_tail || old_schema;
+  bool heal = t.dropped_partial_tail;
   if (!t.complete_tail && !t.dropped_partial_tail && !t.rows.empty()) {
     // Right field count but no trailing newline: the final field may have been
-    // cut mid-write (put() flushes whole lines, so only a crash produces
+    // cut mid-write (appends flush whole lines, so only a crash produces
     // this). Drop the row; it will be recomputed on demand.
     t.rows.pop_back();
     t.row_lines.pop_back();
@@ -206,10 +186,7 @@ ResultsDb::ResultsDb(std::string path) : path_(std::move(path)) {
   if (heal) {
     // Rewrite the file from the surviving rows so the partial tail does not
     // corrupt subsequent appends.
-    CsvTable clean;
-    clean.header = kHeader;
-    for (const auto& [key, row] : rows_) clean.rows.push_back(to_fields(row));
-    write_csv_file(path_, clean);
+    rewrite();
     healed_on_load_ = true;
   }
   if (obs::metrics_enabled()) {
@@ -238,6 +215,23 @@ std::size_t ResultsDb::size() const {
   return rows_.size();
 }
 
+std::vector<SweepRow> ResultsDb::rows() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  std::vector<SweepRow> out;
+  out.reserve(rows_.size());
+  for (const auto& [key, row] : rows_) out.push_back(row);
+  return out;
+}
+
+void ResultsDb::rewrite() {
+  // The append writer, if open, appends after whatever this writes.
+  std::lock_guard<std::mutex> lk(mu_);
+  CsvTable t;
+  t.header = kHeader;
+  for (const auto& [key, row] : rows_) t.rows.push_back(to_fields(row));
+  write_csv_file(path_, t);
+}
+
 void ResultsDb::persist_locked(const SweepRow& row) {
   if (!out_.is_open()) {
     // Lazy open keeps a read-only ResultsDb from creating files. Header and
@@ -260,13 +254,6 @@ void ResultsDb::persist_locked(const SweepRow& row) {
   const std::string line = join_fields(to_fields(row));
   out_.write(line.data(), static_cast<std::streamsize>(line.size()));
   out_.flush();
-}
-
-void ResultsDb::put(const SweepRow& row) {
-  if (obs::metrics_enabled()) DbMetrics::get().puts.add();
-  std::lock_guard<std::mutex> lk(mu_);
-  rows_[row.key] = row;
-  persist_locked(row);
 }
 
 SweepRow ResultsDb::get_or_compute(const SweepKey& key,
@@ -330,9 +317,16 @@ SweepRow ResultsDb::get_or_compute(const SweepKey& key,
   return row;
 }
 
+bool repro_exact_mode() {
+  return env_word("REPRO_EXACT", {{"1", 1}, {"true", 1}, {"yes", 1},
+                                  {"on", 1}, {"0", 0}, {"false", 0},
+                                  {"no", 0}, {"off", 0}})
+             .value_or(0) != 0;
+}
+
 std::string default_results_path() {
   return env_text("REPRO_RESULTS_DIR").value_or("results") +
-         "/sweep_cache.csv";
+         (repro_exact_mode() ? "/sweep_cache_exact.csv" : "/sweep_cache.csv");
 }
 
 }  // namespace vlacnn

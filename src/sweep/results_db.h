@@ -23,6 +23,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "algos/conv_args.h"
 #include "memsim/memory_system.h"
@@ -46,7 +47,7 @@ struct SweepKey {
 };
 
 /// Cycle-attribution breakdown of one simulation point, mirroring the
-/// TimingStats buckets. Carried by the v2 cache schema so the report layer
+/// TimingStats buckets. Every cache row carries it, so the report layer
 /// (src/report/) can attribute cycles without re-simulating.
 struct SweepBreakdown {
   double compute_cycles = 0;
@@ -69,21 +70,23 @@ struct SweepRow {
   double l2_miss_rate = 0;
   double mem_bytes = 0;
   double flops = 0;
-  /// False for rows loaded from a v1 (pre-breakdown) cache file: the headline
-  /// numbers are valid but `bd` is all zeros. A report-enabled run upgrades
-  /// such rows by re-simulating (see SweepDriver::get).
-  bool has_breakdown = false;
+  /// Always true: every row carries `bd`. Kept for the host benchmark
+  /// (hostbench/), which still checks it.
+  bool has_breakdown = true;
   SweepBreakdown bd;
 };
 
-/// CSV-backed, thread-safe store. Loads existing rows at construction; put()
-/// and get_or_compute() append both in memory and on disk.
+/// True when `a` and `b` hold the same layer descriptor and the same bits in
+/// all 15 numbers: the five headline values and the ten breakdown fields.
+bool bit_identical(const SweepRow& a, const SweepRow& b);
+
+/// CSV-backed, thread-safe store. Loads existing rows at construction;
+/// get_or_compute() appends both in memory and on disk.
 class ResultsDb {
  public:
   explicit ResultsDb(std::string path);
 
   std::optional<SweepRow> find(const SweepKey& key) const;
-  void put(const SweepRow& row);
 
   /// The cached row for `key`, computing (and persisting) it via `compute` on
   /// a miss. Concurrent callers with the same key trigger exactly one compute;
@@ -95,9 +98,15 @@ class ResultsDb {
   std::size_t size() const;
   const std::string& path() const { return path_; }
 
-  /// True when construction found (and repaired) a truncated trailing row, a
-  /// file that did not end in a newline, or an old-schema (v1, pre-breakdown)
-  /// cache that was rewritten in the current schema.
+  /// Every row, in SweepKey order.
+  std::vector<SweepRow> rows() const;
+
+  /// Rewrite the file with one row per key, in SweepKey order: the canonical
+  /// form of a cache, which a heal on load writes too.
+  void rewrite();
+
+  /// True when construction found (and repaired) a truncated trailing row or
+  /// a file that did not end in a newline.
   bool healed_on_load() const { return healed_on_load_; }
 
  private:
@@ -118,8 +127,15 @@ class ResultsDb {
   bool healed_on_load_ = false;
 };
 
-/// REPRO_RESULTS_DIR env var, defaulting to "results" under the current
-/// working directory.
+/// True when REPRO_EXACT is set to 1/true/yes/on (disables sampled
+/// simulation); false when unset or 0/false/no/off. Any other value throws —
+/// a typo must not silently run the sampled mode.
+bool repro_exact_mode();
+
+/// `sweep_cache.csv` under the REPRO_RESULTS_DIR env var, which defaults to
+/// "results" under the current working directory. A SweepKey does not record
+/// the sampler mode, so under REPRO_EXACT the rows go to their own
+/// `sweep_cache_exact.csv` instead.
 std::string default_results_path();
 
 }  // namespace vlacnn

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/env.h"
 #include "common/thread_pool.h"
 #include "obs/kernprof.h"
 #include "obs/log.h"
@@ -29,7 +28,6 @@ SweepRow row_from_stats(const SweepKey& key, const ConvLayerDesc& desc,
   r.l2_miss_rate = stats.l2_miss_rate();
   r.mem_bytes = stats.mem_bytes;
   r.flops = stats.flops;
-  r.has_breakdown = true;
   r.bd.compute_cycles = stats.compute_cycles;
   r.bd.mem_issue_cycles = stats.mem_issue_cycles;
   r.bd.mem_stall_cycles = stats.mem_stall_cycles;
@@ -85,13 +83,6 @@ std::vector<std::uint64_t> paper1_l2_sizes() {
   return {1ull << 20, 8ull << 20, 64ull << 20, 256ull << 20};
 }
 
-bool repro_exact_mode() {
-  return env_word("REPRO_EXACT", {{"1", 1}, {"true", 1}, {"yes", 1},
-                                  {"on", 1}, {"0", 0}, {"false", 0},
-                                  {"no", 0}, {"off", 0}})
-             .value_or(0) != 0;
-}
-
 SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
                           const ConvLayerDesc& desc, Algo algo,
                           std::uint32_t vlen_bits, std::uint64_t l2_bytes,
@@ -135,24 +126,11 @@ SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
         " layer " + std::to_string(conv_ordinal) +
         " (stale cache? delete " + db_->path() + ")");
   }
-  if (!row.has_breakdown && report::enabled()) {
-    // Lazy upgrade of rows loaded from a v1 (pre-breakdown) cache: only
-    // report-enabled runs pay the re-simulation, and only for the points they
-    // actually touch. Concurrent upgraders of the same key waste a sim but
-    // produce identical rows (the simulation is deterministic), so put() is
-    // a benign overwrite.
-    obs::Span span("sweep.upgrade");
-    if (span.active()) span.arg("net", net_name);
-    SimConfig config = sim_config();
-    const TimingStats stats = conv_simulate(algo, desc, config, &phases);
-    row = row_from_stats(key, desc, stats);
-    db_->put(row);
-  }
   if (obs::kernprof_enabled() && phases.empty()) {
     // The row came out of a warm ResultsDb, so no PMU rode along. Re-simulate
-    // purely for the profile — same discipline as the v1 upgrade above: the
-    // simulation is deterministic, so the recorded block is byte-identical to
-    // a cold run's, and concurrent profilers of one key are benign.
+    // purely for the profile: the simulation is deterministic, so the
+    // recorded block is byte-identical to a cold run's, and concurrent
+    // profilers of one key are benign.
     obs::Span span("sweep.kernprof");
     if (span.active()) span.arg("net", net_name);
     SimConfig config = sim_config();

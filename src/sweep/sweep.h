@@ -113,9 +113,4 @@ class SweepDriver {
   ResultsDb* db_;
 };
 
-/// True when REPRO_EXACT is set to 1/true/yes/on (disables sampled
-/// simulation); false when unset or 0/false/no/off. Any other value throws —
-/// a typo must not silently run the sampled mode.
-bool repro_exact_mode();
-
 }  // namespace vlacnn

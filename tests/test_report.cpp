@@ -1,7 +1,7 @@
 // Report subsystem: attribution math (including the degenerate-input guards),
 // roofline classification, JSON emit/parse round-trip, the baseline diff the
 // regression gate runs on, collector determinism, and the sweep driver's
-// breakdown threading (cold fill + lazy upgrade of v1 rows).
+// breakdown threading.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -43,7 +43,6 @@ SweepRow healthy_row(int layer = 0, Algo algo = Algo::kGemm6) {
   r.l2_miss_rate = 0.25;
   r.mem_bytes = 4096.0;
   r.flops = 64000.0;
-  r.has_breakdown = true;
   r.bd.compute_cycles = 400.0;
   r.bd.mem_issue_cycles = 300.0;
   r.bd.mem_stall_cycles = 200.0;
@@ -132,24 +131,6 @@ TEST(ReportAttribution, ZeroDramBytesGivesInfiniteAiButValidJson) {
       doc.at("entries").array.at(0).at("attribution");
   EXPECT_TRUE(attr.at("arith_intensity").is_null());
   EXPECT_EQ(attr.at("degenerate").string, "zero_dram_bytes");
-}
-
-TEST(ReportAttribution, MissingBreakdownLabeled) {
-  SweepRow r = healthy_row();
-  r.has_breakdown = false;
-  const Attribution a = report::attribute(r, RooflineParams{});
-  EXPECT_EQ(a.degenerate, "missing_breakdown");
-  EXPECT_TRUE(std::isnan(a.vec_utilization));
-  EXPECT_TRUE(std::isnan(a.l1_miss_rate));
-  EXPECT_EQ(a.bound, Bound::kCompute);  // headline AI is still classifiable
-
-  RunReport rep;
-  rep.tool = "t";
-  rep.entries.push_back({r, a});
-  const report::Json doc = report::parse_json(rep.to_json());
-  const report::Json& e = doc.at("entries").array.at(0);
-  EXPECT_TRUE(e.at("breakdown").is_null());
-  EXPECT_TRUE(e.at("attribution").at("vec_utilization").is_null());
 }
 
 // --------------------------------------------------- JSON round-trip -------
@@ -253,7 +234,7 @@ TEST(ReportJson, EmitParseRoundTripIsExact) {
   SweepRow r1 = healthy_row(0, Algo::kGemm6);
   r1.cycles = 1.0 / 3.0;  // %.17g must survive the trip bit-exactly
   SweepRow r2 = healthy_row(1, Algo::kDirect);
-  r2.has_breakdown = false;
+  r2.bd.l2_misses = 1.0 / 7.0;
   rep.entries.push_back({r1, report::attribute(r1, rep.roofline)});
   rep.entries.push_back({r2, report::attribute(r2, rep.roofline)});
   rep.cells(Section::kServing)
@@ -290,9 +271,8 @@ TEST(ReportJson, EmitParseRoundTripIsExact) {
   EXPECT_TRUE(!(b1.key < r1.key) && !(r1.key < b1.key));
   EXPECT_EQ(b1.cycles, r1.cycles);  // bit-exact, not NEAR
   EXPECT_EQ(b1.desc, r1.desc);
-  ASSERT_TRUE(b1.has_breakdown);
   EXPECT_EQ(b1.bd.vec_elems, r1.bd.vec_elems);
-  EXPECT_FALSE(back.entries[1].row.has_breakdown);
+  EXPECT_EQ(back.entries[1].row.bd.l2_misses, r2.bd.l2_misses);
   for (Section s : report::kAllSections) {
     ASSERT_EQ(back.cells(s).size(), rep.cells(s).size());
     for (std::size_t i = 0; i < rep.cells(s).size(); ++i) {
@@ -617,6 +597,20 @@ TEST(ReportJson, IntegerFieldsAreCheckedAndEntriesUnique) {
   EXPECT_THROW(report::uint_at(j, "absent"), std::runtime_error);
 }
 
+TEST(ReportJson, EntryWithoutBreakdownNamesTheField) {
+  // Every entry carries its row's breakdown; a null one (as reports once
+  // wrote for rows that lacked it) fails naming the field.
+  EXPECT_EQ(report_error(sample_with(
+                "\"breakdown\": {\"compute_cycles\": 80000000, "
+                "\"mem_issue_cycles\": 20000000, \"mem_stall_cycles\": "
+                "15000000, \"scalar_cycles\": 8456789.5, "
+                "\"vec_instructions\": 3500000, \"vec_elems\": 110000000, "
+                "\"l1_accesses\": 4000000, \"l1_misses\": 200000, "
+                "\"l2_accesses\": 200000, \"l2_misses\": 25000}",
+                "\"breakdown\": null")),
+            "json: key \"breakdown\" holds null, expected an object");
+}
+
 // ---------------------------------------------------------------- diff -----
 
 TEST(ReportDiff, IdenticalReportsAreOk) {
@@ -748,7 +742,6 @@ TEST_F(ReportTest, SweepFillsBreakdownAndCollectorReconciles) {
   const RunReport rep = report::Collector::global().snapshot("t", 0);
   ASSERT_EQ(rep.entries.size(), kAllAlgos.size());
   for (const report::ReportEntry& e : rep.entries) {
-    ASSERT_TRUE(e.row.has_breakdown) << report::entry_key(e.row.key);
     // The recorded cycle split must reconcile with the row's total.
     const SweepBreakdown& bd = e.row.bd;
     const double sum = bd.compute_cycles + bd.mem_issue_cycles +
@@ -757,48 +750,6 @@ TEST_F(ReportTest, SweepFillsBreakdownAndCollectorReconciles) {
         << report::entry_key(e.row.key);
     EXPECT_TRUE(e.attr.degenerate.empty());
   }
-}
-
-TEST_F(ReportTest, V1RowsAreLazilyUpgradedOnlyWhenReportingEnabled) {
-  const std::string cache = (dir_ / "cache.csv").string();
-  const ConvLayerDesc d{3, 32, 32, 8, 3, 3, 1, 1};
-  double v1_cycles = 0;
-  {
-    // Seed the cache, then strip the breakdown to emulate a v1-loaded row.
-    ResultsDb db(cache);
-    SweepDriver driver(&db);
-    SweepRow r = driver.get("tiny", 0, d, Algo::kGemm3, 512, 1u << 20);
-    v1_cycles = r.cycles;
-    r.has_breakdown = false;
-    r.bd = SweepBreakdown{};
-    db.put(r);
-  }
-  {
-    // Reporting disabled: the row stays breakdown-less (no hidden resim).
-    ResultsDb db(cache);
-    SweepDriver driver(&db);
-    const SweepRow r = driver.get("tiny", 0, d, Algo::kGemm3, 512, 1u << 20);
-    EXPECT_FALSE(r.has_breakdown);
-  }
-  {
-    // Reporting enabled: get() re-simulates, persists, and the upgraded row
-    // reproduces the original headline cycles bit-for-bit (the simulation is
-    // deterministic).
-    report::set_report_dir(dir_.string());
-    ResultsDb db(cache);
-    SweepDriver driver(&db);
-    const SweepRow r = driver.get("tiny", 0, d, Algo::kGemm3, 512, 1u << 20);
-    EXPECT_TRUE(r.has_breakdown);
-    EXPECT_EQ(r.cycles, v1_cycles);
-    report::set_report_dir("");
-  }
-  // The upgrade was persisted: a fresh (report-off) load sees the breakdown.
-  ResultsDb db(cache);
-  const auto hit = db.find(SweepKey{"tiny", 0, Algo::kGemm3, 512, 1u << 20, 8,
-                                    VpuAttach::kIntegratedL1});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->has_breakdown);
-  EXPECT_GT(hit->bd.compute_cycles, 0.0);
 }
 
 TEST_F(ReportTest, ParallelSweepReportMatchesSerialReport) {
@@ -1093,8 +1044,7 @@ TEST(ReaderFuzz, SweepCacheMutantsLoadHealOrThrowNamingTheLine) {
       r.key.l2_bytes = (1ull << 20) << (i % 7);
       r.cycles = 97338839.953200221 * (i + 1);
       r.l2_miss_rate = 0.49136542951466489 / (i + 1);
-      r.has_breakdown = i != 7;  // one legacy row, breakdown columns empty
-      db.put(r);
+      db.get_or_compute(r.key, [&] { return r; });
     }
   }
   const std::string cache = read_text(path);

@@ -1,7 +1,7 @@
 // Tests for the thread-safe results cache: exact round-trip persistence,
-// recovery from a crash-truncated trailing row, header validation, and the
-// concurrent put / single-flight deduplication paths used by the parallel
-// sweep engine.
+// recovery from a crash-truncated trailing row, header and row validation,
+// the key-ordered rewrite, and the concurrent append / single-flight
+// deduplication paths used by the parallel sweep engine.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -47,6 +47,11 @@ class ResultsDbTest : public ::testing::Test {
     return r;
   }
 
+  /// Seeds `r` through the one write path, as a computed row.
+  static void put(ResultsDb& db, const SweepRow& r) {
+    db.get_or_compute(r.key, [&] { return r; });
+  }
+
   static bool bit_equal(double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
   }
@@ -68,6 +73,15 @@ TEST(ResultsDbPath, EmptyResultsDirMeansTheDefault) {
   EXPECT_EQ(default_results_path(), "/tmp/elsewhere/sweep_cache.csv");
   ::setenv("REPRO_RESULTS_DIR", "", 1);  // not the filesystem root
   EXPECT_EQ(default_results_path(), "results/sweep_cache.csv");
+  // A SweepKey does not record the sampler mode: exact rows get their own
+  // file rather than mixing with (and being served as) sampled ones.
+  ::setenv("REPRO_EXACT", "1", 1);
+  EXPECT_EQ(default_results_path(), "results/sweep_cache_exact.csv");
+  ::setenv("REPRO_RESULTS_DIR", "/tmp/elsewhere", 1);
+  EXPECT_EQ(default_results_path(), "/tmp/elsewhere/sweep_cache_exact.csv");
+  ::setenv("REPRO_EXACT", "off", 1);
+  EXPECT_EQ(default_results_path(), "/tmp/elsewhere/sweep_cache.csv");
+  ::unsetenv("REPRO_EXACT");
   ::unsetenv("REPRO_RESULTS_DIR");
 }
 
@@ -86,8 +100,8 @@ TEST_F(ResultsDbTest, RoundTripIsBitExact) {
     ResultsDb db(path_);
     int layer = 0;
     for (double v : nasty) {
-      db.put(make_row(layer++, Algo::kGemm3, v, v / 7.0, v / 1e301, v * 0.5,
-                      v == 0 ? 1 : v));
+      put(db, make_row(layer++, Algo::kGemm3, v, v / 7.0, v / 1e301, v * 0.5,
+                       v == 0 ? 1 : v));
     }
   }
   ResultsDb db2(path_);
@@ -113,7 +127,6 @@ TEST_F(ResultsDbTest, BreakdownRoundTripIsBitExact) {
     int layer = 0;
     for (double v : nasty) {
       SweepRow r = make_row(layer++, Algo::kGemm6, v);
-      r.has_breakdown = true;
       r.bd.compute_cycles = v * 0.4;
       r.bd.mem_issue_cycles = v * 0.3;
       r.bd.mem_stall_cycles = v * 0.2;
@@ -124,7 +137,7 @@ TEST_F(ResultsDbTest, BreakdownRoundTripIsBitExact) {
       r.bd.l1_misses = v / 13.0;
       r.bd.l2_accesses = v / 17.0;
       r.bd.l2_misses = v / 19.0;
-      db.put(r);
+      put(db, r);
     }
   }
   ResultsDb db2(path_);
@@ -134,7 +147,6 @@ TEST_F(ResultsDbTest, BreakdownRoundTripIsBitExact) {
     const auto hit = db2.find(SweepKey{"tiny", layer++, Algo::kGemm6, 512,
                                        1u << 20, 8, VpuAttach::kIntegratedL1});
     ASSERT_TRUE(hit.has_value());
-    ASSERT_TRUE(hit->has_breakdown);
     EXPECT_TRUE(bit_equal(hit->bd.compute_cycles, v * 0.4));
     EXPECT_TRUE(bit_equal(hit->bd.mem_issue_cycles, v * 0.3));
     EXPECT_TRUE(bit_equal(hit->bd.mem_stall_cycles, v * 0.2));
@@ -148,20 +160,9 @@ TEST_F(ResultsDbTest, BreakdownRoundTripIsBitExact) {
   }
 }
 
-TEST_F(ResultsDbTest, RowsWithoutBreakdownPersistAsSuch) {
-  {
-    ResultsDb db(path_);
-    db.put(make_row(0, Algo::kGemm3, 100.5));  // make_row: no breakdown
-  }
-  ResultsDb db2(path_);
-  const auto hit = db2.find(SweepKey{"tiny", 0, Algo::kGemm3, 512, 1u << 20, 8,
-                                     VpuAttach::kIntegratedL1});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_FALSE(hit->has_breakdown);
-}
-
-TEST_F(ResultsDbTest, OldSchemaV1FileLoadsAndHealsToV2) {
-  // A pre-breakdown (v1) cache, exactly as PR 1 wrote it.
+TEST_F(ResultsDbTest, OldSchemaV1HeaderNamesFileAndLine) {
+  // A pre-breakdown cache, exactly as the first schema wrote it: its 20
+  // columns are not the current 30, so it fails like any other header.
   std::filesystem::create_directories(dir_);
   {
     std::ofstream out(path_);
@@ -169,43 +170,67 @@ TEST_F(ResultsDbTest, OldSchemaV1FileLoadsAndHealsToV2) {
            "stride,pad,cycles,avg_vl,l2_miss_rate,mem_bytes,flops\n";
     out << "tiny,0,gemm3,512,1048576,8,int,3,32,32,8,3,3,1,1,"
            "100.5,13.699999999999999,0.123,4096,1000000000\n";
-    out << "tiny,1,direct,512,1048576,8,int,3,32,32,8,3,3,1,1,"
-           "200.25,13.699999999999999,0.123,4096,1000000000\n";
   }
-  ResultsDb db(path_);
-  EXPECT_TRUE(db.healed_on_load());  // rewritten under the v2 header
-  EXPECT_EQ(db.size(), 2u);
-  const auto hit = db.find(SweepKey{"tiny", 0, Algo::kGemm3, 512, 1u << 20, 8,
-                                    VpuAttach::kIntegratedL1});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_FALSE(hit->has_breakdown);  // headline valid, breakdown unknown
-  EXPECT_TRUE(bit_equal(hit->cycles, 100.5));
+  try {
+    ResultsDb db(path_);
+    FAIL() << "expected runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  path_ + ":1: incompatible cache header (delete the file to "
+                          "regenerate)"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
-  // The healed file is v2: it reloads cleanly and accepts breakdown appends.
-  SweepRow up = make_row(2, Algo::kGemm6, 300.125);
-  up.has_breakdown = true;
-  up.bd.compute_cycles = 300.125;
-  db.put(up);
-  ResultsDb db2(path_);
-  EXPECT_FALSE(db2.healed_on_load());
-  EXPECT_EQ(db2.size(), 3u);
-  const std::string text = read_file();
-  EXPECT_NE(text.find("compute_cycles"), std::string::npos);
-  const auto hit2 = db2.find(up.key);
-  ASSERT_TRUE(hit2.has_value());
-  EXPECT_TRUE(hit2->has_breakdown);
+TEST_F(ResultsDbTest, RowWithoutBreakdownNamesLineAndColumn) {
+  // A row whose ten breakdown columns are empty, as the first schema's rows
+  // were once healed, before a good row: the first empty column fails it.
+  {
+    ResultsDb db(path_);
+    put(db, make_row(0, Algo::kGemm3, 100.5));
+    put(db, make_row(1, Algo::kDirect, 200.25));
+  }
+  CsvTable t = read_csv_file(path_);
+  std::fill(t.rows[0].begin() + 20, t.rows[0].end(), std::string());
+  write_csv_file(path_, t);
+  try {
+    ResultsDb db(path_);
+    FAIL() << "expected runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path_ +
+                                         ":2: compute_cycles: expected "),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ResultsDbTest, RewriteWritesOneRowPerKeyInKeyOrder) {
+  ResultsDb db(path_);
+  for (int layer : {3, 0, 2, 1}) put(db, make_row(layer, Algo::kGemm3, layer));
+  const std::vector<SweepRow> rows = db.rows();
+  ASSERT_EQ(rows.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(rows[i].key.layer, i);
+
+  db.rewrite();
+  const CsvTable t = read_csv_file(path_);
+  ASSERT_EQ(t.rows.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(t.rows[i][1], std::to_string(i));
+  // Appends after a rewrite land after it, and the file reloads clean.
+  put(db, make_row(4, Algo::kGemm3, 4));
+  ResultsDb again(path_);
+  EXPECT_FALSE(again.healed_on_load());
+  EXPECT_EQ(again.size(), 5u);
 }
 
 TEST_F(ResultsDbTest, MixedBreakdownColumnsRejected) {
   {
     ResultsDb db(path_);
-    SweepRow r = make_row(0, Algo::kGemm3, 100.5);
-    r.has_breakdown = true;
-    db.put(r);
-    db.put(make_row(1, Algo::kDirect, 200.25));
+    put(db, make_row(0, Algo::kGemm3, 100.5));
+    put(db, make_row(1, Algo::kDirect, 200.25));
   }
-  // Blank out the first row's final breakdown field (l2_misses): breakdown
-  // columns must be all set or all empty, and since a good row follows, this
+  // Blank out the first row's final breakdown field (l2_misses): every
+  // breakdown column must hold a number, and since a good row follows, this
   // is corruption (not a torn tail) and must throw.
   std::string text = read_file();
   const auto line_start = text.find("\ntiny,0,") + 1;
@@ -222,8 +247,8 @@ TEST_F(ResultsDbTest, MixedBreakdownColumnsRejected) {
 TEST_F(ResultsDbTest, TruncatedTrailingRowIsDroppedAndHealed) {
   {
     ResultsDb db(path_);
-    db.put(make_row(0, Algo::kGemm3, 100.5));
-    db.put(make_row(1, Algo::kDirect, 200.25));
+    put(db, make_row(0, Algo::kGemm3, 100.5));
+    put(db, make_row(1, Algo::kDirect, 200.25));
   }
   {
     // Simulate a crash mid-append: a ragged final line with no newline.
@@ -235,7 +260,7 @@ TEST_F(ResultsDbTest, TruncatedTrailingRowIsDroppedAndHealed) {
   EXPECT_EQ(db.size(), 2u);
   // The heal rewrote the file: reloading again is clean, and appending after
   // the heal must not concatenate with leftover garbage.
-  db.put(make_row(2, Algo::kGemm6, 300.125));
+  put(db, make_row(2, Algo::kGemm6, 300.125));
   ResultsDb db2(path_);
   EXPECT_FALSE(db2.healed_on_load());
   EXPECT_EQ(db2.size(), 3u);
@@ -244,8 +269,8 @@ TEST_F(ResultsDbTest, TruncatedTrailingRowIsDroppedAndHealed) {
 TEST_F(ResultsDbTest, MissingTrailingNewlineDropsSuspectLastRow) {
   {
     ResultsDb db(path_);
-    db.put(make_row(0, Algo::kGemm3, 100.5));
-    db.put(make_row(1, Algo::kDirect, 123456.789));
+    put(db, make_row(0, Algo::kGemm3, 100.5));
+    put(db, make_row(1, Algo::kDirect, 123456.789));
   }
   // Cut the file mid-way through the last row's final field: the row still has
   // the right number of commas and parses, but the value is wrong.
@@ -262,14 +287,14 @@ TEST_F(ResultsDbTest, MissingTrailingNewlineDropsSuspectLastRow) {
 TEST_F(ResultsDbTest, UnparseableFinalRowIsDropped) {
   {
     ResultsDb db(path_);
-    db.put(make_row(0, Algo::kGemm3, 100.5));
+    put(db, make_row(0, Algo::kGemm3, 100.5));
   }
   {
     // Right arity, garbage numeric field, complete line: e.g. a torn write
     // that happened to land on a comma boundary.
     std::ofstream out(path_, std::ios::app);
     out << "tiny,1,gemm3,512,1048576,8,int,3,32,32,8,3,3,1,1,"
-           "12x4,1,1,1,1\n";
+           "12x4,1,1,1,1,0,0,0,0,0,0,0,0,0,0\n";
   }
   ResultsDb db(path_);
   EXPECT_TRUE(db.healed_on_load());
@@ -288,8 +313,8 @@ TEST_F(ResultsDbTest, HeaderMismatchThrows) {
 TEST_F(ResultsDbTest, CorruptMiddleRowNamesFileAndLine) {
   {
     ResultsDb db(path_);
-    db.put(make_row(0, Algo::kGemm3, 100.5));
-    db.put(make_row(1, Algo::kDirect, 200.25));
+    put(db, make_row(0, Algo::kGemm3, 100.5));
+    put(db, make_row(1, Algo::kDirect, 200.25));
   }
   // Corrupt the *first* data row (line 2): not a partial tail, must throw
   // with the file path and line number in the message.
@@ -328,10 +353,8 @@ TEST_F(ResultsDbTest, BadFieldBeforeAGoodRowNamesLineAndColumn) {
                {"l2_misses", ""}};
   {
     ResultsDb db(path_);
-    SweepRow r = make_row(0, Algo::kGemm3, 100.5);
-    r.has_breakdown = true;
-    db.put(r);
-    db.put(make_row(1, Algo::kDirect, 200.25));
+    put(db, make_row(0, Algo::kGemm3, 100.5));
+    put(db, make_row(1, Algo::kDirect, 200.25));
   }
   const CsvTable good = read_csv_file(path_);
   for (const auto& c : cases) {
@@ -364,8 +387,8 @@ TEST_F(ResultsDbTest, ConcurrentPutsAllLand) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&db, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        db.put(make_row(t * kPerThread + i, Algo::kGemm3,
-                        1000.0 + t * kPerThread + i + 1.0 / 3.0));
+        put(db, make_row(t * kPerThread + i, Algo::kGemm3,
+                         1000.0 + t * kPerThread + i + 1.0 / 3.0));
       }
     });
   }

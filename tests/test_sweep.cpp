@@ -4,9 +4,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <map>
+#include <tuple>
 
 #include "area/area_model.h"
 #include "common/rng.h"
@@ -194,6 +197,55 @@ TEST_F(SweepTest, GetManyDeduplicatesIdenticalRequests) {
   ASSERT_EQ(rows.size(), reqs.size());
   EXPECT_EQ(db.size(), 1u);  // single-flight: one simulation, one cache row
   for (const SweepRow& r : rows) EXPECT_EQ(r.cycles, rows[0].cycles);
+}
+
+class CommittedCache : public SweepTest {};
+
+TEST_F(CommittedCache, StratifiedSampleReproducesColdBitForBit) {
+  // The committed cache is a function of the code and its keys: a seeded
+  // sample of its rows, one per (attach, lanes, algorithm) stratum,
+  // re-simulates cold to the same bits. Each draw is among the stratum's
+  // rows below its median flops, which keeps the sanitizer runs short.
+  std::filesystem::create_directories(dir_);
+  // A copy, so a heal on load can never rewrite the committed file.
+  const std::string committed = (dir_ / "committed.csv").string();
+  std::filesystem::copy_file(VLACNN_COMMITTED_CACHE, committed);
+  std::map<std::tuple<VpuAttach, std::uint32_t, Algo>, std::vector<SweepRow>>
+      strata;
+  for (const SweepRow& r : ResultsDb(committed).rows()) {
+    strata[{r.key.attach, r.key.lanes, r.key.algo}].push_back(r);
+  }
+  for (std::uint32_t lanes : {2u, 4u, 8u}) {
+    EXPECT_TRUE(strata.count({VpuAttach::kDecoupledL2, lanes, Algo::kGemm3}))
+        << lanes << " lanes";
+  }
+  for (Algo a : kAllAlgos) {
+    EXPECT_TRUE(strata.count({VpuAttach::kIntegratedL1, 8, a})) << to_string(a);
+  }
+
+  ResultsDb fresh(path_);
+  SweepDriver driver(&fresh);
+  Rng rng(20261019);
+  for (auto& [stratum, rows] : strata) {
+    std::vector<double> flops;
+    for (const SweepRow& r : rows) flops.push_back(r.flops);
+    std::nth_element(flops.begin(), flops.begin() + flops.size() / 2,
+                     flops.end());
+    const double median = flops[flops.size() / 2];
+    std::vector<const SweepRow*> cheap;
+    for (const SweepRow& r : rows) {
+      if (r.flops < median) cheap.push_back(&r);
+    }
+    if (cheap.empty()) cheap.push_back(&rows.front());
+    const SweepRow& want = *cheap[rng.next_below(cheap.size())];
+    const SweepKey& k = want.key;
+    const SweepRow got = driver.get(k.net, k.layer, want.desc, k.algo,
+                                    k.vlen_bits, k.l2_bytes, k.lanes, k.attach);
+    EXPECT_TRUE(bit_identical(got, want))
+        << k.net << " L" << k.layer << " " << to_string(k.algo) << " vlen "
+        << k.vlen_bits << " l2 " << k.l2_bytes << " lanes " << k.lanes << " "
+        << to_string(k.attach) << ": " << got.cycles << " vs " << want.cycles;
+  }
 }
 
 TEST_F(SweepTest, GridDefinitionsMatchPapers) {
