@@ -12,9 +12,8 @@ Env::Env()
       yolo20(make_yolov3(20, 608)) {}
 
 void banner(const std::string& title, const std::string& paper_ref) {
-  // Every figure driver prints a banner first, so this is the one place that
-  // arms the VLACNN_METRICS and VLACNN_REPORT exit reports for the whole
-  // bench suite.
+  // Every figure prints a banner first, so this is the one place that arms
+  // the VLACNN_METRICS and VLACNN_REPORT exit reports for the bench binaries.
   obs::install_exit_report();
   report::arm_exit_report(title);
   std::printf("\n================================================================\n");
@@ -45,31 +44,23 @@ std::string layer_tag(const ConvLayerDesc& d) {
 
 namespace {
 
-constexpr double kClockHz = 2.0e9;  // both papers simulate 2 GHz cores
-
 const std::vector<Algo> kAlgoVec(kAllAlgos.begin(), kAllAlgos.end());
 
-/// Per-layer rows for every algorithm (gemm6 fallback where inapplicable).
-std::vector<std::vector<SweepRow>> all_algo_rows(Env& env, const Network& net,
-                                                 std::uint32_t vlen,
-                                                 std::uint64_t l2,
-                                                 VpuAttach attach) {
-  // One parallel fan-out over the full layer x algorithm block, then cheap
-  // per-algorithm cache hits.
-  env.driver->prefetch(net, kAlgoVec, {vlen}, {l2}, 8, attach);
-  std::vector<std::vector<SweepRow>> per_algo;
-  for (Algo a : kAllAlgos) {
-    per_algo.push_back(env.driver->network_rows(net, a, vlen, l2, 8, attach));
-  }
-  return per_algo;
-}
+constexpr std::uint64_t kL2_1MB = 1u << 20;
 
 }  // namespace
 
-void perlayer_figure(Env& env, const Network& net, std::uint32_t vlen,
-                     std::uint64_t l2) {
-  const auto rows = all_algo_rows(env, net, vlen, l2,
-                                  VpuAttach::kIntegratedL1);
+void perlayer_figure(Env& env, const Network& net) {
+  const std::uint32_t vlen = 512;
+  const std::uint64_t l2 = kL2_1MB;
+  // Per-layer rows for every algorithm (gemm6 fallback where inapplicable):
+  // one parallel fan-out over the full layer x algorithm block, then cheap
+  // per-algorithm cache hits.
+  env.driver->prefetch(net, kAlgoVec, {vlen}, {l2});
+  std::vector<std::vector<SweepRow>> rows;
+  for (Algo a : kAllAlgos) {
+    rows.push_back(env.driver->network_rows(net, a, vlen, l2));
+  }
   const std::size_t layers = rows[0].size();
   std::printf("\n%s @ %u-bit x %s  (per-layer time in ms @ 2GHz; * = winner;\n"
               " w! = winograd inapplicable, gemm6 fallback shown)\n\n",
@@ -93,19 +84,19 @@ void perlayer_figure(Env& env, const Network& net, std::uint32_t vlen,
   }
 }
 
-void vlen_scaling_figure(Env& env, const Network& net,
-                         const std::vector<std::uint32_t>& vlens,
-                         std::uint64_t l2, VpuAttach attach) {
+void vlen_scaling_figure(Env& env, const Network& net) {
+  const std::vector<std::uint32_t> vlens = paper2_vlens();
+  const std::uint64_t l2 = kL2_1MB;
   std::printf("\n%s, L2=%s: per-layer speedup over the %u-bit baseline\n",
               net.name().c_str(), l2_str(l2).c_str(), vlens.front());
-  env.driver->prefetch(net, kAlgoVec, vlens, {l2}, 8, attach);
+  env.driver->prefetch(net, kAlgoVec, vlens, {l2});
   for (Algo a : kAllAlgos) {
     std::printf("\n-- %s --\n%5s %-26s", to_string(a), "layer", "dimensions");
     for (std::uint32_t v : vlens) std::printf(" %6u", v);
     std::printf("   (ms @ first vlen)\n");
     std::vector<std::vector<SweepRow>> per_vlen;
     for (std::uint32_t v : vlens) {
-      per_vlen.push_back(env.driver->network_rows(net, a, v, l2, 8, attach));
+      per_vlen.push_back(env.driver->network_rows(net, a, v, l2));
     }
     for (std::size_t i = 0; i < per_vlen[0].size(); ++i) {
       const double base = per_vlen[0][i].cycles;
@@ -120,19 +111,18 @@ void vlen_scaling_figure(Env& env, const Network& net,
   }
 }
 
-void l2_scaling_figure(Env& env, const Network& net, std::uint32_t vlen,
-                       const std::vector<std::uint64_t>& l2_sizes,
-                       VpuAttach attach) {
+void l2_scaling_figure(Env& env, const Network& net, std::uint32_t vlen) {
+  const std::vector<std::uint64_t> l2_sizes = paper2_l2_sizes();
   std::printf("\n%s, VLEN=%u-bit: per-layer speedup over the %s baseline\n",
               net.name().c_str(), vlen, l2_str(l2_sizes.front()).c_str());
-  env.driver->prefetch(net, kAlgoVec, {vlen}, l2_sizes, 8, attach);
+  env.driver->prefetch(net, kAlgoVec, {vlen}, l2_sizes);
   for (Algo a : kAllAlgos) {
     std::printf("\n-- %s --\n%5s %-26s", to_string(a), "layer", "dimensions");
     for (std::uint64_t l2 : l2_sizes) std::printf(" %6s", l2_str(l2).c_str());
     std::printf("   (ms @ first size)\n");
     std::vector<std::vector<SweepRow>> per_l2;
     for (std::uint64_t l2 : l2_sizes) {
-      per_l2.push_back(env.driver->network_rows(net, a, vlen, l2, 8, attach));
+      per_l2.push_back(env.driver->network_rows(net, a, vlen, l2));
     }
     for (std::size_t i = 0; i < per_l2[0].size(); ++i) {
       const double base = per_l2[0][i].cycles;

@@ -1,9 +1,10 @@
-// Shared infrastructure for the per-figure benchmark binaries: the sweep
-// cache, the two evaluation networks at paper scale, and table/bar printing.
+// Shared infrastructure for the bench binaries: the sweep cache, the two
+// evaluation networks at paper scale, table/bar printing, and the bodies of
+// the figures and tables that vlacnn-figures prints.
 //
-// All binaries share results/sweep_cache.csv (override with
-// REPRO_RESULTS_DIR); the first binary to need a grid point simulates it, the
-// rest read it back, so the whole bench suite costs one sweep.
+// Every figure shares results/sweep_cache.csv (override with
+// REPRO_RESULTS_DIR); the first run to need a grid point simulates it, the
+// rest read it back, so the whole figure set costs one sweep.
 #pragma once
 
 #include <cstdio>
@@ -17,6 +18,9 @@
 
 namespace vlacnn::bench {
 
+/// Both papers simulate 2 GHz cores; every cycles-to-time conversion uses it.
+inline constexpr double kClockHz = 2.0e9;
+
 struct Env {
   std::unique_ptr<ResultsDb> db;
   std::unique_ptr<SweepDriver> driver;
@@ -26,7 +30,8 @@ struct Env {
   Env();
 };
 
-/// Figure/table banner with the paper reference.
+/// Figure/table banner with the paper reference. It also arms the
+/// VLACNN_METRICS and VLACNN_REPORT exit reports under `title`.
 void banner(const std::string& title, const std::string& paper_ref);
 
 /// "1MB", "64MB", ...
@@ -38,24 +43,47 @@ std::string bar(double frac, int width = 40);
 /// Short per-layer tag like "3x608x608->32 k3 s1".
 std::string layer_tag(const ConvLayerDesc& d);
 
-/// Fig 1/2 body: per-layer execution time of all four algorithms at one
-/// hardware point, with the per-layer winner marked.
-void perlayer_figure(Env& env, const Network& net, std::uint32_t vlen,
-                     std::uint64_t l2);
+// The Paper II figure bodies below run the integrated (SVE-like) VPU with 8
+// lanes, as every Paper II figure does.
 
-/// Fig 3/4 body: per-layer VLEN scaling for each algorithm at fixed L2.
-void vlen_scaling_figure(Env& env, const Network& net,
-                         const std::vector<std::uint32_t>& vlens,
-                         std::uint64_t l2, VpuAttach attach);
+/// Fig 1/2 body: per-layer execution time of all four algorithms at 512-bit
+/// x 1 MB L2, with the per-layer winner marked.
+void perlayer_figure(Env& env, const Network& net);
 
-/// Fig 5-8 body: per-layer L2 scaling for each algorithm at fixed VLEN.
-void l2_scaling_figure(Env& env, const Network& net, std::uint32_t vlen,
-                       const std::vector<std::uint64_t>& l2_sizes,
-                       VpuAttach attach);
+/// Fig 3/4 body: per-layer VLEN scaling (512 -> 4096 bits) for each
+/// algorithm at 1 MB L2.
+void vlen_scaling_figure(Env& env, const Network& net);
+
+/// Fig 5-8 body: per-layer L2 scaling (1 -> 64 MB) for each algorithm at
+/// `vlen` bits.
+void l2_scaling_figure(Env& env, const Network& net, std::uint32_t vlen);
 
 /// Fig 9/10 body: whole-network time for each single-algorithm plan vs the
 /// per-layer Optimal and the random-forest Predicted Optimal, across the
 /// 16-configuration grid.
 void selection_figure(Env& env, const Network& net);
+
+// The other figure bodies, one per vlacnn-figures id (the id table is in
+// vlacnn_figures.cpp, which alone links the figures_*.cpp files below). Each
+// runs after the banner and prints to stdout.
+// Paper II (figures_paper2.cpp):
+void table1_layers();
+void fig11_pareto_area();
+void fig12_serving();
+void rf_accuracy();
+// Paper I (figures_paper1.cpp):
+void p1_table2_blocks();
+void p1_table3_missrate();
+void p1_table4_ai();
+void p1_fig6_vlen();
+void p1_fig7_l2();
+void p1_lanes();
+void p1_wino_codesign();
+// Beyond both papers (figures_beyond.cpp):
+void wino_accuracy();
+void wino_tilesize();
+void vit_attention();
+void serving_slo();
+void fleet_policies();
 
 }  // namespace vlacnn::bench

@@ -1,27 +1,30 @@
 #!/usr/bin/env bash
-# Byte-compare the artifacts scripts/ci.sh gates, as written by two builds.
+# Byte-compare every pinned artifact, as written by two builds at two thread
+# counts.
 #
 #   scripts/cmp_artifacts.sh OLD_BUILD NEW_BUILD     # e.g. ../parent/build build
 #
-# Each build runs the ci.sh commands on its own private copy of
-# results/sweep_cache.csv, then each pair of artifacts is cmp'ed. The report
-# JSON carries host wall time on its `  "wall_ms": ` line, so each report JSON
-# is cmp'ed with that one line masked, and so is the `vlacnn-report
-# summarize` text of each report, whose first line prints it as `wall=`. The
-# fig01 report also goes through `vlacnn-report diff --budget-pct 0`, which
-# must list no changed key. The text the three JSONL renderers print
-# (`vlacnn-report profile`, `requests` and `timeline`, each build's own tool
-# over its own file; none prints host time) is cmp'ed too, with the exit
-# status appended when one fails. The ci.sh gates compare two thread counts
-# of one build; this compares two builds, so it also sees a byte drift that
-# both thread counts share. A cold bench_p1_lanes report covers the
-# decoupled attachment and 2- and 4-lane timing, which the rest never reach.
-# The stdout of the 21 paper figure and table drivers (14 for Paper II, 7 for
-# Paper I), each run warm on the build's copy of the cache, is cmp'ed too.
+# Each build produces the artifacts on its own private copy of
+# results/sweep_cache.csv, OLD_BUILD at VLACNN_THREADS=1 and NEW_BUILD at 8,
+# then each pair is cmp'ed. So `scripts/cmp_artifacts.sh build build` is the
+# thread-count gate of one build, and two builds are compared at two thread
+# counts at once. The report JSON carries host wall time on its
+# `  "wall_ms": ` line, so each report JSON is cmp'ed with that one line
+# masked, and so is the `vlacnn-report summarize` text of each report, whose
+# first line prints it as `wall=`. The fig01 report also goes through
+# `vlacnn-report diff --budget-pct 0`, which must list no changed key. The
+# text the three JSONL renderers print (`vlacnn-report profile`, `requests`
+# and `timeline`, each build's own tool over its own file; none prints host
+# time) is cmp'ed too; their cross-checks (phase cycles and request spans
+# fold bit-exactly to their totals) fail the script, as does any figure id or
+# renderer that exits non-zero. A cold `vlacnn-figures p1_lanes` report
+# covers the decoupled attachment and 2- and 4-lane timing, which the rest
+# never reach. The stdout of every `vlacnn-figures list` id, each run warm on
+# the build's copy of the cache, is cmp'ed too.
 #
 # VLACNN_*/REPRO_* knobs from the caller's environment are cleared. Outputs go
 # to build/cmp-artifacts/{old,new}. Exit 0 when every artifact matches, 1
-# when any differs, 2 on usage errors.
+# when any differs or any command fails, 2 on usage errors.
 set -euo pipefail
 
 if [ $# -ne 2 ] || [ ! -d "$1" ] || [ ! -d "$2" ]; then
@@ -36,29 +39,23 @@ for knob in $(env | sed -nE 's/^((VLACNN|REPRO)_[A-Z_]*)=.*/\1/p'); do
 done
 OUT=build/cmp-artifacts
 REPORT=fig_1_per_layer_algorithm_comparison_vgg_16.report
-DRIVERS=(bench_table1_layers bench_fig01_vgg_perlayer bench_fig02_yolo_perlayer
-         bench_fig03_vgg_vlen bench_fig04_yolo_vlen bench_fig05_vgg_l2_512
-         bench_fig06_vgg_l2_4096 bench_fig07_yolo_l2_512
-         bench_fig08_yolo_l2_4096 bench_rf_accuracy bench_fig09_vgg_selection
-         bench_fig10_yolo_selection bench_fig11_pareto_area bench_fig12_serving
-         bench_p1_table2_blocks bench_p1_table3_missrate bench_p1_table4_ai
-         bench_p1_fig6_vlen bench_p1_fig7_l2 bench_p1_lanes
-         bench_p1_wino_codesign)
 
-# render OUT CMD...: CMD's stdout into OUT, then its exit status when it fails.
+# render OUT CMD...: CMD's stdout into OUT; a failing CMD fails the script.
 render() {
   local out="$1"
   shift
-  "$@" > "$out" || echo "exit $?" >> "$out"
+  "$@" > "$out" || { echo "cmp_artifacts: '$*' exited $?" >&2; exit 1; }
 }
 
-# produce BUILD DIR: every compared artifact of one build, into DIR.
+# produce BUILD DIR THREADS: every compared artifact of one build, into DIR,
+# on a pool of THREADS workers.
 produce() {
   local b="$1" d="$2"
   rm -rf "$d"
   mkdir -p "$d/cache" "$d/cold"
   cp results/sweep_cache.csv "$d/cache/"
-  export REPRO_RESULTS_DIR="$d/cache"
+  export REPRO_RESULTS_DIR="$d/cache" VLACNN_THREADS="$3"
+  local fig="$b/bench/vlacnn-figures"
   local cap=("$b/tools/vlacnn-capacity" --net vgg16 --load 20rps
              --slo 4000ms --requests 500)
   local fleet=("$b/tools/vlacnn-capacity" fleet --load 45rps
@@ -80,30 +77,31 @@ produce() {
   # Fleet report cells, and the per-chip (<label>/chipNN) timeline blocks.
   VLACNN_REPORT="$d/report-fleet" "${fleet[@]}" \
     --timeline "$d/fleet-timeline.jsonl" >/dev/null
-  VLACNN_REPORT="$d/report" "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
+  VLACNN_REPORT="$d/report" "$fig" fig01_vgg_perlayer >/dev/null
   # The kernel profile, with the report on: its per-phase cells and the CSV
   # phase block, next to the same entries as the report-only run above.
   VLACNN_REPORT="$d/report-kernprof" \
     VLACNN_KERNPROF="$d/fig01-kernprof.jsonl" \
-    "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
-  # Every paper driver's stdout, warm.
+    "$fig" fig01_vgg_perlayer >/dev/null
+  # Every figure id's stdout, warm.
   mkdir -p "$d/stdout"
-  local drv
-  for drv in "${DRIVERS[@]}"; do
-    render "$d/stdout/$drv" "$b/bench/$drv"
+  local id ids
+  ids=$("$fig" list)  # a failing `list` fails the script, as render does
+  for id in $ids; do
+    render "$d/stdout/$id" "$fig" "$id"
   done
   # Cold, into an empty cache, on one thread: with more workers the rows are
   # appended in completion order, which differs from run to run.
   REPRO_RESULTS_DIR="$d/cold" VLACNN_THREADS=1 \
-    "$b/bench/bench_fig01_vgg_perlayer" >/dev/null
+    "$fig" fig01_vgg_perlayer >/dev/null
   # The decoupled path (vector buffer before L2) and 2/4-lane timing, which
   # no output above reaches: 135 YOLOv3-20 GEMM3 points simulated cold. The
   # report is key-ordered, so any thread count writes the same bytes; its
   # cache is not compared.
   mkdir -p "$d/p1-cold"
   REPRO_RESULTS_DIR="$d/p1-cold" VLACNN_REPORT="$d/report-p1-lanes" \
-    "$b/bench/bench_p1_lanes" >/dev/null
-  unset REPRO_RESULTS_DIR
+    "$fig" p1_lanes >/dev/null
+  unset REPRO_RESULTS_DIR VLACNN_THREADS
   # The JSONL readers' text.
   local rep="$b/tools/vlacnn-report"
   render "$d/fig01-kernprof.profile" \
@@ -123,21 +121,26 @@ produce() {
   done
 }
 
-echo "cmp_artifacts: producing with $OLD"
-produce "$OLD" "$OUT/old"
-echo "cmp_artifacts: producing with $NEW"
-produce "$NEW" "$OUT/new"
+echo "cmp_artifacts: producing with $OLD at VLACNN_THREADS=1"
+produce "$OLD" "$OUT/old" 1
+echo "cmp_artifacts: producing with $NEW at VLACNN_THREADS=8"
+produce "$NEW" "$OUT/new" 8
 
 fail=0
-reports=$(cd "$OUT/new" && ls report*/*.report.csv \
-  report*/*.report.json.masked report*/*.report.json.summary)
+n=0
+# The report files and stdouts either side wrote; one that the other side
+# lacks fails its cmp.
+listed=$(cd "$OUT" && ls {old,new}/stdout/* \
+  {old,new}/report*/*.report.{csv,json.masked,json.summary} |
+  cut -d/ -f2- | sort -u)
 for f in capacity.json capacity-learned.json capacity-timeline.jsonl \
          capacity-reqtrace.jsonl capacity-learned-reqtrace.jsonl \
          capacity-learned-timeline.jsonl fleet.json fleet-reqtrace.jsonl \
-         fleet-timeline.jsonl fig01-kernprof.jsonl $reports \
+         fleet-timeline.jsonl fig01-kernprof.jsonl $listed \
          cold/sweep_cache.csv fig01-kernprof.profile \
          capacity-reqtrace.requests fleet-reqtrace.requests \
-         capacity-timeline.timeline "${DRIVERS[@]/#/stdout/}"; do
+         capacity-timeline.timeline; do
+  n=$((n + 1))
   if cmp -s "$OUT/old/$f" "$OUT/new/$f"; then
     echo "identical  $f ($(wc -c < "$OUT/new/$f") bytes)"
   else
@@ -156,4 +159,4 @@ if [ "$fail" -ne 0 ]; then
   echo "cmp_artifacts: FAILED" >&2
   exit 1
 fi
-echo "cmp_artifacts: every artifact identical"
+echo "cmp_artifacts: all $n artifacts identical"

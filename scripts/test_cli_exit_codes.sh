@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CLI exit-code contract gate for vlacnn-capacity and vlacnn-report:
+# CLI exit-code contract gate for vlacnn-capacity, vlacnn-report and
+# vlacnn-figures:
 #
 #   0 = success
 #   1 = semantic/runtime failure (infeasible SLO, failed regression gate,
@@ -23,6 +24,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 CAP="$BUILD_DIR/tools/vlacnn-capacity"
 REP="$BUILD_DIR/tools/vlacnn-report"
+FIG="$BUILD_DIR/bench/vlacnn-figures"
 TMP="$BUILD_DIR/cli-exit-gate"
 rm -rf "$TMP"; mkdir -p "$TMP"
 fail=0
@@ -261,6 +263,22 @@ expect 1 'VLACNN_DISPATCH_CYCLES: ' "knob: VLACNN_DISPATCH_CYCLES=+4000" \
   -- env VLACNN_DISPATCH_CYCLES=+4000 "${CAP_RUN[@]}" --dispatch learned
 expect 1 'VLACNN_METRICS: ' "knob: VLACNN_METRICS=ture" \
   -- env VLACNN_METRICS=ture "${CAP_RUN[@]}"
+
+# A file that opens but cannot be written (/dev/full fails every write with
+# ENOSPC) is a runtime failure naming the path, not a "wrote" line and exit 0.
+if [ -e /dev/full ]; then
+  expect 1 '--json: short write to /dev/full' "capacity: --json /dev/full" \
+    -- "${CAP_RUN[@]}" --json /dev/full
+fi
+
+# -- vlacnn-figures: an id or `list`; anything else is a usage error ----------
+expect 2 yes "figures: no id"      -- "$FIG"
+expect 2 yes "figures: unknown id" -- "$FIG" fig99_nonesuch
+expect 0 no  "figures: list"       -- "$FIG" list
+if [ "$(wc -l < "$TMP/out")" != 26 ]; then
+  echo "FAIL: figures: list prints $(wc -l < "$TMP/out") ids, want 26" >&2
+  fail=1
+fi
 
 # Failed regression gate: inflate the first per-entry cycles figure ~10x and
 # diff against the pristine baseline with the ci.sh budget.

@@ -44,7 +44,7 @@ void winograd_prepare_weights(const ConvLayerDesc& d, const float* weights_oihw,
 /// in: NCHW, u: transformed weights [(m+2)^2][oc][ic], out: NCHW.
 /// Requires algo_applicable(kWinograd, d). `m` in {2, 4, 6} selects
 /// F(mxm, 3x3); the papers use 6 (larger tiles are numerically unsafe,
-/// smaller ones do more arithmetic — see bench_wino_tilesize).
+/// smaller ones do more arithmetic — see `vlacnn-figures wino_tilesize`).
 template <class E>
 void conv_winograd(E& eng, const ConvLayerDesc& d, BufView in, BufView u,
                    BufView out, const Sampler& sampler, int m = kWinoDefaultM);

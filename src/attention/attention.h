@@ -7,7 +7,8 @@
 // attention matmuls, and adds a VLA-vectorized row softmax. Like the conv
 // kernels it is written once over the engine, so the same code is numerically
 // validated (FunctionalEngine vs a scalar reference) and timing-simulated
-// (TraceEngine) — see bench_vit_attention for the resulting co-design view.
+// (TraceEngine) — see `vlacnn-figures vit_attention` for the resulting
+// co-design view.
 #pragma once
 
 #include <vector>

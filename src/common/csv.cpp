@@ -1,9 +1,10 @@
 #include "common/csv.h"
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/json_util.h"
 
 namespace vlacnn {
 
@@ -76,30 +77,21 @@ CsvTable read_csv_file(const std::string& path, const CsvReadOptions& opts) {
 
 namespace {
 
-void ensure_parent_dir(const std::string& path) {
-  std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-}
-
-void write_fields(std::ostream& out, const std::vector<std::string>& fields) {
+void append_fields(std::string& out, const std::vector<std::string>& fields) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) out << ',';
-    out << fields[i];
+    if (i) out += ',';
+    out += fields[i];
   }
-  out << '\n';
+  out += '\n';
 }
 
 }  // namespace
 
 void write_csv_file(const std::string& path, const CsvTable& table) {
-  ensure_parent_dir(path);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("csv: cannot write " + path);
-  write_fields(out, table.header);
-  for (const auto& row : table.rows) write_fields(out, row);
+  std::string text;
+  append_fields(text, table.header);
+  for (const auto& row : table.rows) append_fields(text, row);
+  obs::write_text_file(path, text, "csv");
 }
 
 }  // namespace vlacnn

@@ -50,7 +50,8 @@ CsvTable parse_csv(const std::string& text, const CsvReadOptions& opts = {},
 /// file does not exist.
 CsvTable read_csv_file(const std::string& path, const CsvReadOptions& opts = {});
 
-/// Serialize and write a table. Creates parent directory if needed.
+/// Replace the file at `path` with the serialized table (obs::write_text_file:
+/// creates the parent directory, throws naming `path` on a failed write).
 void write_csv_file(const std::string& path, const CsvTable& table);
 
 }  // namespace vlacnn

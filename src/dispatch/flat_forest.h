@@ -2,8 +2,8 @@
 //
 // RandomForest::predict walks each tree's private node vector through a
 // virtual-free but pointer-heavy loop and tallies votes into a heap-allocated
-// vector per call. That is fine offline (bench_rf_accuracy) but not in a
-// dispatcher consulted per request per layer. FlatForest lowers a fitted
+// vector per call. That is fine offline (`vlacnn-figures rf_accuracy`) but not
+// in a dispatcher consulted per request per layer. FlatForest lowers a fitted
 // forest once into one contiguous node array (all trees concatenated,
 // child links rebased to absolute indices) and predicts with a stack vote
 // array — no allocation, no per-tree indirection, nanoseconds per call

@@ -60,11 +60,7 @@ LearnedDispatcher::LearnedDispatcher(const FlatForest* forest,
   if (!(cfg_.epsilon >= 0) || cfg_.epsilon > 1) {
     throw std::invalid_argument("dispatch: epsilon must be in [0, 1]");
   }
-  if (!(cfg_.mem_bytes_per_cycle > 0)) {
-    throw std::invalid_argument(
-        "dispatch: mem_bytes_per_cycle must be positive");
-  }
-  weight_cycles_ = weight_bytes / cfg_.mem_bytes_per_cycle;
+  weight_cycles_ = weight_bytes / MemConfig{}.mem_bytes_per_cycle;
 
   const std::size_t layers = table_.size();
   stats_.layers = static_cast<int>(layers);
@@ -165,12 +161,10 @@ double LearnedDispatcher::service_cycles(int batch) {
       b * static_cast<double>(stats_.layers) * cfg_.dispatch_cycles_per_layer;
   stats_.selector_cycles += selector;
 
-  // Same batching economics as serving::batch_cost_model: the first image of
-  // a batch streams the conv weights from DRAM, later images reuse them, and
-  // the amortizable share is clamped to half the per-image cost.
   last_per_image_ = per_image;
-  const double amortizable = std::min(weight_cycles_, 0.5 * per_image);
-  return per_image + (b - 1.0) * (per_image - amortizable) + selector;
+  return serving::BatchCostModel::amortizing(per_image, weight_cycles_)
+             .service_cycles(batch) +
+         selector;
 }
 
 void LearnedDispatcher::trace_annotations(std::vector<obs::TraceNote>& out) {

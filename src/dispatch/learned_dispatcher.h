@@ -54,9 +54,6 @@ struct DispatchConfig {
   double epsilon = 0.2;
   /// Seed of the dispatcher's private exploration Rng.
   std::uint64_t seed = 0x1dea;
-  /// DRAM stream rate used to amortize weight traffic across a batch, as in
-  /// serving::batch_cost_model. Must be positive.
-  double mem_bytes_per_cycle = 6.4;
 };
 
 /// Running totals of one dispatcher's life. Conv cycle fields are summed over
@@ -89,18 +86,18 @@ class LearnedDispatcher final : public serving::ServiceModel {
   /// `table[l][a]` prices kAllAlgos[a] on layer l; `features[l]` is layer l's
   /// selector feature vector (selection_features at this hardware point);
   /// `weight_bytes` is the network's conv-weight footprint
-  /// (serving::conv_weight_bytes) — the per-batch amortizable share is
-  /// weight_bytes / cfg.mem_bytes_per_cycle, clamped to half the per-image
-  /// cost exactly like serving::batch_cost_model. Throws
+  /// (serving::conv_weight_bytes), streamed at MemConfig's DRAM rate and
+  /// amortized over a batch by serving::BatchCostModel::amortizing, as
+  /// serving::batch_cost_model does. Throws
   /// std::invalid_argument on size mismatches, a layer with no applicable
   /// algorithm, or an invalid config.
   LearnedDispatcher(const FlatForest* forest, LayerCycleTable table,
                     std::vector<std::vector<float>> features,
                     double weight_bytes, const DispatchConfig& cfg);
 
-  /// Price one batch: current plan's conv cycles (with the batch's weight
-  /// traffic amortized exactly as serving::batch_cost_model does) plus the
-  /// selector's per-image, per-layer overhead. Advances the bandit state.
+  /// Price one batch: the current plan's BatchCostModel::amortizing service
+  /// cycles plus the selector's per-image, per-layer overhead. Advances the
+  /// bandit state.
   double service_cycles(int batch) override;
 
   /// Request-trace notes for the most recent service_cycles() call: the plan

@@ -3,8 +3,9 @@
 // kernprof), report/json.h, the report CSV, the sweep-cache CSV and the
 // dispatch trace notes. One escaper and one number formatter serve them all,
 // so no two writers can render the same value differently. append_kv is the
-// field writer of the timeline, reqtrace and kernprof records, and
-// write_text_file the file write of their sink (obs/jsonl_sink.h).
+// field writer of the timeline, reqtrace and kernprof records. write_text_file
+// is the one whole-file write: the JSONL sinks (obs/jsonl_sink.h), the Chrome
+// trace, the report JSON and CSV, write_csv_file and vlacnn-capacity --json.
 #pragma once
 
 #include <string>

@@ -1,8 +1,6 @@
 #include "obs/trace.h"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "common/env.h"
@@ -81,14 +79,6 @@ std::size_t Tracer::event_count() const {
 }
 
 void Tracer::write_file_locked() {
-  const std::filesystem::path p(path_);
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path());
-  }
-  std::ofstream out(path_, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("trace: cannot write " + path_);
-  }
   std::string json = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const Event& e = events_[i];
@@ -114,11 +104,7 @@ void Tracer::write_file_locked() {
     json += '}';
   }
   json += "\n]}\n";
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("trace: short write to " + path_);
-  }
+  write_text_file(path_, json, "trace");
 }
 
 Tracer& Tracer::global() {

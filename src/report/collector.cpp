@@ -5,10 +5,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
+#include "obs/json_util.h"
 #include "obs/jsonl_sink.h"
 #include "obs/log.h"
 
@@ -117,21 +116,11 @@ std::string write_report_files(const std::string& title, double wall_ms) {
   if (dir.empty()) {
     throw std::runtime_error("report: VLACNN_REPORT not set");
   }
-  std::filesystem::create_directories(dir);
   const std::string slug = slugify(title);
   const RunReport r = Collector::global().snapshot(slug, wall_ms);
   const std::string json_path = dir + "/" + slug + ".report.json";
-  const std::string csv_path = dir + "/" + slug + ".report.csv";
-  {
-    std::ofstream out(json_path, std::ios::trunc);
-    if (!out) throw std::runtime_error("report: cannot write " + json_path);
-    out << r.to_json();
-  }
-  {
-    std::ofstream out(csv_path, std::ios::trunc);
-    if (!out) throw std::runtime_error("report: cannot write " + csv_path);
-    out << r.to_csv();
-  }
+  obs::write_text_file(json_path, r.to_json(), "report");
+  obs::write_text_file(dir + "/" + slug + ".report.csv", r.to_csv(), "report");
   obs::log(obs::LogLevel::kInfo, "report", "written",
            {{"path", json_path},
             {"entries", std::to_string(r.entries.size())},

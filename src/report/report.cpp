@@ -7,6 +7,8 @@
 #include <map>
 #include <stdexcept>
 
+#include "algos/conv_args.h"
+#include "common/env.h"
 #include "obs/json_util.h"
 #include "report/json.h"
 #include "vpu/vpu_config.h"
@@ -18,31 +20,16 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-VpuAttach attach_from(const std::string& s) {
-  for (VpuAttach a : {VpuAttach::kIntegratedL1, VpuAttach::kDecoupledL2}) {
-    if (s == to_string(a)) return a;
-  }
-  throw std::runtime_error("report: bad attach '" + s + "'");
-}
-
-Algo algo_from(const std::string& s) {
-  for (Algo a : kAllAlgos) {
-    if (s == to_string(a)) return a;
-  }
-  throw std::runtime_error("report: bad algo '" + s + "'");
-}
-
 // The line breaks keep each section's v1 layout byte for byte.
 constexpr SectionLayout kLayouts[] = {
-    {"serving", "serving_cells", 4, {}, {}},
+    {"serving", "serving_cells", 4, {}},
     {"request_sim", "request_sim_cells", 6,
-     {"load_rps", "p50", "utilization", "mean_queue_wait"},
-     {"mean_queue_wait", "mean_formation_wait", "mean_service"}},
-    {"dispatch", "dispatch_cells", 5, {"layers", "learned_conv_cycles"}, {}},
-    {"timeline", "timeline_cells", 6, {"snapshots", "steady_p99"}, {}},
+     {"load_rps", "p50", "utilization", "mean_queue_wait"}},
+    {"dispatch", "dispatch_cells", 5, {"layers", "learned_conv_cycles"}},
+    {"timeline", "timeline_cells", 6, {"snapshots", "steady_p99"}},
     {"fleet", "fleet_cells", 3,
-     {"total_area_mm2", "offered", "p50", "utilization"}, {}},
-    {"phases", "phase_cells", 1, {"compute_cycles", "avg_vl"}, {}},
+     {"total_area_mm2", "offered", "p50", "utilization"}},
+    {"phases", "phase_cells", 1, {"compute_cycles", "avg_vl"}},
 };
 static_assert(std::size(kLayouts) == kAllSections.size());
 
@@ -308,11 +295,17 @@ RunReport report_from_json(const std::string& text) {
     SweepRow& row = entry.row;
     row.key.net = str_at(e, "net");
     row.key.layer = int_at(e, "layer");
-    row.key.algo = algo_from(str_at(e, "algo"));
+    try {
+      row.key.algo = algo_from_string(str_at(e, "algo"));
+    } catch (const std::invalid_argument& err) {
+      throw std::runtime_error(std::string("report: ") + err.what());
+    }
     row.key.vlen_bits = uint_at<std::uint32_t>(e, "vlen_bits");
     row.key.l2_bytes = uint_at(e, "l2_bytes");
     row.key.lanes = uint_at<std::uint32_t>(e, "lanes");
-    row.key.attach = attach_from(str_at(e, "attach"));
+    row.key.attach = static_cast<VpuAttach>(
+        parse_word("attach", str_at(e, "attach"),
+                   {{kAttachWords[0], 0}, {kAttachWords[1], 1}}).value);
     const Json& d = e.at("desc");
     row.desc = ConvLayerDesc{int_at(d, "ic"),     int_at(d, "ih"),
                              int_at(d, "iw"),     int_at(d, "oc"),
@@ -367,11 +360,6 @@ RunReport report_from_json(const std::string& text) {
         if (member.second.is_null()) {
           member.second.type = Json::Type::kNumber;
           member.second.number = kNaN;
-        }
-      }
-      for (std::string_view name : l.zero_if_absent) {
-        if (!name.empty() && cell.find(std::string(name)) == nullptr) {
-          cell.add(std::string(name), 0.0);
         }
       }
     }

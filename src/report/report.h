@@ -18,10 +18,10 @@ namespace vlacnn::report {
 
 /// Machine model behind the roofline classification. Defaults mirror the
 /// simulator: each lane retires one FMA (2 flops) per cycle, and DRAM streams
-/// MemConfig::mem_bytes_per_cycle (6.4 B/cycle at the paper's 2 GHz clock).
+/// at MemConfig's rate.
 struct RooflineParams {
   double flops_per_lane_per_cycle = 2.0;
-  double mem_bytes_per_cycle = 6.4;
+  double mem_bytes_per_cycle = MemConfig{}.mem_bytes_per_cycle;
 
   double peak_flops_per_cycle(std::uint32_t lanes) const {
     return flops_per_lane_per_cycle * static_cast<double>(lanes);
@@ -84,7 +84,6 @@ struct SectionLayout {
   const char* total;       ///< its cell count's key under "totals"
   std::size_t key_fields;  ///< leading fields that key a cell (Collector)
   std::array<std::string_view, 4> line_breaks;  ///< fields opening a line
-  std::array<std::string_view, 3> zero_if_absent;  ///< older reports lack
 };
 const SectionLayout& layout(Section s);
 
@@ -120,8 +119,7 @@ std::string entry_key(const SweepKey& k);
 /// Parse a report emitted by to_json(). Attribution is recomputed from the
 /// stored raw numbers and roofline params (the derived fields in the file are
 /// for human consumption, not trusted). Cells are kept as written, except
-/// that a null field reads back as NaN (the writer's spelling of it) and a
-/// field of its section's zero_if_absent list that the file lacks reads as 0.
+/// that a null field reads back as NaN (the writer's spelling of it).
 /// Throws std::runtime_error on malformed or wrong-schema input, a mistyped
 /// or out-of-range entry field, a duplicate entry, or a cell that is not an
 /// object.

@@ -92,22 +92,15 @@ std::vector<CapacityCandidate> evaluate_points(
 BatchCostModel batch_cost_model(SweepDriver& driver, const Network& net,
                                 std::uint32_t vlen_bits,
                                 std::uint64_t l2_slice_bytes,
-                                std::optional<Algo> fixed,
-                                double mem_bytes_per_cycle) {
-  // The negated comparison also rejects NaN, which `<= 0` would let through.
-  if (!(mem_bytes_per_cycle > 0)) {
-    throw std::invalid_argument(
-        "batch_cost_model: mem_bytes_per_cycle must be positive");
-  }
+                                std::optional<Algo> fixed) {
   double per_image = 0;
   if (fixed.has_value()) {
     per_image = driver.network_cycles(net, *fixed, vlen_bits, l2_slice_bytes);
   } else {
     per_image = driver.network_optimal(net, vlen_bits, l2_slice_bytes).cycles;
   }
-  const double weight_cycles = conv_weight_bytes(net) / mem_bytes_per_cycle;
-  const double amortizable = std::min(weight_cycles, 0.5 * per_image);
-  return BatchCostModel{per_image, per_image - amortizable};
+  return BatchCostModel::amortizing(
+      per_image, conv_weight_bytes(net) / MemConfig{}.mem_bytes_per_cycle);
 }
 
 void ServiceModel::trace_annotations(std::vector<obs::TraceNote>&) {}

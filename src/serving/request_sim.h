@@ -18,6 +18,7 @@
 // simulated request actually saw (DESIGN.md §10).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -52,6 +53,16 @@ struct BatchCostModel {
   double first_image_cycles = 0;     ///< cycles for a batch of one
   double marginal_image_cycles = 0;  ///< added cycles per extra image
 
+  /// The model of a network that takes `per_image_cycles` per image, of which
+  /// `weight_cycles` stream its weights from DRAM: later images of a batch
+  /// skip that share, clamped to half the per-image cost so a pathological
+  /// model never yields near-zero marginal cost.
+  static BatchCostModel amortizing(double per_image_cycles,
+                                   double weight_cycles) {
+    return {per_image_cycles,
+            per_image_cycles - std::min(weight_cycles, 0.5 * per_image_cycles)};
+  }
+
   double service_cycles(int batch) const {
     return first_image_cycles +
            static_cast<double>(batch - 1) * marginal_image_cycles;
@@ -60,18 +71,13 @@ struct BatchCostModel {
 
 /// Build the cost model for one hardware point from the sweep: per-image
 /// cycles are `SweepDriver::network_optimal` (or network_cycles when `fixed`
-/// pins an algorithm) at (vlen, L2 slice); the amortizable share is the
-/// conv-weight footprint streamed at `mem_bytes_per_cycle` (the roofline's
-/// 6.4 B/cycle DDR4 default), clamped to at most half of the per-image cost
-/// so a pathological model never yields near-zero marginal cost. Throws
-/// std::invalid_argument when mem_bytes_per_cycle is not positive (the
-/// division would silently yield inf/NaN cycles).
+/// pins an algorithm) at (vlen, L2 slice), amortizing the conv-weight
+/// footprint streamed at MemConfig's DRAM rate.
 /// Thread-safe (SweepDriver is; used concurrently by the capacity planner).
 BatchCostModel batch_cost_model(SweepDriver& driver, const Network& net,
                                 std::uint32_t vlen_bits,
                                 std::uint64_t l2_slice_bytes,
-                                std::optional<Algo> fixed,
-                                double mem_bytes_per_cycle = 6.4);
+                                std::optional<Algo> fixed);
 
 /// Per-batch service-time source for the event loop. The fixed/oracle path
 /// wraps a BatchCostModel; the learned dispatcher (src/dispatch) re-plans the

@@ -254,6 +254,7 @@ void ResultsDb::persist_locked(const SweepRow& row) {
   const std::string line = join_fields(to_fields(row));
   out_.write(line.data(), static_cast<std::streamsize>(line.size()));
   out_.flush();
+  if (!out_) throw std::runtime_error("results_db: short write to " + path_);
 }
 
 SweepRow ResultsDb::get_or_compute(const SweepKey& key,

@@ -90,8 +90,9 @@ class ResultsDb {
 
   /// The cached row for `key`, computing (and persisting) it via `compute` on
   /// a miss. Concurrent callers with the same key trigger exactly one compute;
-  /// the others wait and share the result. If the compute throws, the
-  /// exception propagates to every caller waiting on that key.
+  /// the others wait and share the result. If the compute or the write to
+  /// disk throws (a failed write names the path), the key stays uncached and
+  /// the exception propagates to every caller waiting on that key.
   SweepRow get_or_compute(const SweepKey& key,
                           const std::function<SweepRow()>& compute);
 

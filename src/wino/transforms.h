@@ -14,8 +14,8 @@
 // of silently producing a wrong convolution.
 //
 // The paper's motivation for inter-tile parallelism (Paper I, Section IV.B) is
-// that tiles larger than 8x8 (m > 6) are numerically inaccurate; the accuracy
-// bench (bench_wino_accuracy) demonstrates the error growth across m.
+// that tiles larger than 8x8 (m > 6) are numerically inaccurate;
+// `vlacnn-figures wino_accuracy` demonstrates the error growth across m.
 #pragma once
 
 #include <cstdint>

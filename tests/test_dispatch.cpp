@@ -159,7 +159,6 @@ DispatchConfig test_config(double epsilon) {
   DispatchConfig cfg;
   cfg.dispatch_cycles_per_layer = 10;
   cfg.epsilon = epsilon;
-  cfg.mem_bytes_per_cycle = 1.0;  // weight_bytes are then cycles directly
   return cfg;
 }
 
@@ -172,7 +171,9 @@ TEST(LearnedDispatcher, InitialPlanAndBatchAccounting) {
   // epsilon = 0: the bandit never explores, so every batch prices the forest's
   // plan {0, 1, 0} = 100 + 250 + 500 = 850 cycles/image against the oracle's
   // 100 + 150 + 450 = 700.
-  LearnedDispatcher d(&forest, mixed_table(), layer_features(3), 40.0,
+  // 40 cycles of weight traffic at the DRAM rate.
+  const double weight_bytes = 40.0 * MemConfig{}.mem_bytes_per_cycle;
+  LearnedDispatcher d(&forest, mixed_table(), layer_features(3), weight_bytes,
                       test_config(0.0));
   EXPECT_EQ(d.plan(), (std::vector<int>{0, 1, 0}));
   EXPECT_EQ(d.stats().layers, 3);
@@ -181,8 +182,8 @@ TEST(LearnedDispatcher, InitialPlanAndBatchAccounting) {
 
   // Batch of 1: per-image plus 3 layers x 10 selector cycles.
   EXPECT_DOUBLE_EQ(d.service_cycles(1), 850.0 + 30.0);
-  // Batch of 4: weight traffic (40 cycles at 1 B/cycle) amortizes off the
-  // three marginal images; selector still charges every image.
+  // Batch of 4: the weight traffic amortizes off the three marginal images;
+  // selector still charges every image.
   EXPECT_DOUBLE_EQ(d.service_cycles(4),
                    850.0 + 3.0 * (850.0 - 40.0) + 4.0 * 30.0);
 
@@ -256,10 +257,6 @@ TEST(LearnedDispatcher, RejectsBadInput) {
                std::invalid_argument);
   bad = ok;
   bad.epsilon = 1.5;
-  EXPECT_THROW(LearnedDispatcher(&forest, mixed_table(), features, 40.0, bad),
-               std::invalid_argument);
-  bad = ok;
-  bad.mem_bytes_per_cycle = 0;
   EXPECT_THROW(LearnedDispatcher(&forest, mixed_table(), features, 40.0, bad),
                std::invalid_argument);
 

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/csv.h"
 #include "common/rng.h"
 #include "report/collector.h"
 #include "report/json.h"
@@ -353,7 +354,7 @@ TEST(ReportJson, RequestSimAttributionAndTimelineSectionsRoundTrip) {
   EXPECT_NE(summary.find("adaptive8@2e+06"), std::string::npos);
 
   // Pre-attribution reports (no attribution keys, no timeline section) still
-  // parse, with the attribution fields reading as zero.
+  // parse; their cells simply lack the attribution fields.
   RunReport old;
   old.tool = "old";
   old.cells(Section::kRequestSim).push_back(rc);
@@ -373,9 +374,10 @@ TEST(ReportJson, RequestSimAttributionAndTimelineSectionsRoundTrip) {
   const RunReport oldback = report::report_from_json(old_json);
   ASSERT_EQ(oldback.cells(Section::kRequestSim).size(), 1u);
   const report::Json& oc = oldback.cells(Section::kRequestSim)[0];
-  EXPECT_EQ(report::num_at(oc, "mean_queue_wait"), 0.0);
-  EXPECT_EQ(report::num_at(oc, "mean_formation_wait"), 0.0);
-  EXPECT_EQ(report::num_at(oc, "mean_service"), 0.0);
+  for (const char* key :
+       {"mean_queue_wait", "mean_formation_wait", "mean_service"}) {
+    EXPECT_EQ(oc.find(key), nullptr) << key;
+  }
   EXPECT_TRUE(oldback.cells(Section::kTimeline).empty());
 }
 
@@ -727,6 +729,51 @@ TEST_F(ReportTest, WriteReportFilesEmitsJsonAndCsv) {
       std::filesystem::exists(dir_ / "my_fancy_title.report.csv"));
   // summarize() must render every report without tripping on content.
   EXPECT_NE(report::summarize(back).find("TOTAL"), std::string::npos);
+}
+
+// /dev/full opens fine and fails every write with ENOSPC: a writer that only
+// checks the open reports success and loses the file. Each whole-file writer
+// must throw naming the path instead, and a sweep row whose persist fails
+// must stay uncached.
+TEST_F(ReportTest, WritersNameThePathOnAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "needs /dev/full";
+  }
+  const auto expect_short_write = [](const std::string& path, auto write) {
+    try {
+      write();
+      ADD_FAILURE() << "reported success writing " << path;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("short write to " + path),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  report::set_report_dir(dir_.string());
+  report::Collector::global().record_row(healthy_row());
+  for (const char* ext : {".report.json", ".report.csv"}) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    const std::filesystem::path link = dir_ / (std::string("full") + ext);
+    std::filesystem::create_symlink("/dev/full", link);
+    expect_short_write(link.string(),
+                       [] { report::write_report_files("full", 1.0); });
+  }
+
+  CsvTable table;
+  table.header = {"a", "b"};
+  table.rows = {{"1", "2"}};
+  expect_short_write("/dev/full",
+                     [&] { write_csv_file("/dev/full", table); });
+
+  const std::string cache = (dir_ / "cache.csv").string();
+  ResultsDb db(cache);
+  std::filesystem::create_symlink("/dev/full", cache);
+  const SweepRow row = healthy_row();
+  expect_short_write(cache, [&] {
+    db.get_or_compute(row.key, [&] { return row; });
+  });
+  EXPECT_FALSE(db.find(row.key).has_value());
 }
 
 // --------------------------------------- sweep driver integration ----------

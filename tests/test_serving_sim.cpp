@@ -525,21 +525,15 @@ TEST_F(CapacityTest, CostModelInvariants) {
             m.first_image_cycles + 2.0 * m.marginal_image_cycles);
 }
 
-TEST_F(CapacityTest, CostModelRejectsNonPositiveBandwidth) {
-  // mem_bytes_per_cycle <= 0 (or NaN) used to divide through silently and
-  // poison every downstream service time with inf/NaN cycles.
-  ResultsDb db((dir_ / "cache.csv").string());
-  SweepDriver driver(&db);
-  const Network net = tiny_net();
-  EXPECT_THROW(
-      batch_cost_model(driver, net, 512, 1u << 20, std::nullopt, 0.0),
-      std::invalid_argument);
-  EXPECT_THROW(
-      batch_cost_model(driver, net, 512, 1u << 20, std::nullopt, -6.4),
-      std::invalid_argument);
-  EXPECT_THROW(batch_cost_model(driver, net, 512, 1u << 20, std::nullopt,
-                                std::nan("")),
-               std::invalid_argument);
+TEST(BatchCost, AmortizesWeightsUpToHalfTheImage) {
+  const BatchCostModel light = BatchCostModel::amortizing(100.0, 30.0);
+  EXPECT_EQ(light.first_image_cycles, 100.0);
+  EXPECT_EQ(light.marginal_image_cycles, 70.0);
+  // Weight traffic past half the image is clamped: a batch never gets cheaper
+  // than half an image per extra member.
+  const BatchCostModel heavy = BatchCostModel::amortizing(100.0, 80.0);
+  EXPECT_EQ(heavy.marginal_image_cycles, 50.0);
+  EXPECT_EQ(heavy.service_cycles(3), 200.0);
 }
 
 TEST_F(CapacityTest, GridIsByteIdenticalAcrossPoolSizes) {

@@ -69,7 +69,6 @@
 // warm runs fast; a cold run simulates the grid points it needs first.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -80,6 +79,7 @@
 #include "common/env.h"
 #include "dispatch/learned_dispatcher.h"
 #include "ml/dataset.h"
+#include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/reqtrace.h"
 #include "obs/timeline.h"
@@ -541,9 +541,7 @@ Outcome plan_fleet(Options o) {
 /// the exit code.
 int finish(const Options& o, const Outcome& out) {
   if (!o.json_path.empty()) {
-    std::ofstream f(o.json_path, std::ios::trunc);
-    if (!f) throw std::runtime_error("cannot write " + o.json_path);
-    f << out.json;
+    obs::write_text_file(o.json_path, out.json, "--json");
     std::printf("wrote %s (%zu candidates)\n", o.json_path.c_str(),
                 out.candidates);
   }
