@@ -1,5 +1,7 @@
 #include "bench_common.h"
 
+#include <exception>
+
 #include "obs/metrics.h"
 #include "report/collector.h"
 
@@ -20,6 +22,16 @@ void banner(const std::string& title, const std::string& paper_ref) {
   std::printf("%s\n", title.c_str());
   std::printf("reproduces: %s\n", paper_ref.c_str());
   std::printf("================================================================\n");
+}
+
+int run_tool(const char* tool, const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "%s: %s\n", tool, e.what());
+    return 1;
+  }
 }
 
 std::string l2_str(std::uint64_t bytes) {

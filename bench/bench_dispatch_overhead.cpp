@@ -47,9 +47,7 @@ double median_ns_per_predict(const Dataset& ds, int reps, Fn&& fn) {
   return per_rep[per_rep.size() / 2];
 }
 
-}  // namespace
-
-int main() {
+int run() {
   banner("Dispatch selector overhead (FlatForest vs RandomForest)",
          "ICPP'24 Section 4.3 selector in the serving hot path");
   Env env;
@@ -104,3 +102,7 @@ int main() {
               flat_cycles > 0 ? budget / flat_cycles : 0.0);
   return fits ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return run_tool("bench_dispatch_overhead", run); }

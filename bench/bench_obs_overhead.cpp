@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "algos/registry.h"
+#include "bench_common.h"
 #include "net/models.h"
 #include "obs/kernprof.h"
 #include "obs/metrics.h"
@@ -180,12 +181,7 @@ Measurement measure_serving(int reps, ServeExtra extra, double* sink) {
   return {spread(base_ms), spread(obs_ms)};
 }
 
-}  // namespace
-}  // namespace vlacnn
-
-int main(int argc, char** argv) {
-  using namespace vlacnn;
-
+int run(int argc, char** argv) {
   // --quick (CI): fewer reps and no informational enabled-path passes. The
   // verdict logic is identical — the noise floor scales with the shorter run.
   const bool quick =
@@ -299,4 +295,13 @@ int main(int argc, char** argv) {
   const bool pass = conv_pass && srv_pass;
   std::printf("\noverall: %s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
+}
+
+}  // namespace
+}  // namespace vlacnn
+
+int main(int argc, char** argv) {
+  return vlacnn::bench::run_tool("bench_obs_overhead", [&] {
+    return vlacnn::run(argc, argv);
+  });
 }

@@ -25,7 +25,9 @@
 
 using namespace vlacnn;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   if (argc != 3) {
     std::fprintf(stderr, "usage: bench_sweep_parallel <cache.csv> <out.csv>\n");
     return 2;
@@ -75,4 +77,11 @@ int main(int argc, char** argv) {
   std::printf("%u thread(s), %.1f s\n", ThreadPool::shared().size() + 1,
               seconds);
   return differ == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("bench_sweep_parallel",
+                         [&] { return run(argc, argv); });
 }

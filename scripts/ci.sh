@@ -29,12 +29,14 @@ echo "== asan/ubsan: the full suite under VLACNN_SANITIZE=address|undefined ====
 # Every test, not a subset: the serving loop's index arithmetic and every file
 # reader run under both. UBSan builds with -fno-sanitize-recover
 # (CMakeLists.txt), so the first report aborts its test instead of scrolling by.
-# The UBSan build also makes the three CLIs, for the exit-code gate below.
+# The UBSan build also makes the three CLIs and two bench tools, for the
+# exit-code gate below.
 for san in address undefined; do
   cmake -B "build-$san" -S . -DVLACNN_SANITIZE="$san" >/dev/null
   targets=(vlacnn_tests)
   if [ "$san" = undefined ]; then
-    targets+=(vlacnn_report vlacnn_capacity vlacnn_figures)
+    targets+=(vlacnn_report vlacnn_capacity vlacnn_figures
+              bench_dispatch_overhead bench_sweep_parallel)
   fi
   cmake --build "build-$san" -j "$JOBS" --target "${targets[@]}"
   ctest --test-dir "build-$san" --output-on-failure -j "$JOBS"

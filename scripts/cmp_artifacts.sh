@@ -62,6 +62,10 @@ produce() {
                --slo 12000ms --requests 800)
   "${cap[@]}" --json "$d/capacity.json" >/dev/null
   "${cap[@]}" --dispatch learned --json "$d/capacity-learned.json" >/dev/null
+  # The fixed-algorithm path, with its gemm6 fallback where Winograd does not
+  # apply. Its request trace (77 MB) is left out.
+  "${cap[@]}" --dispatch fixed:winograd --json "$d/capacity-fixed.json" \
+    >/dev/null
   VLACNN_TIMELINE_INTERVAL=1e10 "${cap[@]}" \
     --timeline "$d/capacity-timeline.jsonl" >/dev/null
   "${cap[@]}" --reqtrace "$d/capacity-reqtrace.jsonl" >/dev/null
@@ -133,7 +137,8 @@ n=0
 listed=$(cd "$OUT" && ls {old,new}/stdout/* \
   {old,new}/report*/*.report.{csv,json.masked,json.summary} |
   cut -d/ -f2- | sort -u)
-for f in capacity.json capacity-learned.json capacity-timeline.jsonl \
+for f in capacity.json capacity-learned.json capacity-fixed.json \
+         capacity-timeline.jsonl \
          capacity-reqtrace.jsonl capacity-learned-reqtrace.jsonl \
          capacity-learned-timeline.jsonl fleet.json fleet-reqtrace.jsonl \
          fleet-timeline.jsonl fig01-kernprof.jsonl $listed \

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CLI exit-code contract gate for vlacnn-capacity, vlacnn-report and
-# vlacnn-figures:
+# CLI exit-code contract gate for vlacnn-capacity, vlacnn-report,
+# vlacnn-figures and, for their runtime failures, two bench tools:
 #
 #   0 = success
 #   1 = semantic/runtime failure (infeasible SLO, failed regression gate,
@@ -12,7 +12,8 @@
 #
 # Any case whose stderr carries a sanitizer's "runtime error:" fails: a
 # halting-UBSan build (build-undefined) exits 1 on undefined behaviour, the
-# same code as a runtime failure, so exit codes alone would miss it.
+# same code as a runtime failure, so exit codes alone would miss it. So does
+# one whose stderr carries "terminate called": an uncaught exception.
 #
 # The infeasible-capacity and failed-diff cases exercise real runs: the first
 # rides the committed sweep cache (results/sweep_cache.csv) so it stays fast,
@@ -43,8 +44,10 @@ expect() {
     *) re="$usage" ;;
   esac
   "$@" >"$out" 2>"$err" || got=$?
-  if [ "$got" != "$want" ] || grep -q 'runtime error:' "$err"; then
-    echo "FAIL: $label: exit $got, want $want (or a sanitizer report)" >&2
+  if [ "$got" != "$want" ] ||
+     grep -qE 'runtime error:|terminate called' "$err"; then
+    echo "FAIL: $label: exit $got, want $want (or a sanitizer report or" \
+         "an uncaught exception)" >&2
     sed 's/^/  stderr: /' "$err" >&2
     fail=1
     return
@@ -279,6 +282,13 @@ if [ "$(wc -l < "$TMP/out")" != 26 ]; then
   echo "FAIL: figures: list prints $(wc -l < "$TMP/out") ids, want 26" >&2
   fail=1
 fi
+
+# -- bench tools: a thrown error exits 1 naming it ---------------------------
+expect 1 'VLACNN_THREADS: ' "bench_dispatch_overhead: VLACNN_THREADS=abc" \
+  -- env VLACNN_THREADS=abc "$BUILD_DIR/bench/bench_dispatch_overhead"
+expect 1 'VLACNN_THREADS: ' "bench_sweep_parallel: VLACNN_THREADS=abc" \
+  -- env VLACNN_THREADS=abc "$BUILD_DIR/bench/bench_sweep_parallel" \
+     results/sweep_cache.csv "$TMP/sweep.csv"
 
 # Failed regression gate: inflate the first per-entry cycles figure ~10x and
 # diff against the pristine baseline with the ci.sh budget.

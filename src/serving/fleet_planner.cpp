@@ -78,79 +78,14 @@ std::vector<std::vector<int>> enumerate_compositions(std::size_t types,
   return out;
 }
 
-}  // namespace
-
-std::string composition_label(const std::vector<ServingPoint>& types,
-                              const std::vector<int>& counts) {
-  std::string out;
-  for (std::size_t t = 0; t < types.size() && t < counts.size(); ++t) {
-    if (counts[t] <= 0) continue;
-    if (!out.empty()) out += '+';
-    ChipSpec spec;
-    spec.point = types[t];
-    out += std::to_string(counts[t]) + "x" + spec.short_label();
-  }
-  return out;
-}
-
-std::vector<ServingPoint> FleetPlanner::chip_type_menu(
-    const std::vector<Network>& nets, const FleetTrafficMix& mix,
-    const FleetQuery& q) const {
-  validate_inputs(nets, mix, q);
-  const std::vector<double> frac = mix_fractions(mix);
-  const std::vector<ServingPoint> points = ServingSimulator::grid_points();
-
-  // Two objectives to minimise per grid point: chip area, and the
-  // mix-weighted per-image service time the whole chip delivers
-  // (weighted per-instance cycles / instances).
-  std::vector<ParetoPoint> objs;
-  objs.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ServingPoint& p = points[i];
-    double weighted = 0;
-    for (std::size_t m = 0; m < nets.size(); ++m) {
-      weighted +=
-          frac[m] *
-          driver_->network_optimal(nets[m], p.vlen_bits, p.l2_slice_bytes())
-              .cycles;
-    }
-    objs.push_back(
-        {area_.chip_mm2(p.vlen_bits, p.l2_total_bytes, p.cores),
-         weighted / static_cast<double>(p.instances), i});
-  }
-  const std::vector<std::size_t> frontier = pareto_frontier(objs);
-
-  // Thin the frontier (area-ascending) to the menu size, always keeping both
-  // endpoints — the cheapest chip and the fastest one — with the rest spread
-  // evenly. Pure index arithmetic, so the menu is deterministic.
-  std::vector<ServingPoint> menu;
-  const std::size_t want =
-      std::min<std::size_t>(frontier.size(),
-                            static_cast<std::size_t>(q.max_chip_types));
-  if (want == 0) return menu;
-  for (std::size_t j = 0; j < want; ++j) {
-    const std::size_t fi =
-        want == 1 ? 0 : j * (frontier.size() - 1) / (want - 1);
-    const ServingPoint& p = points[objs[frontier[fi]].tag];
-    if (menu.empty() || menu.back().cores != p.cores ||
-        menu.back().vlen_bits != p.vlen_bits ||
-        menu.back().l2_total_bytes != p.l2_total_bytes ||
-        menu.back().instances != p.instances) {
-      menu.push_back(p);
-    }
-  }
-  return menu;
-}
-
-FleetCandidate FleetPlanner::evaluate_composition(
-    const std::vector<Network>& nets, const FleetTrafficMix& mix,
-    const FleetQuery& q, const std::vector<ServingPoint>& types,
-    const std::vector<int>& counts) const {
-  validate_inputs(nets, mix, q);
-  if (counts.size() != types.size()) {
-    throw std::invalid_argument(
-        "FleetPlanner: counts must match the type list");
-  }
+/// Simulate counts[t] copies of each chip type `chips[t]` (its per-model
+/// costs resolved once per plan) under the query's mixed load, with full
+/// replication. Records a report fleet cell when collection is armed.
+FleetCandidate simulate_composition(const FleetTrafficMix& mix,
+                                    const FleetQuery& q,
+                                    const std::vector<ServingPoint>& types,
+                                    const std::vector<FleetChip>& chips,
+                                    const std::vector<int>& counts) {
   FleetCandidate cand;
   cand.counts = counts;
   cand.label = composition_label(types, counts);
@@ -165,22 +100,8 @@ FleetCandidate FleetPlanner::evaluate_composition(
   fc.attainment_target = q.attainment_target;
   fc.expected_horizon_cycles =
       static_cast<double>(q.requests) * (q.clock_hz / q.load_rps);
-  for (std::size_t t = 0; t < types.size(); ++t) {
-    if (counts[t] <= 0) continue;
-    FleetChip chip;
-    chip.spec.point = types[t];  // hosted_models empty = full replication
-    for (const Network& net : nets) {
-      chip.costs.push_back(batch_cost_model(*driver_, net,
-                                            types[t].vlen_bits,
-                                            types[t].l2_slice_bytes(),
-                                            std::nullopt));
-    }
-    chip.area_mm2 = area_.chip_mm2(types[t].vlen_bits,
-                                   types[t].l2_total_bytes, types[t].cores);
-    for (int n = 0; n < counts[t]; ++n) fc.chips.push_back(chip);
-  }
-  if (fc.chips.empty()) {
-    throw std::invalid_argument("FleetPlanner: empty composition");
+  for (std::size_t t = 0; t < chips.size(); ++t) {
+    for (int n = 0; n < counts[t]; ++n) fc.chips.push_back(chips[t]);
   }
   char label[256];
   std::snprintf(label, sizeof label, "fleet/%s/%s/poisson",
@@ -222,6 +143,71 @@ FleetCandidate FleetPlanner::evaluate_composition(
   return cand;
 }
 
+}  // namespace
+
+std::string composition_label(const std::vector<ServingPoint>& types,
+                              const std::vector<int>& counts) {
+  std::string out;
+  for (std::size_t t = 0; t < types.size() && t < counts.size(); ++t) {
+    if (counts[t] <= 0) continue;
+    if (!out.empty()) out += '+';
+    ChipSpec spec;
+    spec.point = types[t];
+    out += std::to_string(counts[t]) + "x" + spec.short_label();
+  }
+  return out;
+}
+
+std::vector<ServingPoint> FleetPlanner::chip_type_menu(
+    const std::vector<Network>& nets, const FleetTrafficMix& mix,
+    const FleetQuery& q) const {
+  validate_inputs(nets, mix, q);
+  const std::vector<double> frac = mix_fractions(mix);
+  const std::vector<ServingPoint> points = ServingSimulator::grid_points();
+
+  // Two objectives to minimise per grid point: chip area, and the
+  // mix-weighted per-image service time the whole chip delivers
+  // (weighted per-instance cycles / instances).
+  std::vector<std::vector<double>> cycles;  // [net][point]
+  for (const Network& net : nets) {
+    cycles.push_back(instance_cycles(*driver_, net, points, std::nullopt));
+  }
+  std::vector<ParetoPoint> objs;
+  objs.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ServingPoint& p = points[i];
+    double weighted = 0;
+    for (std::size_t m = 0; m < nets.size(); ++m) {
+      weighted += frac[m] * cycles[m][i];
+    }
+    objs.push_back(
+        {area_.chip_mm2(p.vlen_bits, p.l2_total_bytes, p.cores),
+         weighted / static_cast<double>(p.instances), i});
+  }
+  const std::vector<std::size_t> frontier = pareto_frontier(objs);
+
+  // Thin the frontier (area-ascending) to the menu size, always keeping both
+  // endpoints — the cheapest chip and the fastest one — with the rest spread
+  // evenly. Pure index arithmetic, so the menu is deterministic.
+  std::vector<ServingPoint> menu;
+  const std::size_t want =
+      std::min<std::size_t>(frontier.size(),
+                            static_cast<std::size_t>(q.max_chip_types));
+  if (want == 0) return menu;
+  for (std::size_t j = 0; j < want; ++j) {
+    const std::size_t fi =
+        want == 1 ? 0 : j * (frontier.size() - 1) / (want - 1);
+    const ServingPoint& p = points[objs[frontier[fi]].tag];
+    if (menu.empty() || menu.back().cores != p.cores ||
+        menu.back().vlen_bits != p.vlen_bits ||
+        menu.back().l2_total_bytes != p.l2_total_bytes ||
+        menu.back().instances != p.instances) {
+      menu.push_back(p);
+    }
+  }
+  return menu;
+}
+
 FleetPlan FleetPlanner::plan(const std::vector<Network>& nets,
                              const FleetTrafficMix& mix, const FleetQuery& q,
                              ThreadPool* pool) const {
@@ -230,22 +216,25 @@ FleetPlan FleetPlanner::plan(const std::vector<Network>& nets,
   plan.chip_types = chip_type_menu(nets, mix, q);
   const std::vector<double> frac = mix_fractions(mix);
 
-  // Per-type optimistic capacity (requests per cycle, perfect batching):
-  // every image costs only the mix-weighted *marginal* cycles. No simulated
-  // fleet can beat it, so compositions under the load are pruned unsimulated.
+  // Each chip type with its per-model cost models, resolved once for every
+  // composition, and its optimistic capacity (requests per cycle, perfect
+  // batching): every image costs only the mix-weighted *marginal* cycles. No
+  // simulated fleet can beat it, so compositions under the load are pruned
+  // unsimulated.
+  std::vector<FleetChip> chips(plan.chip_types.size());
   std::vector<double> type_cap(plan.chip_types.size(), 0);
-  std::vector<double> type_area(plan.chip_types.size(), 0);
   for (std::size_t t = 0; t < plan.chip_types.size(); ++t) {
     const ServingPoint& p = plan.chip_types[t];
+    FleetChip& chip = chips[t];
+    chip.spec.point = p;  // hosted_models empty = full replication
     double marginal = 0;
     for (std::size_t m = 0; m < nets.size(); ++m) {
-      marginal += frac[m] * batch_cost_model(*driver_, nets[m], p.vlen_bits,
-                                             p.l2_slice_bytes(), std::nullopt)
-                                .marginal_image_cycles;
+      chip.costs.push_back(batch_cost_model(*driver_, nets[m], p.vlen_bits,
+                                            p.l2_slice_bytes(), std::nullopt));
+      marginal += frac[m] * chip.costs.back().marginal_image_cycles;
     }
+    chip.area_mm2 = area_.chip_mm2(p.vlen_bits, p.l2_total_bytes, p.cores);
     type_cap[t] = static_cast<double>(p.instances) / marginal;
-    type_area[t] =
-        area_.chip_mm2(p.vlen_bits, p.l2_total_bytes, p.cores);
   }
 
   const std::vector<std::vector<int>> compositions =
@@ -265,7 +254,7 @@ FleetPlan FleetPlanner::plan(const std::vector<Network>& nets,
     double cap = 0, area = 0;
     for (std::size_t t = 0; t < counts.size(); ++t) {
       cap += counts[t] * type_cap[t];
-      area += counts[t] * type_area[t];
+      area += counts[t] * chips[t].area_mm2;
     }
     const double need = q.load_rps / q.clock_hz;  // requests per cycle
     const bool over_budget =
@@ -280,7 +269,7 @@ FleetPlan FleetPlanner::plan(const std::vector<Network>& nets,
       return;
     }
     plan.candidates[i] =
-        evaluate_composition(nets, mix, q, plan.chip_types, counts);
+        simulate_composition(mix, q, plan.chip_types, chips, counts);
   });
 
   for (const FleetCandidate& cand : plan.candidates) {

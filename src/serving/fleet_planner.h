@@ -79,30 +79,24 @@ class FleetPlanner {
       : driver_(driver), area_(area) {}
 
   /// Search fleet compositions for `mix` over `nets` (one Network per mix
-  /// model, same order as mix.names). `pool` overrides the shared pool
-  /// (tests pin sizes 1 vs 8); nullptr uses ThreadPool::shared(). Throws
-  /// std::invalid_argument on an inconsistent mix/nets pairing or a
-  /// non-positive query.
+  /// model, same order as mix.names). Each menu type's per-model cost models
+  /// are resolved once and shared by every composition simulated under the
+  /// query's mixed load (full replication: every chip hosts every model); a
+  /// simulated candidate records a report fleet cell when collection is
+  /// armed. `pool` overrides the shared pool (tests pin sizes 1 vs 8);
+  /// nullptr uses ThreadPool::shared(). Throws std::invalid_argument on an
+  /// inconsistent mix/nets pairing or a non-positive query.
   FleetPlan plan(const std::vector<Network>& nets, const FleetTrafficMix& mix,
                  const FleetQuery& q, ThreadPool* pool = nullptr) const;
 
   /// The chip-type menu plan() searches: the Pareto frontier of (chip area,
   /// mix-weighted per-image cycles / instances) over the single-chip grid,
   /// thinned to at most q.max_chip_types points keeping both endpoints.
-  /// Area-ascending, deterministic. Warm sweep cache ⇒ pure lookups.
+  /// Area-ascending, deterministic. One cost lookup per network and distinct
+  /// (vlen, L2 slice): warm sweep cache ⇒ 40 pure lookups for two networks.
   std::vector<ServingPoint> chip_type_menu(const std::vector<Network>& nets,
                                            const FleetTrafficMix& mix,
                                            const FleetQuery& q) const;
-
-  /// Evaluate one explicit composition (counts over `types`) under the
-  /// query's mixed load: resolves per-(type, model) cost models, builds the
-  /// FleetConfig (full replication — every chip hosts every model), and runs
-  /// simulate_fleet. Records a report fleet cell when collection is armed.
-  FleetCandidate evaluate_composition(const std::vector<Network>& nets,
-                                      const FleetTrafficMix& mix,
-                                      const FleetQuery& q,
-                                      const std::vector<ServingPoint>& types,
-                                      const std::vector<int>& counts) const;
 
  private:
   SweepDriver* driver_;

@@ -9,7 +9,7 @@
 // instance's service time per image comes from the same SweepDriver
 // per-layer cycle model every figure is built from. Same seed + same grid ⇒
 // byte-identical stats, regardless of VLACNN_THREADS (the planner writes
-// independent per-point sims into pre-sized slots).
+// independent sims into pre-sized slots).
 //
 // Units: all latencies and timestamps are **cycles**; ServingStats converts
 // to milliseconds only at a caller-supplied clock (2 GHz everywhere else in
@@ -69,11 +69,12 @@ struct BatchCostModel {
   }
 };
 
-/// Build the cost model for one hardware point from the sweep: per-image
-/// cycles are `SweepDriver::network_optimal` (or network_cycles when `fixed`
-/// pins an algorithm) at (vlen, L2 slice), amortizing the conv-weight
-/// footprint streamed at MemConfig's DRAM rate.
-/// Thread-safe (SweepDriver is; used concurrently by the capacity planner).
+/// The cost model of `net` at `per_image_cycles` (instance_cycles),
+/// amortizing its conv-weight footprint streamed at MemConfig's DRAM rate.
+BatchCostModel batch_cost_model(const Network& net, double per_image_cycles);
+
+/// The same model for one hardware point, its per-image cycles looked up
+/// through instance_cycles at (vlen, L2 slice). Thread-safe (SweepDriver is).
 BatchCostModel batch_cost_model(SweepDriver& driver, const Network& net,
                                 std::uint32_t vlen_bits,
                                 std::uint64_t l2_slice_bytes,
@@ -267,17 +268,22 @@ using ServiceModelFactory =
 
 /// Searches the Fig-12 co-location grid for configurations that meet a
 /// latency SLO at a target load, and picks the cheapest (area mm²) one.
-/// Thread-safe const API; grid evaluation fans out per point.
+/// Thread-safe const API; grid evaluation fans out per simulation.
 class CapacityPlanner {
  public:
   explicit CapacityPlanner(SweepDriver* driver, AreaModel area = {})
       : sim_(driver, area), driver_(driver) {}
 
-  /// Simulate every feasible Fig-12 grid point under the query's Poisson
+  /// Evaluate every feasible Fig-12 grid point under the query's Poisson
   /// load. Results are in the deterministic grid enumeration order and each
   /// point's stats depend only on (point, query) — byte-identical across
-  /// thread counts. `pool` overrides the shared pool (tests pin sizes 1 vs 8);
-  /// nullptr uses ThreadPool::shared().
+  /// thread counts. A point's simulation reads only its cost model (a
+  /// function of vlen and L2 slice), its instance count and the query, so
+  /// one simulation per distinct (vlen, L2 slice, instances) serves every
+  /// point that shares it: 56 for the grid's 160 points, each still
+  /// published as its own candidate, sink blocks and report cells. `pool`
+  /// overrides the shared pool (tests pin sizes 1 vs 8); nullptr uses
+  /// ThreadPool::shared().
   std::vector<CapacityCandidate> evaluate_grid(const Network& net,
                                                const CapacityQuery& q,
                                                std::optional<Algo> fixed,
@@ -287,6 +293,7 @@ class CapacityPlanner {
   /// the fixed oracle cost model (the learned-dispatch path). The steady-state
   /// eval side (area, cycles_per_image) still reports the per-layer-optimal
   /// oracle, so a candidate's stats can be read against the oracle baseline.
+  /// One simulation per point: a factory may read any field of the point.
   std::vector<CapacityCandidate> evaluate_grid(const Network& net,
                                                const CapacityQuery& q,
                                                const ServiceModelFactory& factory,
@@ -308,13 +315,6 @@ class CapacityPlanner {
       const std::vector<CapacityCandidate>& candidates);
 
  private:
-  /// Shared tail of both evaluate() flavours: run the request-level sim for a
-  /// fully-populated RequestSimConfig and fill in stats/meets_slo/report cell.
-  CapacityCandidate simulate_point(const Network& net, const ServingPoint& point,
-                                   const CapacityQuery& q,
-                                   std::optional<Algo> eval_fixed,
-                                   RequestSimConfig rc) const;
-
   ServingSimulator sim_;
   SweepDriver* driver_;
 };

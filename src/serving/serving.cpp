@@ -1,8 +1,9 @@
 #include "serving/serving.h"
 
+#include <map>
 #include <stdexcept>
+#include <tuple>
 
-#include "common/thread_pool.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,6 +15,12 @@ namespace {
 
 bool is_pow2_u64(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
+void require_feasible(const ServingPoint& point) {
+  if (!point.feasible()) {
+    throw std::invalid_argument("serving: infeasible configuration");
+  }
+}
+
 }  // namespace
 
 bool ServingPoint::feasible() const {
@@ -23,12 +30,58 @@ bool ServingPoint::feasible() const {
   return slice >= (1u << 20) && is_pow2_u64(slice);
 }
 
+double instance_cycles(SweepDriver& driver, const Network& net,
+                       std::uint32_t vlen_bits, std::uint64_t l2_slice_bytes,
+                       std::optional<Algo> fixed) {
+  if (fixed.has_value()) {
+    return driver.network_cycles(net, *fixed, vlen_bits, l2_slice_bytes);
+  }
+  return driver.network_optimal(net, vlen_bits, l2_slice_bytes).cycles;
+}
+
+PointGroups group_points(const std::vector<ServingPoint>& points,
+                         bool by_instances) {
+  std::map<std::tuple<std::uint32_t, std::uint64_t, int>, std::size_t> ids;
+  PointGroups g;
+  g.group.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ServingPoint& p = points[i];
+    const auto [it, added] = ids.try_emplace(
+        {p.vlen_bits, p.l2_slice_bytes(), by_instances ? p.instances : 0},
+        g.first.size());
+    if (added) g.first.push_back(i);
+    g.group.push_back(it->second);
+  }
+  return g;
+}
+
+std::vector<double> instance_cycles(SweepDriver& driver, const Network& net,
+                                    const std::vector<ServingPoint>& points,
+                                    std::optional<Algo> fixed) {
+  const PointGroups g = group_points(points, false);
+  std::vector<double> per_group;
+  per_group.reserve(g.first.size());
+  for (std::size_t i : g.first) {
+    per_group.push_back(instance_cycles(driver, net, points[i].vlen_bits,
+                                        points[i].l2_slice_bytes(), fixed));
+  }
+  std::vector<double> out;
+  out.reserve(points.size());
+  for (std::size_t k : g.group) out.push_back(per_group[k]);
+  return out;
+}
+
 ServingEval ServingSimulator::evaluate(const Network& net,
                                        const ServingPoint& point,
                                        std::optional<Algo> fixed) const {
-  if (!point.feasible()) {
-    throw std::invalid_argument("serving: infeasible configuration");
-  }
+  require_feasible(point);
+  return evaluate(point, instance_cycles(*driver_, net, point.vlen_bits,
+                                         point.l2_slice_bytes(), fixed));
+}
+
+ServingEval ServingSimulator::evaluate(const ServingPoint& point,
+                                       double cycles_per_image) const {
+  require_feasible(point);
   obs::Span span("serving.evaluate");
   if (span.active()) {
     span.arg("cores", std::to_string(point.cores));
@@ -41,17 +94,10 @@ ServingEval ServingSimulator::evaluate(const Network& net,
         obs::Registry::global().counter("serving.points_evaluated");
     points.add();
   }
-  const std::uint64_t slice = point.l2_slice_bytes();
-  double cycles = 0;
-  if (fixed.has_value()) {
-    cycles = driver_->network_cycles(net, *fixed, point.vlen_bits, slice);
-  } else {
-    cycles = driver_->network_optimal(net, point.vlen_bits, slice).cycles;
-  }
   ServingEval e;
   e.point = point;
-  e.cycles_per_image = cycles;
-  e.images_per_cycle = static_cast<double>(point.instances) / cycles;
+  e.cycles_per_image = cycles_per_image;
+  e.images_per_cycle = static_cast<double>(point.instances) / cycles_per_image;
   e.area_mm2 =
       area_.chip_mm2(point.vlen_bits, point.l2_total_bytes, point.cores);
   if (report::enabled()) {
@@ -91,10 +137,6 @@ std::vector<ServingPoint> ServingSimulator::grid_points() {
 
 std::vector<ServingEval> ServingSimulator::grid(const Network& net,
                                                 std::optional<Algo> fixed) const {
-  // Evaluate one pool task per feasible point. Each slot is written by
-  // exactly one task, so the output order (and every number in it) matches
-  // the serial nested-loop order bit for bit; the ResultsDb deduplicates the
-  // many points that share (vlen, slice) sweeps.
   const std::vector<ServingPoint> points = grid_points();
   obs::Span span("serving.grid");
   if (span.active()) {
@@ -103,10 +145,13 @@ std::vector<ServingEval> ServingSimulator::grid(const Network& net,
   }
   obs::log(obs::LogLevel::kInfo, "serving", "grid",
            {{"net", net.name()}, {"points", std::to_string(points.size())}});
-  std::vector<ServingEval> out(points.size());
-  ThreadPool::shared().parallel_for(points.size(), [&](std::size_t i) {
-    out[i] = evaluate(net, points[i], fixed);
-  });
+  const std::vector<double> cycles = instance_cycles(*driver_, net, points,
+                                                     fixed);
+  std::vector<ServingEval> out;
+  out.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    out.push_back(evaluate(points[i], cycles[i]));
+  }
   return out;
 }
 

@@ -8,6 +8,7 @@
 // throughput is instances / latency; area comes from the 7 nm model.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -34,6 +35,35 @@ struct ServingPoint {
   bool feasible() const;
 };
 
+/// Per-instance cycles of `net` on one core of a serving chip: its conv-layer
+/// time at `vlen_bits` with an exclusive `l2_slice_bytes`, from
+/// SweepDriver::network_optimal, or network_cycles when `fixed` pins one
+/// algorithm (gemm6 fallback). The one cost every serving model prices.
+double instance_cycles(SweepDriver& driver, const Network& net,
+                       std::uint32_t vlen_bits, std::uint64_t l2_slice_bytes,
+                       std::optional<Algo> fixed);
+
+/// The points of a list that share one key, numbered in first-appearance
+/// order: group[i] is point i's group, first[g] the index of group g's first
+/// point.
+struct PointGroups {
+  std::vector<std::size_t> group;
+  std::vector<std::size_t> first;
+};
+
+/// Groups `points` by (vlen, L2 slice), the only fields instance_cycles
+/// reads, or by (vlen, L2 slice, instances) when `by_instances` — everything
+/// a point's request-level simulation reads besides the query. The Fig-12
+/// grid's 160 points fall into 20 and 56 groups.
+PointGroups group_points(const std::vector<ServingPoint>& points,
+                         bool by_instances);
+
+/// instance_cycles at every point's (vlen, L2 slice), looked up once per
+/// group_points group.
+std::vector<double> instance_cycles(SweepDriver& driver, const Network& net,
+                                    const std::vector<ServingPoint>& points,
+                                    std::optional<Algo> fixed);
+
 /// Steady-state result for one ServingPoint. Cycles are simulated-core
 /// cycles (2 GHz in the paper); seconds appear only in presentation code.
 struct ServingEval {
@@ -46,8 +76,8 @@ struct ServingEval {
 /// Steady-state co-location simulator (the paper's Fig-12 analysis). All
 /// const methods are thread-safe: state is a SweepDriver (internally
 /// synchronized) and a value-type AreaModel, so evaluate() may be called
-/// concurrently from pool tasks — grid() and the request-level capacity
-/// planner (request_sim.h) do exactly that.
+/// concurrently from pool tasks — the request-level capacity planner
+/// (request_sim.h) does on its learned-dispatch path.
 class ServingSimulator {
  public:
   ServingSimulator(SweepDriver* driver, AreaModel area = {})
@@ -58,13 +88,16 @@ class ServingSimulator {
   ServingEval evaluate(const Network& net, const ServingPoint& point,
                        std::optional<Algo> fixed) const;
 
+  /// The same evaluation from the point's instance_cycles, already looked up.
+  ServingEval evaluate(const ServingPoint& point, double cycles_per_image) const;
+
   /// The feasible points of the paper's grid — cores/instances in
   /// {1,4,16,64}, vlen 512..4096, shared L2 in {1,4,16,64,256} MB — in the
   /// deterministic nested-loop enumeration order every grid consumer shares.
   static std::vector<ServingPoint> grid_points();
 
-  /// evaluate() over grid_points(), fanned out on the shared pool; output
-  /// order (and every number) is bit-identical to a serial run.
+  /// evaluate() over grid_points(), in their order, with one cost lookup per
+  /// distinct (vlen, L2 slice).
   std::vector<ServingEval> grid(const Network& net,
                                 std::optional<Algo> fixed) const;
 

@@ -2,7 +2,7 @@
 // routing policies, the fleet event loop (hand-computed hop schedules, exact
 // four-span attribution, single-chip equivalence, per-queue service models,
 // caller-owned recorders), placement, drops, and the fleet capacity
-// planner's thread-count determinism.
+// planner's thread-count determinism and shared per-type cost models.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -620,6 +620,48 @@ TEST_F(FleetPlannerTest, PlanFindsAFeasibleFleetAndOrdersHeadlines) {
       EXPECT_GE(c.total_area_mm2, plan.best->total_area_mm2);
     }
   }
+}
+
+TEST_F(FleetPlannerTest, CandidatesMatchFleetsBuiltChipByChip) {
+  // plan() resolves each chip type's cost models once for every composition.
+  // Each simulated candidate must equal the fleet built chip by chip, every
+  // cost looked up through batch_cost_model on its own.
+  ResultsDb db((dir_ / "chips.csv").string());
+  SweepDriver driver(&db);
+  const std::vector<Network> nets{tiny_a(), tiny_b()};
+  const FleetQuery q = query();
+  const FleetPlan plan = FleetPlanner(&driver).plan(nets, mix(), q);
+  const AreaModel area;
+  std::size_t simulated = 0;
+  for (const FleetCandidate& cand : plan.candidates) {
+    if (!cand.simulated) continue;
+    ++simulated;
+    FleetConfig fc;
+    fc.mix = mix();
+    fc.router = q.router;
+    fc.policy = q.policy;
+    fc.queue_capacity = q.queue_capacity;
+    fc.slo_cycles = q.slo_ms * 1e-3 * q.clock_hz;
+    fc.router_hop_cycles = q.router_hop_cycles;
+    fc.attainment_target = q.attainment_target;
+    for (std::size_t t = 0; t < plan.chip_types.size(); ++t) {
+      const ServingPoint& p = plan.chip_types[t];
+      for (int n = 0; n < cand.counts[t]; ++n) {
+        FleetChip chip;
+        chip.spec.point = p;
+        for (const Network& net : nets) {
+          chip.costs.push_back(batch_cost_model(
+              driver, net, p.vlen_bits, p.l2_slice_bytes(), std::nullopt));
+        }
+        chip.area_mm2 = area.chip_mm2(p.vlen_bits, p.l2_total_bytes, p.cores);
+        fc.chips.push_back(chip);
+      }
+    }
+    PoissonArrivals arrivals(q.clock_hz / q.load_rps, q.requests, q.seed);
+    EXPECT_EQ(simulate_fleet(fc, arrivals).to_json(), cand.stats.to_json())
+        << cand.label;
+  }
+  EXPECT_GT(simulated, 1u);
 }
 
 TEST_F(FleetPlannerTest, PlanRejectsInconsistentInputs) {

@@ -1,7 +1,8 @@
 // Tests for the request-level serving simulator: arrival processes, batching
 // policies, the discrete-event loop (against M/D/1 queueing theory and
 // hand-computed schedules), nearest-rank percentiles, and the capacity
-// planner's thread-count determinism.
+// planner's thread-count determinism and one simulation per distinct
+// configuration.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +15,7 @@
 
 #include "common/thread_pool.h"
 #include "net/models.h"
+#include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "serving/request_sim.h"
 
@@ -607,6 +609,46 @@ TEST_F(CapacityTest, TimelineJsonlIsByteIdenticalAcrossPoolSizes) {
   EXPECT_NE(serial.find("cores"), std::string::npos);
   EXPECT_NE(serial.find("\"type\":\"header\""), std::string::npos);
   EXPECT_NE(serial.find("\"type\":\"snapshot\""), std::string::npos);
+}
+
+TEST_F(CapacityTest, GridSimulatesEachDistinctConfigurationOnce) {
+  // A point's simulation reads only its cost model (a function of vlen and
+  // L2 slice), its instance count and the query, so the grid runs one per
+  // distinct (vlen, slice, instances): 56 for its 160 points. Every candidate
+  // must still equal its point evaluated on its own.
+  const Network net = tiny_net();
+  CapacityQuery q;
+  q.load_rps = 100000;
+  q.slo_ms = 5;
+  q.requests = 200;  // the queue is unbounded, so nothing drops
+  ResultsDb db((dir_ / "dedupe.csv").string());
+  SweepDriver driver(&db);
+  const CapacityPlanner planner(&driver);
+  const std::vector<ServingPoint> points = ServingSimulator::grid_points();
+  ASSERT_EQ(points.size(), 160u);
+  obs::Counter& completed =
+      obs::Registry::global().counter("serving.requests_completed");
+  ThreadPool pool(4);
+  for (const std::optional<Algo> fixed :
+       {std::optional<Algo>(), std::optional<Algo>(Algo::kWinograd)}) {
+    obs::set_metrics_mode(obs::ReportMode::kText);
+    const std::uint64_t before = completed.value();
+    const auto grid = planner.evaluate_grid(net, q, fixed, &pool);
+    obs::set_metrics_mode(obs::ReportMode::kOff);
+    EXPECT_EQ(completed.value() - before, 56 * q.requests);
+    ASSERT_EQ(grid.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const CapacityCandidate one = planner.evaluate(net, points[i], q, fixed);
+      EXPECT_EQ(grid[i].stats.dropped, 0u) << i;
+      EXPECT_EQ(grid[i].stats.to_json(), one.stats.to_json()) << i;
+      EXPECT_EQ(grid[i].eval.cycles_per_image, one.eval.cycles_per_image)
+          << i;
+      EXPECT_EQ(grid[i].eval.images_per_cycle, one.eval.images_per_cycle)
+          << i;
+      EXPECT_EQ(grid[i].eval.area_mm2, one.eval.area_mm2) << i;
+      EXPECT_EQ(grid[i].meets_slo, one.meets_slo) << i;
+    }
+  }
 }
 
 TEST_F(CapacityTest, CheapestPicksMinimalAreaAmongFeasible) {
