@@ -1,15 +1,18 @@
-// Regenerates and checks a sweep cache: loads <cache.csv>, re-simulates every
+// Regenerates and checks a sweep cache: loads <cache.csv>, re-derives every
 // key it holds cold through the SweepDriver::get_many fan-out into a fresh
 // cache at <out.csv>, rewrites <out.csv> with one row per key in SweepKey
 // order, and compares every row bit for bit with the loaded one (the layer
 // descriptor and all 15 numbers: the five headline values and the ten
-// breakdown fields).
+// breakdown fields). Like every sweep, it runs one simulation per distinct
+// shape (layer descriptor and hardware point); a key whose shape another key
+// already simulated stores a copy of that row, and is compared all the same.
 //
 // Usage: bench_sweep_parallel <cache.csv> <out.csv>
-//   Prints each differing key, their count, the thread count and the wall
-//   time. Exit 0 when every key reproduces, 1 when any differs, 2 on usage
-//   errors. Threads come from VLACNN_THREADS (default: all hardware threads);
-//   the output is the same bytes at any thread count.
+//   Prints each differing key, their count, the key and simulation counts,
+//   the thread count and the wall time. Exit 0 when every key reproduces, 1
+//   when any differs, 2 on usage errors. Threads come from VLACNN_THREADS
+//   (default: all hardware threads); the output is the same bytes at any
+//   thread count.
 //
 //   bench_sweep_parallel results/sweep_cache.csv build/sweep_cache.csv &&
 //     cmp build/sweep_cache.csv results/sweep_cache.csv
@@ -49,7 +52,7 @@ int run(int argc, char** argv) {
   }
   std::filesystem::remove(out_path);
 
-  bench::banner("Sweep cache: cold re-simulation of every committed key",
+  bench::banner("Sweep cache: every committed key re-derived cold",
                 "engine check (not a paper figure)");
   std::vector<SweepRequest> reqs;
   reqs.reserve(committed.size());
@@ -72,8 +75,10 @@ int run(int argc, char** argv) {
     ++differ;
     std::printf("DIFFERENT  %s\n", report::entry_key(committed[i].key).c_str());
   }
-  std::printf("%zu keys from %s re-simulated cold into %s: %zu differ\n",
-              committed.size(), cache_path.c_str(), out_path.c_str(), differ);
+  std::printf("%zu keys from %s re-derived cold into %s with %zu "
+              "simulations, one per distinct shape: %zu differ\n",
+              committed.size(), cache_path.c_str(), out_path.c_str(),
+              out.computed(), differ);
   std::printf("%u thread(s), %.1f s\n", ThreadPool::shared().size() + 1,
               seconds);
   return differ == 0 ? 0 : 1;

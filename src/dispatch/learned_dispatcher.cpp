@@ -190,31 +190,38 @@ void LearnedDispatcher::trace_annotations(std::vector<obs::TraceNote>& out) {
                 cfg_.dispatch_cycles_per_layer)});
 }
 
+std::unique_ptr<serving::ServiceModel> LearnedDispatcher::clone() const {
+  return std::make_unique<LearnedDispatcher>(*this);
+}
+
 namespace {
 
-/// Factory-built wrapper: forwards service_cycles to the dispatcher and, on
-/// destruction (the planner destroys it right after the point's simulation
-/// completes), publishes the final stats to obs metrics and the report
-/// collector. Destruction order inside the planner guarantees the stats are
-/// final; the collector/metrics sinks are thread-safe and keyed/commutative,
-/// so concurrent grid points publish safely.
+/// Factory-built wrapper: forwards service_cycles to the dispatcher, keeps
+/// its forest alive, and publishes the final stats to obs metrics and the
+/// report collector for each grid point its simulation served. The planner
+/// publishes in grid order on one thread, so the last-gap gauge ends on the
+/// last grid point's gap at any pool size.
 class ReportingLearnedModel final : public serving::ServiceModel {
  public:
-  ReportingLearnedModel(std::unique_ptr<LearnedDispatcher> d,
+  ReportingLearnedModel(LearnedDispatcher d,
                         std::shared_ptr<const FlatForest> forest,
-                        report::Json cell)
-      : d_(std::move(d)), forest_(std::move(forest)), cell_(std::move(cell)) {}
+                        std::string net)
+      : d_(std::move(d)), forest_(std::move(forest)), net_(std::move(net)) {}
 
   double service_cycles(int batch) override {
-    return d_->service_cycles(batch);
+    return d_.service_cycles(batch);
   }
 
   void trace_annotations(std::vector<obs::TraceNote>& out) override {
-    d_->trace_annotations(out);
+    d_.trace_annotations(out);
   }
 
-  ~ReportingLearnedModel() override {
-    const DispatchStats& s = d_->stats();
+  std::unique_ptr<serving::ServiceModel> clone() const override {
+    return std::make_unique<ReportingLearnedModel>(*this);
+  }
+
+  void publish(const ServingPoint& point) const override {
+    const DispatchStats& s = d_.stats();
     if (obs::metrics_enabled()) {
       auto& reg = obs::Registry::global();
       reg.counter("dispatch.batches").add(s.batches);
@@ -222,16 +229,21 @@ class ReportingLearnedModel final : public serving::ServiceModel {
       reg.counter("dispatch.explorations").add(s.explorations);
       reg.counter("dispatch.mispredicted_layers")
           .add(static_cast<std::uint64_t>(s.mispredicted_layers));
-      // Distribution of per-point gaps in basis points: bucket counts are
-      // order-independent, so the histogram is deterministic across thread
-      // counts; the float gauge keeps the last finished point's exact gap.
+      // Distribution of per-point gaps in basis points; the float gauge
+      // keeps the last published point's exact gap.
       reg.histogram("dispatch.oracle_gap_bp")
           .observe(static_cast<std::uint64_t>(
               std::llround(std::max(s.oracle_gap(), 0.0) * 1e4)));
       reg.float_gauge("dispatch.last_oracle_gap").set(s.oracle_gap());
     }
     if (report::enabled()) {
-      cell_.add("layers", s.layers)
+      report::Json cell;
+      cell.add("net", net_)
+          .add("cores", point.cores)
+          .add("vlen_bits", point.vlen_bits)
+          .add("l2_total_bytes", point.l2_total_bytes)
+          .add("instances", point.instances)
+          .add("layers", s.layers)
           .add("mispredicted_layers", s.mispredicted_layers)
           .add("batches", s.batches)
           .add("images", s.images)
@@ -241,14 +253,14 @@ class ReportingLearnedModel final : public serving::ServiceModel {
           .add("selector_cycles", s.selector_cycles)
           .add("oracle_gap", s.oracle_gap());
       report::Collector::global().record(report::Section::kDispatch,
-                                         {std::move(cell_)});
+                                         {std::move(cell)});
     }
   }
 
  private:
-  std::unique_ptr<LearnedDispatcher> d_;
+  LearnedDispatcher d_;
   std::shared_ptr<const FlatForest> forest_;  ///< keeps d_'s forest alive
-  report::Json cell_;  ///< the grid point; the stats join it at the end
+  std::string net_;
 };
 
 }  // namespace
@@ -263,29 +275,20 @@ serving::ServiceModelFactory learned_service_factory(
   const double weight_bytes = serving::conv_weight_bytes(net);
   // The Network is copied into the closure: grid evaluation outlives many a
   // caller-scope Network, and the copy is a handful of layer descriptors.
-  return [forest = std::move(forest), driver, net, weight_bytes,
-          cfg](const ServingPoint& point)
+  return [forest = std::move(forest), driver, net, weight_bytes, cfg](
+             std::uint32_t vlen_bits, std::uint64_t l2_slice)
              -> std::unique_ptr<serving::ServiceModel> {
-    const std::uint64_t l2_slice = point.l2_slice_bytes();
-    LayerCycleTable table =
-        driver->layer_algo_cycles(net, point.vlen_bits, l2_slice);
+    LayerCycleTable table = driver->layer_algo_cycles(net, vlen_bits, l2_slice);
     const auto descs = net.conv_descs();
     std::vector<std::vector<float>> features;
     features.reserve(descs.size());
     for (const ConvLayerDesc& d : descs) {
-      features.push_back(selection_features(point.vlen_bits, l2_slice, d));
+      features.push_back(selection_features(vlen_bits, l2_slice, d));
     }
-    auto dispatcher = std::make_unique<LearnedDispatcher>(
-        forest.get(), std::move(table), std::move(features), weight_bytes,
-        cfg);
-    report::Json cell;
-    cell.add("net", net.name())
-        .add("cores", point.cores)
-        .add("vlen_bits", point.vlen_bits)
-        .add("l2_total_bytes", point.l2_total_bytes)
-        .add("instances", point.instances);
-    return std::make_unique<ReportingLearnedModel>(std::move(dispatcher),
-                                                   forest, std::move(cell));
+    return std::make_unique<ReportingLearnedModel>(
+        LearnedDispatcher(forest.get(), std::move(table), std::move(features),
+                          weight_bytes, cfg),
+        forest, net.name());
   };
 }
 

@@ -107,6 +107,8 @@ class LearnedDispatcher final : public serving::ServiceModel {
   /// needs to blame a slow request on a dispatch decision.
   void trace_annotations(std::vector<obs::TraceNote>& out) override;
 
+  std::unique_ptr<serving::ServiceModel> clone() const override;
+
   const DispatchStats& stats() const { return stats_; }
 
   /// Current plan as indices into kAllAlgos.
@@ -132,13 +134,13 @@ class LearnedDispatcher final : public serving::ServiceModel {
   std::vector<std::pair<std::size_t, std::size_t>> last_explored_;
 };
 
-/// A ServiceModelFactory for CapacityPlanner::evaluate_grid: each grid point
-/// gets its own LearnedDispatcher over that point's (vlen, L2-slice) cycle
-/// table and feature vectors, sharing one immutable compiled forest. The
-/// factory is thread-safe (SweepDriver is; the forest is read-only); each
-/// returned model also publishes its end-of-simulation DispatchStats to
-/// obs metrics and the report::Collector (as a dispatch cell) on destruction,
-/// which the planner arranges to happen right after its simulation finishes.
+/// A ServiceModelFactory for CapacityPlanner::evaluate_grid: each (vlen,
+/// L2-slice) pair gets a LearnedDispatcher over that pair's cycle table and
+/// feature vectors, read once, sharing one immutable compiled forest; the
+/// planner runs each simulation on a fresh clone of it. A finished model
+/// publishes its DispatchStats for a grid point (ServiceModel::publish) to
+/// obs metrics and the report::Collector, as a dispatch cell keyed by that
+/// point.
 serving::ServiceModelFactory learned_service_factory(
     std::shared_ptr<const FlatForest> forest, SweepDriver* driver,
     const Network& net, const DispatchConfig& cfg);

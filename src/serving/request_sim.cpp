@@ -84,27 +84,31 @@ void announce_grid(obs::Span& span, const Network& net, const CapacityQuery& q,
             {"dispatch", dispatch}});
 }
 
-/// One request-level simulation and what it fed: the stats and, with a sink
-/// knob on, the finished recorders' blocks. Every grid point that shares the
-/// simulation publishes these under its own label.
+/// One request-level simulation and what it fed: the stats, the finished
+/// service model when a factory built one and, with a sink knob on, the
+/// finished recorders' blocks. Every grid point that shares the simulation
+/// publishes these under its own label.
 struct PointRun {
   ServingStats stats;
   std::string policy;    ///< batching policy name, for labels and cells
   std::string arrivals;  ///< arrival process name, likewise
+  std::unique_ptr<ServiceModel> model;              ///< null on the fixed path
   std::unique_ptr<obs::TimelineRecorder> timeline;  ///< null when off
   std::string timeline_block, reqtrace_block;       ///< "" when off
 };
 
 /// Run the request-level sim of `point` (instances, and for the request
-/// tracer its vlen and L2 slice) under the query's load, with `rc`'s service
-/// source. `plan_fixed` names the plan the tracer's per-layer waterfall
-/// splits service time by.
+/// tracer its vlen and L2 slice) under the query's load, with `model` as the
+/// service source when set and `rc`'s fixed cost otherwise. `plan_fixed`
+/// names the plan the tracer's per-layer waterfall splits service time by.
 PointRun run_point(SweepDriver& driver, const Network& net,
                    const ServingPoint& point, const CapacityQuery& q,
-                   std::optional<Algo> plan_fixed, RequestSimConfig rc) {
+                   std::optional<Algo> plan_fixed, RequestSimConfig rc,
+                   std::unique_ptr<ServiceModel> model = nullptr) {
   rc.instances = point.instances;
   rc.queue_capacity = q.queue_capacity;
   rc.slo_cycles = slo_cycles(q);
+  rc.service = model.get();
 
   PoissonArrivals arrivals(q.clock_hz / q.load_rps, q.requests, q.seed);
   const auto policy = make_policy(q.policy);
@@ -135,14 +139,16 @@ PointRun run_point(SweepDriver& driver, const Network& net,
 
   // The loop calls finish() on both recorders.
   run.stats = simulate_requests(rc, arrivals, *policy);
+  run.model = std::move(model);
   if (rtrec != nullptr) run.reqtrace_block = rtrec->to_jsonl();
   if (run.timeline != nullptr) run.timeline_block = run.timeline->to_jsonl();
   return run;
 }
 
 /// One grid point's candidate from its steady-state `eval` and the run it
-/// shares: meets_slo, the sink blocks under the point's label and, with the
-/// report armed, its request-sim and timeline cells.
+/// shares: meets_slo, the sink blocks under the point's label, the finished
+/// model's own results and, with the report armed, its request-sim and
+/// timeline cells.
 CapacityCandidate publish_point(ServingEval eval, const CapacityQuery& q,
                                 const PointRun& run) {
   CapacityCandidate c;
@@ -153,6 +159,7 @@ CapacityCandidate publish_point(ServingEval eval, const CapacityQuery& q,
       (q.area_budget_mm2 <= 0 || c.eval.area_mm2 <= q.area_budget_mm2);
 
   const ServingPoint& point = c.eval.point;
+  if (run.model != nullptr) run.model->publish(point);
   if (!run.reqtrace_block.empty() || run.timeline != nullptr) {
     // The same grid-point label keys both sinks, so the two JSONL files
     // cross-reference by label.
@@ -215,25 +222,42 @@ CapacityCandidate publish_point(ServingEval eval, const CapacityQuery& q,
   return c;
 }
 
-/// The learned path's one simulation per point, with a fresh model from
-/// `factory`. The model lives exactly as long as the simulation and its
-/// publishing; a model with an end-of-run side effect (the learned
-/// dispatcher records its dispatch cell on destruction) fires it here, after
-/// the stats are final.
-CapacityCandidate evaluate_with_model(SweepDriver& driver, const Network& net,
-                                      ServingEval eval, const CapacityQuery& q,
-                                      const ServiceModelFactory& factory) {
+/// The model `factory` builds for `point`'s (vlen, L2 slice).
+std::unique_ptr<ServiceModel> make_model(const ServiceModelFactory& factory,
+                                         const ServingPoint& point) {
   if (!factory) {
     throw std::invalid_argument("CapacityPlanner: empty service factory");
   }
-  std::unique_ptr<ServiceModel> model = factory(eval.point);
+  std::unique_ptr<ServiceModel> model =
+      factory(point.vlen_bits, point.l2_slice_bytes());
   if (model == nullptr) {
     throw std::invalid_argument("CapacityPlanner: factory returned null");
   }
-  RequestSimConfig rc;
-  rc.service = model.get();
-  const PointRun run = run_point(driver, net, eval.point, q, std::nullopt, rc);
-  return publish_point(std::move(eval), q, run);
+  return model;
+}
+
+/// The grid body both evaluate_grid overloads share. A run depends only on
+/// (vlen, L2 slice, instances, query), so `run(i)` is called once per
+/// distinct triple, i being its first point, one pool task each into a
+/// pre-sized slot; the runs, and the candidates published from them in grid
+/// order on the calling thread, are byte-identical whether the pool has 1
+/// worker or 64 (§7's guarantee, extended to request-level stats).
+std::vector<CapacityCandidate> publish_grid(
+    const ServingSimulator& sim, const std::vector<ServingPoint>& points,
+    const std::vector<double>& cycles, const CapacityQuery& q,
+    ThreadPool* pool, const std::function<PointRun(std::size_t)>& run) {
+  const PointGroups sims = group_points(points, true);
+  std::vector<PointRun> runs(sims.first.size());
+  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
+  p.parallel_for(runs.size(),
+                 [&](std::size_t r) { runs[r] = run(sims.first[r]); });
+  std::vector<CapacityCandidate> out;
+  out.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    out.push_back(publish_point(sim.evaluate(points[i], cycles[i]), q,
+                                runs[sims.group[i]]));
+  }
+  return out;
 }
 
 }  // namespace
@@ -252,6 +276,8 @@ BatchCostModel batch_cost_model(SweepDriver& driver, const Network& net,
 }
 
 void ServiceModel::trace_annotations(std::vector<obs::TraceNote>&) {}
+
+void ServiceModel::publish(const ServingPoint&) const {}
 
 double conv_weight_bytes(const Network& net) {
   double bytes = 0;
@@ -337,9 +363,10 @@ CapacityCandidate CapacityPlanner::evaluate(
   require_valid(q);
   // The steady-state side reports the oracle per-image cycles, the natural
   // baseline to read a learned candidate's stats against.
-  return evaluate_with_model(*driver_, net,
-                             sim_.evaluate(net, point, std::nullopt), q,
-                             factory);
+  ServingEval eval = sim_.evaluate(net, point, std::nullopt);
+  const PointRun run = run_point(*driver_, net, point, q, std::nullopt, {},
+                                 make_model(factory, point));
+  return publish_point(std::move(eval), q, run);
 }
 
 std::vector<CapacityCandidate> CapacityPlanner::evaluate_grid(
@@ -352,27 +379,11 @@ std::vector<CapacityCandidate> CapacityPlanner::evaluate_grid(
                 fixed ? to_string(*fixed) : "oracle");
   const std::vector<double> cycles =
       instance_cycles(*driver_, net, points, fixed);
-  // One task per distinct simulation into its pre-sized slot: a run depends
-  // only on (vlen, L2 slice, instances, query), so the runs — and the
-  // candidates published from them in grid order — are byte-identical
-  // whether the pool has 1 worker or 64 (§7's guarantee, extended to
-  // request-level stats).
-  const PointGroups sims = group_points(points, true);
-  std::vector<PointRun> runs(sims.first.size());
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(runs.size(), [&](std::size_t r) {
-    const std::size_t i = sims.first[r];
+  return publish_grid(sim_, points, cycles, q, pool, [&](std::size_t i) {
     RequestSimConfig rc;
     rc.cost = batch_cost_model(net, cycles[i]);
-    runs[r] = run_point(*driver_, net, points[i], q, fixed, rc);
+    return run_point(*driver_, net, points[i], q, fixed, rc);
   });
-  std::vector<CapacityCandidate> out;
-  out.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    out.push_back(publish_point(sim_.evaluate(points[i], cycles[i]), q,
-                                runs[sims.group[i]]));
-  }
-  return out;
 }
 
 std::vector<CapacityCandidate> CapacityPlanner::evaluate_grid(
@@ -384,16 +395,18 @@ std::vector<CapacityCandidate> CapacityPlanner::evaluate_grid(
   announce_grid(span, net, q, points.size(), "factory");
   const std::vector<double> cycles =
       instance_cycles(*driver_, net, points, std::nullopt);
-  // One task per point into its pre-sized slot; a factory-built model
-  // depends only on its point.
-  std::vector<CapacityCandidate> out(points.size());
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(points.size(), [&](std::size_t i) {
-    out[i] = evaluate_with_model(*driver_, net,
-                                 sim_.evaluate(points[i], cycles[i]), q,
-                                 factory);
+  // A model reads only (vlen, L2 slice): build one per distinct pair, and
+  // run every simulation of that pair on a fresh clone of it.
+  const PointGroups costs = group_points(points, false);
+  std::vector<std::unique_ptr<ServiceModel>> models;
+  models.reserve(costs.first.size());
+  for (std::size_t i : costs.first) {
+    models.push_back(make_model(factory, points[i]));
+  }
+  return publish_grid(sim_, points, cycles, q, pool, [&](std::size_t i) {
+    return run_point(*driver_, net, points[i], q, std::nullopt, {},
+                     models[costs.group[i]]->clone());
   });
-  return out;
 }
 
 std::optional<CapacityCandidate> CapacityPlanner::cheapest(

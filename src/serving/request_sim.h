@@ -100,6 +100,17 @@ class ServiceModel {
   /// batch; called at most once per dispatch, and only when a trace recorder
   /// is active — never on the no-obs path. Default: no notes.
   virtual void trace_annotations(std::vector<obs::TraceNote>& out);
+
+  /// A copy of this model in its current state. The capacity planner builds
+  /// one model per (vlen, L2 slice) and runs each simulation on a copy of it,
+  /// so every simulation starts from a fresh model.
+  virtual std::unique_ptr<ServiceModel> clone() const = 0;
+
+  /// Publish the end-of-simulation results of a finished model for one grid
+  /// point its simulation served (metrics, report cells). The planner calls
+  /// it once per grid point, in grid order, on the calling thread, so every
+  /// point that shares a simulation publishes its own. Default: nothing.
+  virtual void publish(const ServingPoint& point) const;
 };
 
 /// ServiceModel over a fixed BatchCostModel — stateless, the pre-dispatch
@@ -109,6 +120,9 @@ class FixedServiceModel final : public ServiceModel {
   explicit FixedServiceModel(const BatchCostModel& cost) : cost_(cost) {}
   double service_cycles(int batch) override {
     return cost_.service_cycles(batch);
+  }
+  std::unique_ptr<ServiceModel> clone() const override {
+    return std::make_unique<FixedServiceModel>(*this);
   }
 
  private:
@@ -258,13 +272,14 @@ struct CapacityCandidate {
   bool meets_slo = false;  ///< attainment >= target (and under budget, if set)
 };
 
-/// Builds one fresh ServiceModel per simulated grid point. The planner calls
-/// it from pool workers, so the factory must be thread-safe (the models it
-/// returns need not be — each is used by exactly one simulation). Keeps the
-/// serving layer ignorant of how service times are produced: the learned
-/// dispatcher plugs in here without request_sim depending on src/dispatch.
-using ServiceModelFactory =
-    std::function<std::unique_ptr<ServiceModel>(const ServingPoint&)>;
+/// Builds the ServiceModel of one hardware point from its vlen and L2 slice,
+/// the only fields of a grid point a model may read: the planner calls it
+/// once per distinct (vlen, L2 slice), on the calling thread, and gives every
+/// simulation of that pair its own clone(). Keeps the serving layer ignorant
+/// of how service times are produced: the learned dispatcher plugs in here
+/// without request_sim depending on src/dispatch.
+using ServiceModelFactory = std::function<std::unique_ptr<ServiceModel>(
+    std::uint32_t vlen_bits, std::uint64_t l2_slice_bytes)>;
 
 /// Searches the Fig-12 co-location grid for configurations that meet a
 /// latency SLO at a target load, and picks the cheapest (area mm²) one.
@@ -293,7 +308,11 @@ class CapacityPlanner {
   /// the fixed oracle cost model (the learned-dispatch path). The steady-state
   /// eval side (area, cycles_per_image) still reports the per-layer-optimal
   /// oracle, so a candidate's stats can be read against the oracle baseline.
-  /// One simulation per point: a factory may read any field of the point.
+  /// A model depends only on (vlen, L2 slice), so this path shares the same
+  /// 56 simulations: the factory runs once per distinct (vlen, L2 slice), 20
+  /// times, each simulation runs a fresh clone of its pair's model, and every
+  /// point publishes its candidate and its group's finished model
+  /// (ServiceModel::publish) in grid order.
   std::vector<CapacityCandidate> evaluate_grid(const Network& net,
                                                const CapacityQuery& q,
                                                const ServiceModelFactory& factory,

@@ -17,7 +17,8 @@ namespace vlacnn {
 namespace {
 
 // Cache-engine instruments, resolved once. A "hit" is any request served from
-// memory, a "miss" is a request that had to run the compute function, and a
+// memory, a "miss" is a request whose key had to be filled, by running the
+// compute function or by copying a row of the same shape, and a
 // "singleflight_wait" is a request that blocked on another thread's compute.
 struct DbMetrics {
   obs::Counter& hits;
@@ -215,6 +216,11 @@ std::size_t ResultsDb::size() const {
   return rows_.size();
 }
 
+std::size_t ResultsDb::computed() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return computed_;
+}
+
 std::vector<SweepRow> ResultsDb::rows() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<SweepRow> out;
@@ -257,9 +263,37 @@ void ResultsDb::persist_locked(const SweepRow& row) {
   if (!out_) throw std::runtime_error("results_db: short write to " + path_);
 }
 
+ResultsDb::ShapeKey ResultsDb::shape_of(const SweepKey& key,
+                                        const ConvLayerDesc& d) {
+  return {d.ic, d.ih, d.iw, d.oc, d.kh, d.kw, d.stride, d.pad,
+          key.algo, key.vlen_bits, key.l2_bytes, key.lanes, key.attach};
+}
+
+void ResultsDb::index_shapes_locked() {
+  if (shapes_indexed_) return;
+  for (const auto& [key, row] : rows_) {
+    shapes_.emplace(shape_of(key, row.desc), &row);
+  }
+  shapes_indexed_ = true;
+}
+
+void ResultsDb::store_locked(const SweepKey& key, const ShapeKey& shape,
+                             const SweepRow& row) {
+  const auto it = rows_.insert_or_assign(key, row).first;
+  try {
+    persist_locked(row);
+  } catch (...) {
+    rows_.erase(it);
+    throw;
+  }
+  shapes_.emplace(shape, &it->second);
+}
+
 SweepRow ResultsDb::get_or_compute(const SweepKey& key,
+                                   const ConvLayerDesc& desc,
                                    const std::function<SweepRow()>& compute) {
   const bool metered = obs::metrics_enabled();
+  const ShapeKey shape = shape_of(key, desc);
   std::shared_ptr<InFlight> flight;
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -268,14 +302,23 @@ SweepRow ResultsDb::get_or_compute(const SweepKey& key,
         if (metered) DbMetrics::get().hits.add();
         return it->second;
       }
-      auto fit = inflight_.find(key);
+      index_shapes_locked();
+      if (auto sit = shapes_.find(shape); sit != shapes_.end()) {
+        // Another key already holds this simulation: store a copy under ours.
+        SweepRow row = *sit->second;
+        row.key = key;
+        store_locked(key, shape, row);
+        if (metered) DbMetrics::get().misses.add();
+        return row;
+      }
+      auto fit = inflight_.find(shape);
       if (fit == inflight_.end()) {
         flight = std::make_shared<InFlight>();
-        inflight_.emplace(key, flight);
+        inflight_.emplace(shape, flight);
         if (metered) DbMetrics::get().misses.add();
         break;  // this thread is the leader
       }
-      // Another thread is computing this key: wait for it, then re-check.
+      // Another thread is computing this shape: wait for it, then re-check.
       if (metered) DbMetrics::get().waits.add();
       std::shared_ptr<InFlight> theirs = fit->second;
       lk.unlock();
@@ -299,14 +342,13 @@ SweepRow ResultsDb::get_or_compute(const SweepKey& key,
     std::lock_guard<std::mutex> lk(mu_);
     if (!err) {
       try {
-        rows_[key] = row;
-        persist_locked(row);
+        store_locked(key, shape, row);
+        ++computed_;
       } catch (...) {
-        rows_.erase(key);
         err = std::current_exception();
       }
     }
-    inflight_.erase(key);
+    inflight_.erase(shape);
   }
   {
     std::lock_guard<std::mutex> flk(flight->m);

@@ -5,9 +5,12 @@
 //
 // The store is safe for concurrent use by the parallel sweep engine:
 //  * every public method is internally synchronized;
-//  * get_or_compute() deduplicates in-flight work per key (single-flight):
-//    when several threads ask for the same uncomputed key, exactly one runs
-//    the compute function and the rest block for its result;
+//  * a row is a function of its simulation shape, the layer descriptor and
+//    hardware point, not of the (net, layer) name: a miss whose shape some
+//    row already holds stores a copy of that row under its own key, and
+//    get_or_compute() deduplicates in-flight work per shape (single-flight):
+//    when several threads miss keys of one uncomputed shape, exactly one
+//    runs the compute function and the rest block for its result;
 //  * doubles are persisted with %.17g, so a reloaded cache is bit-identical
 //    to the run that produced it;
 //  * rows are appended to disk as complete single lines and flushed, so a
@@ -23,6 +26,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "algos/conv_args.h"
@@ -88,16 +92,25 @@ class ResultsDb {
 
   std::optional<SweepRow> find(const SweepKey& key) const;
 
-  /// The cached row for `key`, computing (and persisting) it via `compute` on
-  /// a miss. Concurrent callers with the same key trigger exactly one compute;
-  /// the others wait and share the result. If the compute or the write to
-  /// disk throws (a failed write names the path), the key stays uncached and
-  /// the exception propagates to every caller waiting on that key.
-  SweepRow get_or_compute(const SweepKey& key,
+  /// The cached row for `key`, whose layer descriptor is `desc`. On a miss it
+  /// stores (in memory and on disk) and returns a copy, under `key`, of a
+  /// cached row of the same shape — (desc, algo, vlen, L2, lanes, attach),
+  /// everything a simulation reads — or, when no row has that shape, the row
+  /// `compute` returns. Concurrent callers whose keys share a shape trigger
+  /// exactly one compute; the others wait and share the result. The shape
+  /// index is built on the first miss, so a warm load never pays for it. If
+  /// the compute or the write to disk throws (a failed write names the path),
+  /// the key stays uncached and the exception propagates to every caller
+  /// waiting on that shape.
+  SweepRow get_or_compute(const SweepKey& key, const ConvLayerDesc& desc,
                           const std::function<SweepRow()>& compute);
 
   std::size_t size() const;
   const std::string& path() const { return path_; }
+
+  /// Rows stored from a compute function since construction: through a
+  /// SweepDriver, the simulations this store ran.
+  std::size_t computed() const;
 
   /// Every row, in SweepKey order.
   std::vector<SweepRow> rows() const;
@@ -111,6 +124,19 @@ class ResultsDb {
   bool healed_on_load() const { return healed_on_load_; }
 
  private:
+  /// What a simulation reads: the layer descriptor's eight fields, then the
+  /// key's algorithm and hardware point (everything but its (net, layer)).
+  using ShapeKey = std::tuple<int, int, int, int, int, int, int, int, Algo,
+                              std::uint32_t, std::uint64_t, std::uint32_t,
+                              VpuAttach>;
+  static ShapeKey shape_of(const SweepKey& key, const ConvLayerDesc& d);
+
+  /// Builds shapes_ from the loaded rows on the first miss.
+  void index_shapes_locked();
+  /// Stores `row` under `key` in memory, on disk and in the shape index; a
+  /// failed write leaves the key uncached and throws.
+  void store_locked(const SweepKey& key, const ShapeKey& shape,
+                    const SweepRow& row);
   void persist_locked(const SweepRow& row);
 
   struct InFlight {
@@ -123,7 +149,10 @@ class ResultsDb {
   std::string path_;
   mutable std::mutex mu_;
   std::map<SweepKey, SweepRow> rows_;
-  std::map<SweepKey, std::shared_ptr<InFlight>> inflight_;
+  bool shapes_indexed_ = false;
+  std::map<ShapeKey, const SweepRow*> shapes_;  ///< a row of rows_ per shape
+  std::map<ShapeKey, std::shared_ptr<InFlight>> inflight_;
+  std::size_t computed_ = 0;
   std::ofstream out_;  ///< lazily opened append writer (guarded by mu_)
   bool healed_on_load_ = false;
 };

@@ -100,9 +100,10 @@ SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
   };
   // The PMU's phases when this call simulated with VLACNN_KERNPROF on.
   std::vector<PmuPhaseStats> phases;
-  SweepRow row = db_->get_or_compute(key, [&] {
-    // Only cache misses reach this lambda, so the span/sim-point metrics
-    // count actual simulations, tagged with the full grid coordinate.
+  SweepRow row = db_->get_or_compute(key, desc, [&] {
+    // Only misses of an unsimulated shape reach this lambda, so the
+    // span/sim-point metrics count actual simulations, tagged with the full
+    // grid coordinate.
     obs::Span span("sweep.sim");
     if (span.active()) {
       span.arg("net", net_name);
@@ -127,10 +128,11 @@ SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
         " (stale cache? delete " + db_->path() + ")");
   }
   if (obs::kernprof_enabled() && phases.empty()) {
-    // The row came out of a warm ResultsDb, so no PMU rode along. Re-simulate
-    // purely for the profile: the simulation is deterministic, so the
-    // recorded block is byte-identical to a cold run's, and concurrent
-    // profilers of one key are benign.
+    // The row came out of a warm ResultsDb or is a copy of a same-shape row,
+    // so no PMU rode along. Re-simulate purely for the profile, under this
+    // key's label: the simulation is deterministic, so the recorded block is
+    // byte-identical to a cold run's, and concurrent profilers of one key are
+    // benign.
     obs::Span span("sweep.kernprof");
     if (span.active()) span.arg("net", net_name);
     SimConfig config = sim_config();
@@ -156,7 +158,7 @@ std::vector<SweepRow> SweepDriver::get_many(
     requests.add(reqs.size());
   }
   std::vector<SweepRow> out(reqs.size());
-  // One task per request; the ResultsDb deduplicates overlapping keys
+  // One task per request; the ResultsDb simulates each shape once
   // (single-flight) and indexing by request order keeps the output
   // deterministic regardless of scheduling.
   ThreadPool::shared().parallel_for(reqs.size(), [&](std::size_t i) {

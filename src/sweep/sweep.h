@@ -5,9 +5,10 @@
 //
 // Independent grid points fan out across ThreadPool::shared(): get_many() (and
 // everything built on it — network_rows, network_optimal, prefetch, the
-// serving grid) simulates misses in parallel, deduplicated per key by the
-// thread-safe ResultsDb, and assembles results in deterministic request order,
-// so parallel output is bit-identical to a serial run.
+// serving grid) simulates misses in parallel, one simulation per distinct
+// shape (layer descriptor and hardware point) by the thread-safe ResultsDb,
+// and assembles results in deterministic request order, so parallel output is
+// bit-identical to a serial run.
 #pragma once
 
 #include <array>
@@ -47,9 +48,11 @@ class SweepDriver {
  public:
   explicit SweepDriver(ResultsDb* db) : db_(db) {}
 
-  /// Result for one (layer, algo, hardware) point; simulates on cache miss.
-  /// The sampler honours REPRO_EXACT (see repro_exact_mode). Thread-safe:
-  /// concurrent calls for the same key run exactly one simulation.
+  /// Result for one (layer, algo, hardware) point; on a cache miss, a copy of
+  /// a cached row of the same shape (ResultsDb::get_or_compute) or else a
+  /// simulation. The sampler honours REPRO_EXACT (see repro_exact_mode).
+  /// Thread-safe: concurrent calls for keys of one shape run exactly one
+  /// simulation.
   SweepRow get(const std::string& net_name, int conv_ordinal,
                const ConvLayerDesc& desc, Algo algo, std::uint32_t vlen_bits,
                std::uint64_t l2_bytes, std::uint32_t lanes = 8,

@@ -16,6 +16,8 @@
 #include "common/thread_pool.h"
 #include "dispatch/learned_dispatcher.h"
 #include "ml/dataset.h"
+#include "obs/metrics.h"
+#include "report/collector.h"
 #include "serving/request_sim.h"
 
 namespace vlacnn::dispatch {
@@ -384,7 +386,8 @@ TEST_F(DispatchCapacityTest, ConvergedDispatcherMatchesOraclePlusSelector) {
 
 TEST_F(DispatchCapacityTest, LearnedGridIsByteIdenticalAcrossPoolSizes) {
   // The determinism guarantee extended to the learned path: same query, same
-  // forest seed, pool sizes 1 vs 8 -> byte-identical per-point stats.
+  // forest seed, pool sizes 1 vs 8 -> byte-identical per-point stats, and the
+  // last-gap gauge ends on the last grid point's gap at both.
   const Network net = tiny_net();
   serving::CapacityQuery q;
   q.load_rps = 100000;
@@ -393,13 +396,16 @@ TEST_F(DispatchCapacityTest, LearnedGridIsByteIdenticalAcrossPoolSizes) {
   q.seed = 42;
   DispatchConfig dc;
   dc.dispatch_cycles_per_layer = 100;
+  obs::FloatGauge& last_gap =
+      obs::Registry::global().float_gauge("dispatch.last_oracle_gap");
+  obs::set_metrics_mode(obs::ReportMode::kText);
 
   ResultsDb db1((dir_ / "p1.csv").string());
   SweepDriver d1(&db1);
   ThreadPool pool1(1);
-  const auto r1 = serving::CapacityPlanner(&d1).evaluate_grid(
-      net, q, learned_service_factory(tiny_forest(d1, net), &d1, net, dc),
-      &pool1);
+  const auto f1 = learned_service_factory(tiny_forest(d1, net), &d1, net, dc);
+  const auto r1 = serving::CapacityPlanner(&d1).evaluate_grid(net, q, f1, &pool1);
+  const double gap1 = last_gap.value();
 
   ResultsDb db8((dir_ / "p8.csv").string());
   SweepDriver d8(&db8);
@@ -407,12 +413,77 @@ TEST_F(DispatchCapacityTest, LearnedGridIsByteIdenticalAcrossPoolSizes) {
   const auto r8 = serving::CapacityPlanner(&d8).evaluate_grid(
       net, q, learned_service_factory(tiny_forest(d8, net), &d8, net, dc),
       &pool8);
+  const double gap8 = last_gap.value();
+
+  serving::CapacityPlanner(&d1).evaluate(
+      net, ServingSimulator::grid_points().back(), q, f1);
+  const double gap_last = last_gap.value();
+  obs::set_metrics_mode(obs::ReportMode::kOff);
 
   ASSERT_EQ(r1.size(), r8.size());
   ASSERT_FALSE(r1.empty());
   for (std::size_t i = 0; i < r1.size(); ++i) {
     EXPECT_EQ(r1[i].stats.to_json(), r8[i].stats.to_json()) << i;
     EXPECT_EQ(r1[i].meets_slo, r8[i].meets_slo) << i;
+  }
+  EXPECT_EQ(gap1, gap8);
+  EXPECT_EQ(gap1, gap_last);
+}
+
+TEST_F(DispatchCapacityTest, LearnedGridSimulatesEachDistinctConfigurationOnce) {
+  // A learned model reads only (vlen, L2 slice), so the grid runs one
+  // simulation per distinct (vlen, slice, instances), each on a fresh clone
+  // of its pair's dispatcher. Every candidate must still equal its point
+  // evaluated on its own, and every point still publishes its own dispatch
+  // metrics and report cell.
+  const Network net = tiny_net();
+  serving::CapacityQuery q;
+  q.load_rps = 100000;
+  q.slo_ms = 5;
+  q.requests = 200;  // the queue is unbounded, so nothing drops
+  DispatchConfig dc;
+  dc.dispatch_cycles_per_layer = 100;
+  ResultsDb db((dir_ / "dedupe.csv").string());
+  SweepDriver driver(&db);
+  const auto factory =
+      learned_service_factory(tiny_forest(driver, net), &driver, net, dc);
+  const serving::CapacityPlanner planner(&driver);
+  const std::vector<ServingPoint> points = ServingSimulator::grid_points();
+  const std::size_t distinct = group_points(points, true).first.size();
+  ASSERT_EQ(points.size(), 160u);
+  ASSERT_EQ(distinct, 56u);
+
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& completed = reg.counter("serving.requests_completed");
+  obs::Counter& images = reg.counter("dispatch.images");
+  obs::Histogram& gaps = reg.histogram("dispatch.oracle_gap_bp");
+  report::Collector::global().reset();
+  report::set_report_dir((dir_ / "report").string());
+  obs::set_metrics_mode(obs::ReportMode::kText);
+  const std::uint64_t completed0 = completed.value();
+  const std::uint64_t images0 = images.value();
+  const std::uint64_t gaps0 = gaps.count();
+  ThreadPool pool(4);
+  const auto grid = planner.evaluate_grid(net, q, factory, &pool);
+  obs::set_metrics_mode(obs::ReportMode::kOff);
+  const std::size_t cells = report::Collector::global()
+                                .snapshot("dedupe", 0)
+                                .cells(report::Section::kDispatch)
+                                .size();
+  report::set_report_dir("");
+  report::Collector::global().reset();
+
+  EXPECT_EQ(completed.value() - completed0, distinct * q.requests);
+  EXPECT_EQ(images.value() - images0, points.size() * q.requests);
+  EXPECT_EQ(gaps.count() - gaps0, points.size());
+  EXPECT_EQ(cells, points.size());
+  ASSERT_EQ(grid.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const serving::CapacityCandidate one =
+        planner.evaluate(net, points[i], q, factory);
+    EXPECT_EQ(grid[i].stats.dropped, 0u) << i;
+    EXPECT_EQ(grid[i].stats.to_json(), one.stats.to_json()) << i;
+    EXPECT_EQ(grid[i].meets_slo, one.meets_slo) << i;
   }
 }
 

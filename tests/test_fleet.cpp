@@ -356,6 +356,9 @@ TEST(FleetSim, ServiceModelOverridesOneQueue) {
     void trace_annotations(std::vector<obs::TraceNote>& out) override {
       out.push_back({"plan", "noted"});
     }
+    std::unique_ptr<ServiceModel> clone() const override {
+      return std::make_unique<NotingModel>(*this);
+    }
     int calls = 0;
 
    private:

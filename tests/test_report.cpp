@@ -771,7 +771,7 @@ TEST_F(ReportTest, WritersNameThePathOnAFullDevice) {
   std::filesystem::create_symlink("/dev/full", cache);
   const SweepRow row = healthy_row();
   expect_short_write(cache, [&] {
-    db.get_or_compute(row.key, [&] { return row; });
+    db.get_or_compute(row.key, row.desc, [&] { return row; });
   });
   EXPECT_FALSE(db.find(row.key).has_value());
 }
@@ -1091,7 +1091,7 @@ TEST(ReaderFuzz, SweepCacheMutantsLoadHealOrThrowNamingTheLine) {
       r.key.l2_bytes = (1ull << 20) << (i % 7);
       r.cycles = 97338839.953200221 * (i + 1);
       r.l2_miss_rate = 0.49136542951466489 / (i + 1);
-      db.get_or_compute(r.key, [&] { return r; });
+      db.get_or_compute(r.key, r.desc, [&] { return r; });
     }
   }
   const std::string cache = read_text(path);

@@ -383,6 +383,9 @@ TEST(ReqTraceRecorder, ServiceModelAnnotationsRideTheTrace) {
       out.push_back({"dispatch", "noting"});
       out.push_back({"call", std::to_string(calls_)});
     }
+    std::unique_ptr<serving::ServiceModel> clone() const override {
+      return std::make_unique<NotingModel>(*this);
+    }
 
    private:
     int calls_ = 0;

@@ -38,7 +38,8 @@ class ResultsDbTest : public ::testing::Test {
     SweepRow r;
     r.key = SweepKey{"tiny", layer, algo, 512, 1u << 20, 8,
                      VpuAttach::kIntegratedL1};
-    r.desc = ConvLayerDesc{3, 32, 32, 8, 3, 3, 1, 1};
+    // A row is a function of its shape, so each layer gets its own.
+    r.desc = ConvLayerDesc{3, 32, 32, 8 + layer, 3, 3, 1, 1};
     r.cycles = cycles;
     r.avg_vl = avg_vl;
     r.l2_miss_rate = miss;
@@ -49,7 +50,7 @@ class ResultsDbTest : public ::testing::Test {
 
   /// Seeds `r` through the one write path, as a computed row.
   static void put(ResultsDb& db, const SweepRow& r) {
-    db.get_or_compute(r.key, [&] { return r; });
+    db.get_or_compute(r.key, r.desc, [&] { return r; });
   }
 
   static bool bit_equal(double a, double b) {
@@ -409,18 +410,18 @@ TEST_F(ResultsDbTest, ConcurrentPutsAllLand) {
 
 TEST_F(ResultsDbTest, SingleFlightComputesEachKeyOnce) {
   ResultsDb db(path_);
-  const SweepKey key{"tiny", 0, Algo::kGemm3, 512, 1u << 20, 8,
-                     VpuAttach::kIntegratedL1};
+  const SweepRow want = make_row(0, Algo::kGemm3, 42.5);
+  const SweepKey key = want.key;
   std::atomic<int> calls{0};
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   std::vector<double> got(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      const SweepRow r = db.get_or_compute(key, [&] {
+      const SweepRow r = db.get_or_compute(key, want.desc, [&] {
         calls.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return make_row(0, Algo::kGemm3, 42.5);
+        return want;
       });
       got[t] = r.cycles;
     });
@@ -431,17 +432,87 @@ TEST_F(ResultsDbTest, SingleFlightComputesEachKeyOnce) {
   EXPECT_EQ(db.size(), 1u);
 }
 
+TEST_F(ResultsDbTest, SingleFlightComputesEachShapeOnce) {
+  // A row is a function of its shape (layer descriptor, algorithm, hardware
+  // point), not of its (net, layer) name: threads missing different keys of
+  // one shape run one compute, and each key stores a copy under its own name.
+  ResultsDb db(path_);
+  const SweepRow want = make_row(0, Algo::kGemm3, 42.5);
+  std::atomic<int> calls{0};
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  std::vector<SweepRow> got(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      SweepKey key = want.key;
+      key.net = "net" + std::to_string(t);
+      got[t] = db.get_or_compute(key, want.desc, [&] {
+        calls.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        SweepRow r = want;
+        r.key = key;
+        return r;
+      });
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(db.computed(), 1u);
+  EXPECT_EQ(db.size(), static_cast<std::size_t>(kThreads));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t].key.net, "net" + std::to_string(t));
+    EXPECT_TRUE(bit_identical(got[t], want)) << t;
+  }
+  // Every copy was appended under its own key.
+  ResultsDb again(path_);
+  EXPECT_FALSE(again.healed_on_load());
+  EXPECT_EQ(again.size(), static_cast<std::size_t>(kThreads));
+}
+
+TEST_F(ResultsDbTest, MissCopiesALoadedRowOfTheSameShape) {
+  const SweepRow loaded = make_row(0, Algo::kGemm3, 100.5);
+  {
+    ResultsDb db(path_);
+    put(db, loaded);
+  }
+  ResultsDb db(path_);
+  int calls = 0;
+  const auto count = [&] {
+    ++calls;
+    return make_row(0, Algo::kDirect, 7.0);
+  };
+  // Another name for the loaded row's shape: a copy, no compute.
+  SweepKey renamed = loaded.key;
+  renamed.net = "other";
+  renamed.layer = 5;
+  const SweepRow copy = db.get_or_compute(renamed, loaded.desc, count);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(copy.key.net, "other");
+  EXPECT_EQ(copy.key.layer, 5);
+  EXPECT_TRUE(bit_identical(copy, loaded));
+  // Another algorithm is another shape: computed.
+  const SweepRow direct = make_row(0, Algo::kDirect, 7.0);
+  EXPECT_EQ(db.get_or_compute(direct.key, direct.desc, count).cycles, 7.0);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(db.computed(), 1u);
+
+  ResultsDb again(path_);
+  EXPECT_EQ(again.size(), 3u);
+  ASSERT_TRUE(again.find(renamed).has_value());
+  EXPECT_TRUE(bit_identical(*again.find(renamed), loaded));
+}
+
 TEST_F(ResultsDbTest, SingleFlightPropagatesFailureThenRecovers) {
   ResultsDb db(path_);
-  const SweepKey key{"tiny", 0, Algo::kGemm3, 512, 1u << 20, 8,
-                     VpuAttach::kIntegratedL1};
+  const SweepRow good = make_row(0, Algo::kGemm3, 7.25);
+  const SweepKey key = good.key;
   constexpr int kThreads = 4;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       try {
-        db.get_or_compute(key, [&]() -> SweepRow {
+        db.get_or_compute(key, good.desc, [&]() -> SweepRow {
           std::this_thread::sleep_for(std::chrono::milliseconds(10));
           throw std::runtime_error("simulated failure");
         });
@@ -457,8 +528,7 @@ TEST_F(ResultsDbTest, SingleFlightPropagatesFailureThenRecovers) {
   EXPECT_EQ(db.size(), 0u);
 
   // The key is not poisoned: a working compute succeeds afterwards.
-  const SweepRow r =
-      db.get_or_compute(key, [] { return make_row(0, Algo::kGemm3, 7.25); });
+  const SweepRow r = db.get_or_compute(key, good.desc, [&] { return good; });
   EXPECT_EQ(r.cycles, 7.25);
   EXPECT_EQ(db.size(), 1u);
 }

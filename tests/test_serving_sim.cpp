@@ -332,6 +332,9 @@ TEST(RequestSim, RejectsNonPositiveServiceModelOutput) {
   class BrokenModel final : public ServiceModel {
    public:
     double service_cycles(int) override { return 0.0; }
+    std::unique_ptr<ServiceModel> clone() const override {
+      return std::make_unique<BrokenModel>(*this);
+    }
   } broken;
   RequestSimConfig c = config(1, 50.0, 10.0);
   c.service = &broken;

@@ -16,6 +16,7 @@
 #include "core/conv_engine.h"
 #include "core/selector.h"
 #include "net/models.h"
+#include "obs/metrics.h"
 #include "serving/serving.h"
 #include "sweep/sweep.h"
 
@@ -197,6 +198,40 @@ TEST_F(SweepTest, GetManyDeduplicatesIdenticalRequests) {
   ASSERT_EQ(rows.size(), reqs.size());
   EXPECT_EQ(db.size(), 1u);  // single-flight: one simulation, one cache row
   for (const SweepRow& r : rows) EXPECT_EQ(r.cycles, rows[0].cycles);
+}
+
+TEST_F(SweepTest, ColdGetManySimulatesEachShapeOnce) {
+  // A row is a function of its shape (layer descriptor and hardware point),
+  // so a cold sweep simulates each distinct shape once and stores a copy for
+  // every other key of it: VGG-16@32 has 13 conv layers but 9 shapes. Each
+  // row must still equal a cold get of its key alone.
+  const Network net = make_vgg16(32);
+  const auto descs = net.conv_descs();
+  ASSERT_EQ(descs.size(), 13u);
+  std::vector<SweepRequest> reqs;
+  for (std::size_t i = 0; i < descs.size(); ++i) {
+    reqs.push_back({net.name(), static_cast<int>(i), descs[i], Algo::kGemm6,
+                    512, 1u << 20, 8, VpuAttach::kIntegratedL1});
+  }
+  obs::Counter& sims = obs::Registry::global().counter("sweep.sim_points");
+  obs::set_metrics_mode(obs::ReportMode::kText);
+  const std::uint64_t before = sims.value();
+  ResultsDb db(path_);
+  const std::vector<SweepRow> rows = SweepDriver(&db).get_many(reqs);
+  const std::uint64_t ran = sims.value() - before;
+  obs::set_metrics_mode(obs::ReportMode::kOff);
+  EXPECT_EQ(ran, 9u);
+  EXPECT_EQ(db.computed(), 9u);
+  EXPECT_EQ(db.size(), 13u);
+  ASSERT_EQ(rows.size(), reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const SweepRequest& q = reqs[i];
+    ResultsDb alone((dir_ / ("alone" + std::to_string(i) + ".csv")).string());
+    const SweepRow want = SweepDriver(&alone).get(
+        q.net, q.layer, q.desc, q.algo, q.vlen_bits, q.l2_bytes);
+    EXPECT_EQ(rows[i].key.layer, q.layer);
+    EXPECT_TRUE(bit_identical(rows[i], want)) << "layer " << i;
+  }
 }
 
 class CommittedCache : public SweepTest {};
