@@ -1,8 +1,5 @@
 #include "bench_common.h"
 
-#include <exception>
-
-#include "obs/metrics.h"
 #include "report/collector.h"
 
 namespace vlacnn::bench {
@@ -14,24 +11,11 @@ Env::Env()
       yolo20(make_yolov3(20, 608)) {}
 
 void banner(const std::string& title, const std::string& paper_ref) {
-  // Every figure prints a banner first, so this is the one place that arms
-  // the VLACNN_METRICS and VLACNN_REPORT exit reports for the bench binaries.
-  obs::install_exit_report();
-  report::arm_exit_report(title);
+  report::set_report_title(title);
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("reproduces: %s\n", paper_ref.c_str());
   std::printf("================================================================\n");
-}
-
-int run_tool(const char* tool, const std::function<int()>& body) {
-  try {
-    return body();
-  } catch (const std::exception& e) {
-    std::fflush(stdout);
-    std::fprintf(stderr, "%s: %s\n", tool, e.what());
-    return 1;
-  }
 }
 
 std::string l2_str(std::uint64_t bytes) {

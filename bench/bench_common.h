@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -31,13 +30,9 @@ struct Env {
   Env();
 };
 
-/// Figure/table banner with the paper reference. It also arms the
-/// VLACNN_METRICS and VLACNN_REPORT exit reports under `title`.
+/// Figure/table banner with the paper reference. It also titles the
+/// VLACNN_REPORT files (report::set_report_title).
 void banner(const std::string& title, const std::string& paper_ref);
-
-/// A bench tool's main: `body`'s exit code, or, when it throws, 1 after
-/// printing `<tool>: <what>` on stderr (vlacnn-figures does the same).
-int run_tool(const char* tool, const std::function<int()>& body);
 
 /// "1MB", "64MB", ...
 std::string l2_str(std::uint64_t bytes);

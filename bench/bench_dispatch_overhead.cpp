@@ -20,6 +20,7 @@
 #include "bench_common.h"
 #include "dispatch/learned_dispatcher.h"
 #include "ml/dataset.h"
+#include "report/collector.h"
 
 using namespace vlacnn;
 using namespace vlacnn::bench;
@@ -105,4 +106,4 @@ int run() {
 
 }  // namespace
 
-int main() { return run_tool("bench_dispatch_overhead", run); }
+int main() { return report::run_tool("bench_dispatch_overhead", run); }

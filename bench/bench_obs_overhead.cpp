@@ -34,6 +34,7 @@
 #include "obs/reqtrace.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "report/collector.h"
 #include "serving/arrivals.h"
 #include "serving/batching.h"
 #include "serving/request_sim.h"
@@ -301,7 +302,7 @@ int run(int argc, char** argv) {
 }  // namespace vlacnn
 
 int main(int argc, char** argv) {
-  return vlacnn::bench::run_tool("bench_obs_overhead", [&] {
+  return vlacnn::report::run_tool("bench_obs_overhead", [&] {
     return vlacnn::run(argc, argv);
   });
 }

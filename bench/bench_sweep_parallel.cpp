@@ -24,6 +24,7 @@
 
 #include "bench_common.h"
 #include "common/thread_pool.h"
+#include "report/collector.h"
 #include "report/report.h"
 
 using namespace vlacnn;
@@ -87,6 +88,6 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("bench_sweep_parallel",
-                         [&] { return run(argc, argv); });
+  return report::run_tool("bench_sweep_parallel",
+                          [&] { return run(argc, argv); });
 }

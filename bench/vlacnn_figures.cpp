@@ -3,19 +3,22 @@
 //   vlacnn-figures <id>     print the banner, then the figure or table
 //   vlacnn-figures list     print every id, one per line
 //
-// The banner names the figure and the paper section it reproduces, and arms
-// the VLACNN_METRICS and VLACNN_REPORT exit reports under that title (the
-// report files are named after its slug). The ids that plot sweep grid
-// points read them from the shared sweep cache, so a warm run of those
-// simulates nothing; p1_table2_blocks, wino_tilesize and vit_attention
-// simulate their own configurations on every run.
+// The banner names the figure and the paper section it reproduces, and
+// titles the VLACNN_REPORT files (they are named after its slug). Every path
+// returns through report::run_tool, which writes the run's artifacts before
+// `main` returns. The ids that plot sweep grid points read them from the
+// shared sweep cache, so a warm run of those simulates nothing;
+// p1_table2_blocks, wino_tilesize and vit_attention simulate their own
+// configurations on every run.
 //
-// Exit codes: 0 success, 1 runtime failure (the error goes to stderr),
-// 2 usage error (no id or an unknown one; usage goes to stderr).
+// Exit codes: 0 success, 1 runtime failure (the error goes to stderr; a
+// failed artifact write is one), 2 usage error (no id or an unknown one;
+// usage goes to stderr).
 #include <cstring>
-#include <exception>
+#include <string>
 
 #include "bench_common.h"
+#include "report/collector.h"
 
 namespace {
 
@@ -103,34 +106,33 @@ constexpr Figure kFigures[] = {
      fleet_policies},
 };
 
-int usage(const char* argv0) {
+/// `list`, or a usage error for anything that is not an id.
+int list_or_usage(int argc, char** argv) {
+  if (argc == 2 && std::strcmp(argv[1], "list") == 0) {
+    for (const Figure& f : kFigures) std::printf("%s\n", f.id);
+    return 0;
+  }
+  if (argc == 2) {
+    std::fprintf(stderr, "vlacnn-figures: unknown id '%s'\n", argv[1]);
+  }
   std::fprintf(stderr,
                "usage: %s <id>     print one paper figure or table\n"
                "       %s list     print every id\n",
-               argv0, argv0);
+               argv[0], argv[0]);
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 2) return usage(argv[0]);
-  if (std::strcmp(argv[1], "list") == 0) {
-    for (const Figure& f : kFigures) std::printf("%s\n", f.id);
-    return 0;
-  }
+  using vlacnn::report::run_tool;
   for (const Figure& f : kFigures) {
-    if (std::strcmp(argv[1], f.id) != 0) continue;
-    try {
+    if (argc != 2 || std::strcmp(argv[1], f.id) != 0) continue;
+    return run_tool(("vlacnn-figures: " + std::string(f.id)).c_str(), [&] {
       banner(f.title, f.paper_ref);
       f.body();
       return 0;
-    } catch (const std::exception& e) {
-      std::fflush(stdout);
-      std::fprintf(stderr, "vlacnn-figures: %s: %s\n", f.id, e.what());
-      return 1;
-    }
+    });
   }
-  std::fprintf(stderr, "vlacnn-figures: unknown id '%s'\n", argv[1]);
-  return usage(argv[0]);
+  return run_tool("vlacnn-figures", [&] { return list_or_usage(argc, argv); });
 }

@@ -10,10 +10,13 @@
 #include "algos/registry.h"
 #include "common/env.h"
 #include "core/selector.h"
+#include "report/collector.h"
 
 using namespace vlacnn;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   ConvLayerDesc d{128, 152, 152, 256, 3, 3, 2, 1};
   try {
     if (argc == 8) {
@@ -75,4 +78,11 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   return 0;
+}
+
+}  // namespace
+
+// run_tool writes the VLACNN_* artifacts the run armed (DESIGN.md §8).
+int main(int argc, char** argv) {
+  return report::run_tool("codesign_explorer", [&] { return run(argc, argv); });
 }

@@ -11,10 +11,13 @@
 #include "algos/reference.h"
 #include "core/conv_engine.h"
 #include "common/rng.h"
+#include "report/collector.h"
 
 using namespace vlacnn;
 
-int main() {
+namespace {
+
+int run() {
   // A mid-network layer: 32 -> 32 channels, 28x28, 3x3 stride 1.
   const ConvLayerDesc layer{32, 28, 28, 32, 3, 3, 1, 1};
   std::printf("layer: %s  (%.1f MMACs)\n", layer.to_string().c_str(),
@@ -51,3 +54,8 @@ int main() {
               max_abs_diff(reference, out));
   return 0;
 }
+
+}  // namespace
+
+// run_tool writes the VLACNN_* artifacts the run armed (DESIGN.md §8).
+int main() { return report::run_tool("quickstart", run); }

@@ -12,12 +12,15 @@
 
 #include "common/env.h"
 #include "net/models.h"
+#include "report/collector.h"
 #include "serving/request_sim.h"
 
 using namespace vlacnn;
 using namespace vlacnn::serving;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CapacityQuery q;
   q.load_rps = 2000.0;
   try {
@@ -101,4 +104,12 @@ int main(int argc, char** argv) {
                 "(selection is the difference between feasible and not)\n");
   }
   return 0;
+}
+
+}  // namespace
+
+// run_tool writes the VLACNN_* artifacts the run armed (DESIGN.md §8).
+int main(int argc, char** argv) {
+  return report::run_tool("vgg_serving_planner",
+                          [&] { return run(argc, argv); });
 }

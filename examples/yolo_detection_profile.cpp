@@ -14,10 +14,13 @@
 #include "core/selector.h"
 #include "net/models.h"
 #include "net/runner.h"
+#include "report/collector.h"
 
 using namespace vlacnn;
 
-int main() {
+namespace {
+
+int run() {
   // --- 1. functional end-to-end inference on a 96x96 input ---------------
   const Network small = make_yolov3(-1, 96);
   std::printf("yolov3 @ 96x96: %zu layers, %zu conv\n", small.layers().size(),
@@ -67,3 +70,8 @@ int main() {
               fixed.total_cycles / tuned.total_cycles);
   return 0;
 }
+
+}  // namespace
+
+// run_tool writes the VLACNN_* artifacts the run armed (DESIGN.md §8).
+int main() { return report::run_tool("yolo_detection_profile", run); }

@@ -4,7 +4,7 @@
 #
 #   0 = success
 #   1 = semantic/runtime failure (infeasible SLO, failed regression gate,
-#       unreadable input)
+#       unreadable input, a failed artifact write)
 #   2 = usage error (unknown flag/subcommand, malformed value), with the
 #       usage text on stderr — never stdout
 #
@@ -269,9 +269,40 @@ expect 1 'VLACNN_METRICS: ' "knob: VLACNN_METRICS=ture" \
 
 # A file that opens but cannot be written (/dev/full fails every write with
 # ENOSPC) is a runtime failure naming the path, not a "wrote" line and exit 0.
+# The artifacts written as main returns (report::finish_run) fail the same
+# way: the report through a symlink, the three JSONL sinks and the trace. The
+# kernprof case re-derives one committed key: one simulation.
 if [ -e /dev/full ]; then
   expect 1 '--json: short write to /dev/full' "capacity: --json /dev/full" \
     -- "${CAP_RUN[@]}" --json /dev/full
+  REP_JSON="$TMP/rep/table_1_convolutional_layers_of_vgg_16_and_yolov3_first_20.report.json"
+  mkdir -p "$TMP/rep"
+  ln -s /dev/full "$REP_JSON"
+  expect 1 "^vlacnn-figures: table1_layers: report: short write to $REP_JSON\$" \
+    "figures: VLACNN_REPORT file on /dev/full" \
+    -- env VLACNN_REPORT="$TMP/rep" "$FIG" table1_layers
+  expect 1 '^vlacnn-capacity: TimelineSink::write_file: short write to /dev/full$' \
+    "capacity: --timeline /dev/full" -- "${CAP_RUN[@]}" --timeline /dev/full
+  expect 1 '^vlacnn-capacity: ReqTraceSink::write_file: short write to /dev/full$' \
+    "capacity: --reqtrace /dev/full" -- "${CAP_RUN[@]}" --reqtrace /dev/full
+  expect 1 '^vlacnn-capacity: trace: short write to /dev/full$' \
+    "capacity: VLACNN_TRACE=/dev/full" \
+    -- env VLACNN_TRACE=/dev/full "${CAP_RUN[@]}"
+  head -n 2 results/sweep_cache.csv > "$TMP/one-key.csv"
+  expect 1 '^bench_sweep_parallel: KernProfSink::write_file: short write to /dev/full$' \
+    "bench_sweep_parallel: VLACNN_KERNPROF=/dev/full" \
+    -- env VLACNN_KERNPROF=/dev/full "$BUILD_DIR/bench/bench_sweep_parallel" \
+       "$TMP/one-key.csv" "$TMP/one-key-out.csv"
+fi
+
+# A usage error returns through the same writer: a VLACNN_TRACE run that dies
+# on a bad flag still leaves a valid, empty trace.
+expect 2 yes "capacity: usage error under VLACNN_TRACE" \
+  -- env VLACNN_TRACE="$TMP/usage-trace.json" "$CAP" --bogus
+printf '{"displayTimeUnit":"ms","traceEvents":[\n]}\n' > "$TMP/empty-trace.json"
+if ! cmp -s "$TMP/empty-trace.json" "$TMP/usage-trace.json"; then
+  echo "FAIL: capacity: usage error under VLACNN_TRACE left no empty trace" >&2
+  fail=1
 fi
 
 # -- vlacnn-figures: an id or `list`; anything else is a usage error ----------

@@ -17,7 +17,6 @@ struct CacheConfig {
   std::uint64_t size_bytes = 1u << 20;
   std::uint32_t ways = 8;
   std::uint32_t line_bytes = 64;
-  std::uint32_t latency_cycles = 20;  ///< access latency when this level hits
 
   std::uint64_t num_lines() const { return size_bytes / line_bytes; }
   std::uint64_t num_sets() const { return num_lines() / ways; }

@@ -30,10 +30,11 @@ inline const char* to_string(VpuAttach a) {
 
 /// Full hierarchy parameters.
 struct MemConfig {
-  CacheConfig l1{64u << 10, 4, 64, 4};
-  CacheConfig l2{1u << 20, 8, 64, 20};
+  CacheConfig l1{64u << 10, 4, 64};
+  CacheConfig l2{1u << 20, 8, 64};
   /// 2 KB buffer between a decoupled VPU and L2 (Paper I, Section III.A).
-  CacheConfig vbuf{2u << 10, 4, 64, 1};
+  CacheConfig vbuf{2u << 10, 4, 64};
+  std::uint32_t l2_latency_cycles = 20;    ///< paid by every first-level miss
   std::uint32_t mem_latency_cycles = 200;  ///< DRAM round-trip at 2 GHz
   double mem_bytes_per_cycle = 6.4;        ///< 12.8 GB/s at 2 GHz (Paper II)
   VpuAttach attach = VpuAttach::kIntegratedL1;

@@ -2,10 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
-#include <vector>
 
 #include "common/env.h"
 #include "obs/json_util.h"
@@ -68,47 +66,12 @@ void IntervalKnob::set(double cycles) {
 
 // -- sink ---------------------------------------------------------------------
 
-namespace {
-
-// Sinks armed for the exit write, oldest first. Every arming registers one
-// more run of write_last_armed_at_exit(), and exit handlers run in reverse
-// order of registration, so each run takes the sink armed last: one that was
-// constructed before its handler was registered, and so is still alive.
-std::mutex g_armed_mu;
-std::vector<LabeledJsonlSink*> g_armed;  // guarded by g_armed_mu
-
-}  // namespace
-
-LabeledJsonlSink::LabeledJsonlSink(const char* who, PathKnob& knob,
-                                   const char* what)
-    : who_(who), knob_(knob), what_(what) {}
+LabeledJsonlSink::LabeledJsonlSink(const char* who, PathKnob& knob)
+    : who_(who), knob_(knob) {}
 
 void LabeledJsonlSink::record(const std::string& label, std::string block) {
-  std::call_once(armed_, [this] {
-    {
-      std::lock_guard<std::mutex> lk(g_armed_mu);
-      g_armed.push_back(this);
-    }
-    std::atexit(write_last_armed_at_exit);
-  });
   std::lock_guard<std::mutex> lk(mu_);
   blocks_[label] = std::move(block);
-}
-
-void LabeledJsonlSink::write_last_armed_at_exit() {
-  LabeledJsonlSink* sink = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(g_armed_mu);
-    sink = g_armed.back();
-    g_armed.pop_back();
-  }
-  if (sink->block_count() == 0 || !sink->knob_.enabled()) return;
-  try {
-    sink->write_file();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "vlacnn: %s write failed: %s\n", sink->what_,
-                 e.what());
-  }
 }
 
 std::string LabeledJsonlSink::next_auto_label() {

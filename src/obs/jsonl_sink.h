@@ -76,8 +76,8 @@ class IntervalKnob {
 
 /// A process-wide collection point for JSONL blocks, keyed by a deterministic
 /// label (a grid point; unlabeled serial callers take next_auto_label()).
-/// Thread-safe. The first record() arms a write to the knob's path at process
-/// exit, when the knob is enabled and a block was recorded.
+/// Thread-safe. report::finish_run() writes it to the knob's path before
+/// `main` returns, when the knob is enabled and a block was recorded.
 class LabeledJsonlSink {
  public:
   /// Buffer one block under `label`. Last write wins: by the determinism
@@ -93,22 +93,17 @@ class LabeledJsonlSink {
   /// knob is disabled, and write_text_file's errors on I/O failure.
   std::string write_file();
 
+  bool enabled() const { return knob_.enabled(); }  ///< the knob is on
   std::size_t block_count() const;
   void reset();  ///< drop all blocks and the auto-label counter (tests)
 
  protected:
-  /// `who` names the sink in its errors ("TimelineSink"), `what` in the exit
-  /// write's failure line ("timeline"). Only process-lifetime statics are
-  /// constructed: the exit write holds on to the sink.
-  LabeledJsonlSink(const char* who, PathKnob& knob, const char* what);
+  /// `who` names the sink in its errors ("TimelineSink").
+  LabeledJsonlSink(const char* who, PathKnob& knob);
 
  private:
-  static void write_last_armed_at_exit();
-
   const char* who_;
   PathKnob& knob_;
-  const char* what_;
-  std::once_flag armed_;
   mutable std::mutex mu_;
   std::map<std::string, std::string> blocks_;  ///< guarded by mu_
   std::uint64_t auto_seq_ = 0;                 ///< guarded by mu_

@@ -26,7 +26,7 @@ void set_kernprof_interval_cycles(double cycles) { g_interval.set(cycles); }
 // -- sink ---------------------------------------------------------------------
 
 KernProfSink& KernProfSink::global() {
-  static KernProfSink sink("KernProfSink", g_path, "kernprof");
+  static KernProfSink sink("KernProfSink", g_path);
   return sink;
 }
 

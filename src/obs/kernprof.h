@@ -18,8 +18,8 @@
 // bottom of the include order, so conv_simulate (algos/registry) writes each
 // block straight from the finalized Pmu's own records. The process-wide
 // KernProfSink is a labeled-JSONL sink: one block per labeled grid point,
-// written in label order at exit, so a parallel sweep emits the same bytes
-// as a serial one at any VLACNN_THREADS.
+// written in label order by report::finish_run(), so a parallel sweep emits
+// the same bytes as a serial one at any VLACNN_THREADS.
 #pragma once
 
 #include <string>

@@ -5,14 +5,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <thread>
 
 #include "common/env.h"
 #include "obs/json_util.h"
-#include "obs/trace.h"
 
 namespace vlacnn::obs {
 
@@ -308,8 +306,8 @@ Registry& Registry::global() {
 // -- exit report --------------------------------------------------------------
 
 namespace {
-std::chrono::steady_clock::time_point g_report_epoch;
-bool g_report_epoch_set = false;
+const std::chrono::steady_clock::time_point g_process_start =
+    std::chrono::steady_clock::now();
 }
 
 void write_exit_report(std::FILE* out) {
@@ -327,9 +325,8 @@ void write_exit_report(std::FILE* out) {
   }
   std::fputs(reg.report_text().c_str(), out);
   // Pool utilization needs wall-clock context the registry doesn't have.
-  if (!g_report_epoch_set) return;
   const double wall_us = std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - g_report_epoch)
+                             std::chrono::steady_clock::now() - g_process_start)
                              .count();
   const std::int64_t workers = reg.gauge("thread_pool.workers").value();
   const std::uint64_t busy_us = reg.counter("thread_pool.busy_us").value();
@@ -342,21 +339,6 @@ void write_exit_report(std::FILE* out) {
                  static_cast<double>(busy_us) * 1e-6,
                  static_cast<long long>(workers), wall_us * 1e-6);
   }
-}
-
-void install_exit_report() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    // Touch the singletons now so they outlive any static that might emit
-    // metrics during shutdown, then hook process exit. Arming the tracer here
-    // also means a VLACNN_TRACE run that happens to simulate nothing still
-    // writes a valid (empty) trace file instead of no file at all.
-    Registry::global();
-    Tracer::global();
-    g_report_epoch = std::chrono::steady_clock::now();
-    g_report_epoch_set = true;
-    std::atexit([] { write_exit_report(stderr); });
-  });
 }
 
 }  // namespace vlacnn::obs

@@ -11,9 +11,10 @@
 //    registry hands out references that stay valid for the process lifetime
 //    (reset() zeroes instruments in place, it never invalidates them);
 //  * everything lands in one report — Registry::report_text()/report_json()
-//    dump every instrument, and install_exit_report() wires that dump to
-//    process exit for the bench drivers (VLACNN_METRICS=1 for text,
-//    VLACNN_METRICS=json for JSON, unset/0 for silence).
+//    dump every instrument, and write_exit_report() prints that dump on
+//    stderr as the last step of report::finish_run(), which every main
+//    returns through (VLACNN_METRICS=1 for text, VLACNN_METRICS=json for
+//    JSON, unset/0 for silence).
 #pragma once
 
 #include <array>
@@ -144,16 +145,11 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/// Idempotent: registers an atexit hook that prints Registry::global()'s
-/// report to stderr when VLACNN_METRICS asks for one (plus a thread-pool
-/// utilization summary). Called by the bench drivers' banner().
-void install_exit_report();
-
-/// The body of the exit hook, callable directly (tests parse its JSON output
-/// back): writes the mode-appropriate report for Registry::global() to `out`.
-/// No-op when the mode is kOff or the env value is invalid. The thread-pool
-/// utilization epilogue needs the wall-clock epoch install_exit_report()
-/// records; before that it is skipped.
+/// The metrics step of report::finish_run() (tests parse its JSON output
+/// back): writes the mode-appropriate report for Registry::global() to `out`,
+/// the text one followed by a thread-pool utilization line over the wall
+/// time since the process started. No-op when the mode is kOff or the env
+/// value is invalid.
 void write_exit_report(std::FILE* out);
 
 }  // namespace vlacnn::obs

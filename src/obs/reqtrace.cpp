@@ -291,7 +291,7 @@ std::string RequestTraceRecorder::to_jsonl() const {
 // -- sink ---------------------------------------------------------------------
 
 ReqTraceSink& ReqTraceSink::global() {
-  static ReqTraceSink sink("ReqTraceSink", g_path, "reqtrace");
+  static ReqTraceSink sink("ReqTraceSink", g_path);
   return sink;
 }
 

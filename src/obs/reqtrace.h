@@ -23,8 +23,8 @@
 // chain of exact_split()s — reconstitute the service span bit-exactly when
 // folded back-to-front (right-to-left). The process-wide ReqTraceSink is a
 // labeled-JSONL sink: one block per labeled simulation, written in label
-// order at exit, so a parallel capacity-planner run emits the same bytes as a
-// serial one at any VLACNN_THREADS.
+// order by report::finish_run(), so a parallel capacity-planner run emits the
+// same bytes as a serial one at any VLACNN_THREADS.
 #pragma once
 
 #include <cstdint>

@@ -327,7 +327,7 @@ TimelineAnalysis analyze_timeline(const std::vector<TimelineSnapshot>& snaps,
 // -- sink ---------------------------------------------------------------------
 
 TimelineSink& TimelineSink::global() {
-  static TimelineSink sink("TimelineSink", g_path, "timeline");
+  static TimelineSink sink("TimelineSink", g_path);
   return sink;
 }
 

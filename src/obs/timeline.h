@@ -13,8 +13,9 @@
 // Units: everything is simulated **cycles** — the recorder never reads a wall
 // clock, so a timeline is byte-identical across runs and VLACNN_THREADS. The
 // process-wide TimelineSink is a labeled-JSONL sink: one block per labeled
-// simulation, written in label order at exit, so a parallel capacity-planner
-// run emits the same bytes as a serial one.
+// simulation, written in label order by report::finish_run() before `main`
+// returns, so a parallel capacity-planner run emits the same bytes as a
+// serial one.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <cstdio>
-#include <stdexcept>
 
 #include "common/env.h"
 #include "obs/json_util.h"
@@ -12,16 +11,6 @@ namespace vlacnn::obs {
 
 Tracer::Tracer(const std::string& path) {
   if (!path.empty()) open(path);
-}
-
-Tracer::~Tracer() {
-  try {
-    close();
-  } catch (const std::exception& e) {
-    // A destructor (possibly at process exit) must not throw; the failed
-    // trace write is worth a line on stderr, not a terminate().
-    std::fprintf(stderr, "vlacnn: trace write failed: %s\n", e.what());
-  }
 }
 
 void Tracer::open(const std::string& path) {

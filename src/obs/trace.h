@@ -6,12 +6,12 @@
 // Knob: VLACNN_TRACE=<file.json> enables the global tracer; unset means no
 // file is ever created and a Span costs one relaxed load plus a branch.
 // Spans do double duty: whenever metrics are on (VLACNN_METRICS), every span
-// also feeds a "span.<name>.us" histogram in the global Registry, so the exit
-// report shows per-phase timings even without a trace file.
+// also feeds a "span.<name>.us" histogram in the global Registry, so the
+// metrics report shows per-phase timings even without a trace file.
 //
 // Events are buffered in memory (the sweep engine emits spans at simulation
-// -point granularity, thousands per run, not millions) and written on close()
-// or at Tracer destruction.
+// -point granularity, thousands per run, not millions) and written by close()
+// alone: report::finish_run() closes the global tracer before `main` returns.
 #pragma once
 
 #include <atomic>
@@ -32,7 +32,6 @@ class Tracer {
 
   Tracer() = default;                        ///< disabled until open()
   explicit Tracer(const std::string& path);  ///< open(path) unless empty
-  ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -42,11 +41,12 @@ class Tracer {
   }
 
   /// Start collecting; events will be written to `path` on close(). An empty
-  /// path is a no-op. Reopening first closes (flushes) the previous file.
+  /// path is a no-op. Reopening first closes (writes) the previous file.
   void open(const std::string& path);
 
-  /// Write the buffered events as Chrome trace JSON and disable. No-op when
-  /// not open. Throws if the file cannot be written.
+  /// Write the buffered events as Chrome trace JSON and disable: the only
+  /// writer of a trace file. No-op when not open. Throws if the file cannot
+  /// be written.
   void close();
 
   /// Microseconds since this tracer was constructed (steady clock).

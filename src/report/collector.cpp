@@ -4,12 +4,16 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/json_util.h"
 #include "obs/jsonl_sink.h"
+#include "obs/kernprof.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
+#include "obs/reqtrace.h"
+#include "obs/timeline.h"
+#include "obs/trace.h"
 
 namespace vlacnn::report {
 
@@ -17,9 +21,10 @@ namespace {
 
 constinit obs::PathKnob g_dir("VLACNN_REPORT");
 
-std::chrono::steady_clock::time_point g_epoch;
-std::mutex g_arm_mu;
-std::string g_armed_title;  // guarded by g_arm_mu; "" = not armed
+const std::chrono::steady_clock::time_point g_process_start =
+    std::chrono::steady_clock::now();
+std::mutex g_title_mu;
+std::string g_title;  // guarded by g_title_mu; "" = no title set
 
 }  // namespace
 
@@ -129,34 +134,51 @@ std::string write_report_files(const std::string& title, double wall_ms) {
   return json_path;
 }
 
-void arm_exit_report(const std::string& title) {
-  if (!enabled()) return;
-  // Touch the collector singleton before registering the hook: exit handlers
-  // run in reverse registration order, so constructing it first (its
-  // destructor registers with the same atexit machinery) guarantees it is
-  // still alive when the hook below snapshots it.
-  Collector::global();
-  {
-    std::lock_guard<std::mutex> lk(g_arm_mu);
-    if (!g_armed_title.empty()) return;  // first title wins
-    g_armed_title = title;
-    g_epoch = std::chrono::steady_clock::now();
-  }
-  std::atexit([] {
-    std::string title;
-    {
-      std::lock_guard<std::mutex> lk(g_arm_mu);
-      title = g_armed_title;
-    }
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - g_epoch)
-                               .count();
+void set_report_title(const std::string& title) {
+  std::lock_guard<std::mutex> lk(g_title_mu);
+  if (g_title.empty()) g_title = title;
+}
+
+int finish_run(const char* tool, int code) {
+  bool failed = false;
+  const auto attempt = [&](const auto& write) {
     try {
-      write_report_files(title, wall_ms);
+      write();
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "vlacnn report: %s\n", e.what());
+      std::fflush(stdout);
+      std::fprintf(stderr, "%s: %s\n", tool, e.what());
+      failed = true;
     }
+  };
+  attempt([] {
+    std::lock_guard<std::mutex> lk(g_title_mu);
+    if (g_title.empty() || !enabled()) return;
+    using Ms = std::chrono::duration<double, std::milli>;
+    const Ms wall = std::chrono::steady_clock::now() - g_process_start;
+    write_report_files(g_title, wall.count());
   });
+  obs::LabeledJsonlSink* const sinks[] = {&obs::TimelineSink::global(),
+                                          &obs::ReqTraceSink::global(),
+                                          &obs::KernProfSink::global()};
+  for (obs::LabeledJsonlSink* sink : sinks) {
+    attempt([sink] {
+      if (sink->enabled() && sink->block_count() > 0) sink->write_file();
+    });
+  }
+  attempt([] { obs::Tracer::global().close(); });
+  obs::write_exit_report(stderr);
+  return failed && code == 0 ? 1 : code;
+}
+
+int run_tool(const char* tool, const std::function<int()>& body) {
+  int code = 1;
+  try {
+    code = body();
+  } catch (const std::exception& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "%s: %s\n", tool, e.what());
+  }
+  return finish_run(tool, code);
 }
 
 }  // namespace vlacnn::report

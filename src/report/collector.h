@@ -1,14 +1,19 @@
-// Process-wide collection point for run reports, armed by the VLACNN_REPORT
-// env knob (a directory path) via bench::banner(). When enabled, the sweep
-// driver records every row it touches, and the serving, dispatch, fleet and
-// sweep layers record their report cells; at process exit the collector
-// writes <dir>/<tool>.report.json and .csv. Rows and cells live in key-ordered
-// maps, so the emitted report is deterministic regardless of the parallel
-// sweep's completion order — a parallel run's report is bit-identical to a
-// serial run's.
+// Process-wide collection point for run reports, enabled by the VLACNN_REPORT
+// env knob (a directory path) and titled by bench::banner() or
+// vlacnn-capacity. When enabled, the sweep driver records every row it
+// touches, and the serving, dispatch, fleet and sweep layers record their
+// report cells; finish_run() writes <dir>/<slug>.report.json and .csv before
+// `main` returns. Rows and cells live in key-ordered maps, so the emitted
+// report is deterministic regardless of the parallel sweep's completion
+// order — a parallel run's report is bit-identical to a serial run's.
+//
+// finish_run() is also the one writer of every other run artifact: the
+// timeline, reqtrace and kernprof JSONL, the Chrome trace and the metrics
+// report.
 #pragma once
 
 #include <array>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -76,15 +81,27 @@ class Collector {
   std::array<Groups, kAllSections.size()> cells_;  ///< by Section
 };
 
-/// Called by bench::banner(): when VLACNN_REPORT is set, remembers the run's
-/// tool slug + start time and registers an atexit hook that writes
-/// <dir>/<slug>.report.json and <dir>/<slug>.report.csv. Idempotent; the
-/// first title wins. No-op when collection is disabled.
-void arm_exit_report(const std::string& title);
+/// Names the run's report files after the slug of `title` (bench::banner(),
+/// vlacnn-capacity). The first title wins; finish_run() writes a report only
+/// when one was set.
+void set_report_title(const std::string& title);
 
-/// The atexit hook's body, callable directly (tests): snapshot the global
-/// collector and write both report files for `title` into report_dir().
-/// Returns the JSON path. Throws on I/O failure.
+/// The report step of finish_run(), callable directly (tests): snapshot the
+/// global collector and write both report files for `title` into
+/// report_dir(). Returns the JSON path. Throws on I/O failure.
 std::string write_report_files(const std::string& title, double wall_ms);
+
+/// Every main's return: writes each armed artifact in a fixed order — the
+/// report JSON and CSV (when collection is on and a title was set; wall_ms
+/// counts from process start), the timeline, reqtrace and kernprof JSONL
+/// (each when its knob is on and it holds a block), the VLACNN_TRACE file,
+/// then the VLACNN_METRICS report on stderr. A failed write prints
+/// `<tool>: <error>` on stderr, and the later writes still run. Returns
+/// `code`, or 1 when `code` is 0 and a write failed.
+int finish_run(const char* tool, int code);
+
+/// Every main's body: `body`'s exit code, or, when it throws, 1 after
+/// printing `<tool>: <what>` on stderr; returned through finish_run(tool, ...).
+int run_tool(const char* tool, const std::function<int()>& body);
 
 }  // namespace vlacnn::report

@@ -77,8 +77,7 @@ inline constexpr std::array<Section, 6> kAllSections = {
     Section::kServing,  Section::kRequestSim, Section::kDispatch,
     Section::kTimeline, Section::kFleet,      Section::kPhases};
 
-/// How one section is keyed and written. Field lists are padded with "";
-/// the table is constant, so it outlives the exit-time report writer.
+/// How one section is keyed and written. Field lists are padded with "".
 struct SectionLayout {
   const char* name;        ///< the section's JSON key, e.g. "request_sim"
   const char* total;       ///< its cell count's key under "totals"

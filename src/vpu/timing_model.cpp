@@ -78,7 +78,7 @@ void TimingModel::account_misses(const AccessResult& r, bool write,
   // misses additionally pay DRAM latency. Overlapped by the MLP factor.
   // (A leading-miss-only "streamed fill" variant was evaluated and rejected:
   // it overshoots Paper I's measured long-vector scaling — see EXPERIMENTS.md.)
-  double latency = r.l1_misses * static_cast<double>(mc.l2.latency_cycles) +
+  double latency = r.l1_misses * static_cast<double>(mc.l2_latency_cycles) +
                    r.l2_misses * static_cast<double>(mc.mem_latency_cycles);
   latency /= config_.miss_overlap;
   if (write) latency *= config_.store_latency_factor;

@@ -13,22 +13,22 @@ namespace vlacnn {
 namespace {
 
 CacheConfig small_cache(std::uint64_t size = 1024, std::uint32_t ways = 2) {
-  return CacheConfig{size, ways, 64, 4};
+  return CacheConfig{size, ways, 64};
 }
 
 TEST(Cache, ConfigArithmetic) {
-  CacheConfig c{1u << 20, 8, 64, 20};
+  CacheConfig c{1u << 20, 8, 64};
   EXPECT_EQ(c.num_lines(), (1u << 20) / 64);
   EXPECT_EQ(c.num_sets(), (1u << 20) / 64 / 8);
 }
 
 TEST(Cache, RejectsNonPow2Sets) {
   // 3 ways of 64B lines in 1024 bytes -> not divisible cleanly.
-  EXPECT_THROW(Cache(CacheConfig{1000, 2, 64, 1}), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheConfig{1000, 2, 64}), std::invalid_argument);
   // Zero ways or zero-byte lines: rejected before either is used as a
   // divisor (which would raise SIGFPE).
-  EXPECT_THROW(Cache(CacheConfig{1024, 0, 64, 1}), std::invalid_argument);
-  EXPECT_THROW(Cache(CacheConfig{1024, 2, 0, 1}), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheConfig{1024, 0, 64}), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheConfig{1024, 2, 0}), std::invalid_argument);
 }
 
 TEST(Cache, ColdMissesThenHits) {
@@ -153,7 +153,7 @@ TEST(Cache, MatchesListPerSetLruOnSeededStreams) {
   for (const std::uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
     for (const std::uint64_t sets : {1ull, 8ull, 64ull}) {
       SCOPED_TRACE(testing::Message() << ways << " ways x " << sets << " sets");
-      Cache cache(CacheConfig{sets * ways * 64, ways, 64, 1});
+      Cache cache(CacheConfig{sets * ways * 64, ways, 64});
       ListLru model(ways, sets);
       Rng rng(ways * 1000 + sets);
       const std::uint64_t universe = 3 * sets * ways;
@@ -187,9 +187,9 @@ TEST(Cache, MatchesListPerSetLruOnSeededStreams) {
 
 MemConfig tiny_mem() {
   MemConfig m;
-  m.l1 = {1024, 2, 64, 4};
-  m.l2 = {4096, 4, 64, 20};
-  m.vbuf = {256, 2, 64, 1};
+  m.l1 = {1024, 2, 64};
+  m.l2 = {4096, 4, 64};
+  m.vbuf = {256, 2, 64};
   return m;
 }
 
@@ -304,13 +304,13 @@ TEST(MemorySystem, ConstructorRejectsLineSizeMismatch) {
   // access_via indexes every level with L2's line size; a first level with
   // another line size would silently model a different cache.
   MemConfig cfg = tiny_mem();
-  cfg.l1 = {1024, 2, 32, 4};
+  cfg.l1 = {1024, 2, 32};
   EXPECT_THROW(MemorySystem{cfg}, std::invalid_argument);
   cfg = tiny_mem();
-  cfg.vbuf = {256, 2, 128, 1};
+  cfg.vbuf = {256, 2, 128};
   EXPECT_THROW(MemorySystem{cfg}, std::invalid_argument);
   cfg = tiny_mem();
-  cfg.l2 = {8192, 4, 128, 20};
+  cfg.l2 = {8192, 4, 128};
   EXPECT_THROW(MemorySystem{cfg}, std::invalid_argument);
   EXPECT_NO_THROW(MemorySystem{tiny_mem()});
 }

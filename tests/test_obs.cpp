@@ -4,10 +4,8 @@
 // the end-to-end counters the sweep engine feeds.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <cmath>
@@ -32,6 +30,7 @@
 #include "obs/sketch.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "report/collector.h"
 #include "sweep/sweep.h"
 
 namespace vlacnn {
@@ -800,41 +799,128 @@ TEST(ObsSinks, ShortWriteClosesTheFile) {
                             obs::set_kernprof_path, "KernProfSink::write_file");
 }
 
-TEST(ObsSinks, ExitWritesEveryArmedSink) {
-  // Each sink arms its own exit write at its first record(), in whatever
-  // order the sinks are first used; every armed sink must reach its file
-  // intact when the process exits through std::exit. Forked, so the exit
-  // hooks run here.
-  const auto dir =
-      std::filesystem::temp_directory_path() / "vlacnn_test_obs_sink_exit";
-  std::filesystem::remove_all(dir);
-  const auto tl = dir / "tl.jsonl", rt = dir / "rt.jsonl",
-             kp = dir / "kp.jsonl";
-  const pid_t pid = fork();
-  ASSERT_NE(pid, -1);
-  if (pid == 0) {
-    obs::set_reqtrace_path(rt.string());
-    obs::set_kernprof_path(kp.string());
-    obs::set_timeline_path(tl.string());
-    obs::ReqTraceSink::global().reset();
-    obs::KernProfSink::global().reset();
-    obs::TimelineSink::global().reset();
-    obs::ReqTraceSink::global().record("r", "{\"type\":\"header\"}\n");
-    obs::KernProfSink::global().record("k", "{\"type\":\"kernel\"}\n");
-    obs::TimelineSink::global().record("t", "{\"type\":\"header\"}\n");
-    std::exit(0);
+// -- finish_run: the one artifact writer --------------------------------------
+
+/// Points the three sinks, the global tracer and the report at files in a
+/// fresh directory, and puts every knob back afterwards. finish_run keeps
+/// the first report title a process sets, so every test here sets the same.
+class ObsFinishRun : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    saved_ = {obs::timeline_path(), obs::reqtrace_path(),
+              obs::kernprof_path()};
+    for (obs::LabeledJsonlSink* s : sinks()) s->reset();
+    report::Collector::global().reset();
+    report::set_report_title("obs finish run");
   }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-  EXPECT_EQ(read_file(rt),
-            "{\"type\":\"run\",\"label\":\"r\"}\n{\"type\":\"header\"}\n");
-  EXPECT_EQ(read_file(kp),
-            "{\"type\":\"run\",\"label\":\"k\"}\n{\"type\":\"kernel\"}\n");
-  EXPECT_EQ(read_file(tl),
-            "{\"type\":\"run\",\"label\":\"t\"}\n{\"type\":\"header\"}\n");
-  std::filesystem::remove_all(dir);
+  void TearDown() override {
+    obs::set_timeline_path(saved_[0]);
+    obs::set_reqtrace_path(saved_[1]);
+    obs::set_kernprof_path(saved_[2]);
+    for (obs::LabeledJsonlSink* s : sinks()) s->reset();
+    report::set_report_dir("");
+    std::filesystem::remove_all(dir_);
+  }
+  static std::array<obs::LabeledJsonlSink*, 3> sinks() {
+    return {&obs::TimelineSink::global(), &obs::ReqTraceSink::global(),
+            &obs::KernProfSink::global()};
+  }
+  /// Arms all five artifacts, each sink with two blocks recorded out of
+  /// label order; `full` names the one artifact pointed at /dev/full
+  /// ("tl", "rt", "kp", "trace", "report"), "" none.
+  void arm_all(const std::string& full) {
+    const auto at = [&](const std::string& name, const std::string& file) {
+      return name == full ? std::string("/dev/full") : (dir_ / file).string();
+    };
+    obs::set_timeline_path(at("tl", "tl.jsonl"));
+    obs::set_reqtrace_path(at("rt", "rt.jsonl"));
+    obs::set_kernprof_path(at("kp", "kp.jsonl"));
+    for (obs::LabeledJsonlSink* s : sinks()) {
+      s->record("b", "{\"type\":\"header\"}\n");
+      s->record("a", "{\"type\":\"kernel\"}\n");
+    }
+    obs::Tracer::global().open(at("trace", "trace.json"));
+    { obs::Span span("finish_run.test"); }
+    if (full == "report") {
+      std::filesystem::create_symlink("/dev/full", report_json());
+    }
+    report::set_report_dir(dir_.string());
+  }
+  std::filesystem::path report_json() const {
+    return dir_ / "obs_finish_run.report.json";
+  }
+  static constexpr const char* kBlocks =
+      "{\"type\":\"run\",\"label\":\"a\"}\n{\"type\":\"kernel\"}\n"
+      "{\"type\":\"run\",\"label\":\"b\"}\n{\"type\":\"header\"}\n";
+
+  ScopedMetrics off_{obs::ReportMode::kOff};
+  /// One directory per test: ctest runs the three at once.
+  const std::filesystem::path dir_ =
+      std::filesystem::temp_directory_path() /
+      (std::string("vlacnn_test_obs_") +
+       testing::UnitTest::GetInstance()->current_test_info()->name());
+  std::array<std::string, 3> saved_;
+};
+
+TEST_F(ObsFinishRun, WritesEveryArmedArtifactInLabelOrder) {
+  arm_all("");
+  EXPECT_EQ(report::finish_run("obs-test", 0), 0);
+  for (const char* file : {"tl.jsonl", "rt.jsonl", "kp.jsonl"}) {
+    EXPECT_EQ(read_file(dir_ / file), kBlocks) << file;
+  }
+  const JsonValue trace = JsonParser(read_file(dir_ / "trace.json")).parse();
+  ASSERT_EQ(trace.find("traceEvents")->array.size(), 1u);
+  EXPECT_EQ(trace.find("traceEvents")->array[0].find("name")->string,
+            "finish_run.test");
+  EXPECT_FALSE(obs::Tracer::global().enabled());
+  const report::RunReport r =
+      report::report_from_json(read_file(report_json()));
+  EXPECT_EQ(r.tool, "obs_finish_run");
+  EXPECT_TRUE(std::filesystem::exists(dir_ / "obs_finish_run.report.csv"));
+}
+
+TEST_F(ObsFinishRun, AFailedWriteNamesItsPathAndSparesTheOthers) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "needs /dev/full";
+  }
+  for (const std::string full : {"report", "rt", "trace"}) {
+    SetUp();
+    arm_all(full);
+    testing::internal::CaptureStderr();
+    const int code = report::finish_run("obs-test", 0);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 1) << full;
+    const std::string path =
+        full == "report" ? report_json().string() : "/dev/full";
+    EXPECT_NE(err.find("obs-test: "), std::string::npos) << err;
+    EXPECT_NE(err.find("short write to " + path), std::string::npos) << err;
+    for (const char* file : {"tl.jsonl", "rt.jsonl", "kp.jsonl"}) {
+      if (std::string(file).starts_with(full)) continue;
+      EXPECT_EQ(read_file(dir_ / file), kBlocks) << full << ": " << file;
+    }
+    EXPECT_EQ(std::filesystem::exists(dir_ / "trace.json"), full != "trace");
+    EXPECT_TRUE(std::filesystem::exists(dir_ / "obs_finish_run.report.csv") ||
+                full == "report");
+    TearDown();
+  }
+}
+
+TEST_F(ObsFinishRun, KeepsANonzeroCodeAndWritesNoFileForAnEmptySink) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "needs /dev/full";
+  }
+  arm_all("tl");
+  obs::KernProfSink::global().reset();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(report::finish_run("obs-test", 2), 2);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("TimelineSink::write_file: short write to /dev/full"),
+            std::string::npos)
+      << err;
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "kp.jsonl"));
+  EXPECT_EQ(read_file(dir_ / "rt.jsonl"), kBlocks);
 }
 
 TEST(ObsTrace, HostileSpanArgsStayParseable) {
@@ -843,51 +929,16 @@ TEST(ObsTrace, HostileSpanArgsStayParseable) {
   std::filesystem::remove_all(dir);
   const auto file = dir / "trace.json";
   const std::string nasty = std::string("a\x01b\x1f") + "\"\\\n\r\t";
+  obs::Tracer tracer(file.string());
   {
-    obs::Tracer tracer(file.string());
     obs::Span span(nasty, &tracer);  // hostile *name*, not just args
     span.arg(nasty, nasty);
   }
+  tracer.close();
   const JsonValue root = JsonParser(read_file(file)).parse();
   const JsonValue& e = root.find("traceEvents")->array.at(0);
   EXPECT_EQ(e.find("name")->string, nasty);
   EXPECT_EQ(e.find("args")->find(nasty)->string, nasty);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ObsTrace, FlushesCompleteFileOnEarlyStdExit) {
-  // CLI error paths bail through std::exit. The tracer is a function-local
-  // static, so its destructor must still write a complete, parseable file —
-  // the regression this guards: a truncated or missing trace after an early
-  // exit. Run the exit in a forked child and parse the file back here.
-  const auto dir =
-      std::filesystem::temp_directory_path() / "vlacnn_test_obs_exit";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const auto file = dir / "trace.json";
-
-  const pid_t pid = fork();
-  ASSERT_NE(pid, -1);
-  if (pid == 0) {
-    // Child: mimic a CLI that armed tracing, did a little work, then died on
-    // a usage error. std::exit (not _exit) so static destructors run.
-    obs::Tracer::global().open(file.string());
-    {
-      obs::Span span("cli.startup", &obs::Tracer::global());
-      span.arg("reason", "usage error");
-    }
-    std::exit(2);
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 2);
-  ASSERT_TRUE(std::filesystem::exists(file));
-  const JsonValue root = JsonParser(read_file(file)).parse();
-  const JsonValue* events = root.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->array.size(), 1u);
-  EXPECT_EQ(events->array[0].find("name")->string, "cli.startup");
   std::filesystem::remove_all(dir);
 }
 

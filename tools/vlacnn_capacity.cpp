@@ -63,7 +63,8 @@
 // byte-identical across runs and VLACNN_THREADS.
 //
 // Exit codes: 0 = a configuration meets the SLO, 1 = infeasible (or another
-// runtime failure), 2 = usage error (bad flag/value; usage goes to stderr).
+// runtime failure, a failed artifact write included), 2 = usage error (bad
+// flag/value; usage goes to stderr).
 //
 // The sweep cache (results/sweep_cache.csv, override REPRO_RESULTS_DIR) makes
 // warm runs fast; a cold run simulates the grid points it needs first.
@@ -80,7 +81,6 @@
 #include "dispatch/learned_dispatcher.h"
 #include "ml/dataset.h"
 #include "obs/json_util.h"
-#include "obs/metrics.h"
 #include "obs/reqtrace.h"
 #include "obs/timeline.h"
 #include "ml/random_forest.h"
@@ -362,10 +362,11 @@ Outcome plan_capacity(const Options& o) {
   const CapacityQuery& q = o.q;
   Network net = make_net(o.net);
 
-  // When VLACNN_REPORT is set, write <dir>/capacity_plan_<net>.report.json
-  // at exit — with --dispatch learned it carries the per-point dispatch cells
-  // (oracle gap, explorations) that vlacnn-report summarize tabulates.
-  report::arm_exit_report("capacity plan " + net.name());
+  // When VLACNN_REPORT is set, the run writes
+  // <dir>/capacity_plan_<net>.report.json — with --dispatch learned it
+  // carries the per-point dispatch cells (oracle gap, explorations) that
+  // vlacnn-report summarize tabulates.
+  report::set_report_title("capacity plan " + net.name());
 
   ResultsDb db(default_results_path());
   SweepDriver driver(&db);
@@ -462,7 +463,7 @@ Outcome plan_fleet(Options o) {
   std::vector<Network> nets;
   for (const std::string& name : o.mix.names) nets.push_back(make_net(name));
 
-  report::arm_exit_report("fleet plan");
+  report::set_report_title("fleet plan");
 
   ResultsDb db(default_results_path());
   SweepDriver driver(&db);
@@ -546,29 +547,24 @@ int finish(const Options& o, const Outcome& out) {
                 out.candidates);
   }
   if (obs::timeline_enabled()) {
-    std::printf("timeline: %zu run blocks -> %s (written at exit)\n",
+    std::printf("timeline: %zu run blocks -> %s\n",
                 obs::TimelineSink::global().block_count(),
                 obs::timeline_path().c_str());
   }
   if (obs::reqtrace_enabled()) {
-    std::printf("reqtrace: %zu run blocks -> %s (written at exit)\n",
+    std::printf("reqtrace: %zu run blocks -> %s\n",
                 obs::ReqTraceSink::global().block_count(),
                 obs::reqtrace_path().c_str());
   }
   return out.met ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Arm the obs exit hooks before any flag parsing can throw: a run that dies
-  // on a bad CLI value still flushes its VLACNN_TRACE/VLACNN_METRICS output
-  // (the tracer only writes if its singleton was constructed before exit).
-  obs::install_exit_report();
+int run(int argc, char** argv) {
   const bool fleet = argc > 1 && std::strcmp(argv[1], "fleet") == 0;
   // Parse phase: any failure here is a usage error — message plus usage to
-  // stderr, exit 2. Runtime failures below exit 1 instead (the contract
-  // scripts/test_cli_exit_codes.sh asserts).
+  // stderr, exit 2. A runtime failure below (sweep/simulation/IO) throws to
+  // run_tool, which exits 1, as "no feasible configuration" does (the
+  // contract scripts/test_cli_exit_codes.sh asserts).
   Options o;
   try {
     o = parse_options(argc, argv, fleet);
@@ -576,12 +572,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "vlacnn-capacity: %s\n", e.what());
     return usage(argv[0], fleet);
   }
-  try {
-    return finish(o, fleet ? plan_fleet(o) : plan_capacity(o));
-  } catch (const std::exception& e) {
-    // Runtime failure (sweep/simulation/IO): exit 1, same as "no feasible
-    // configuration" — distinct from the usage-error exit 2 above.
-    std::fprintf(stderr, "vlacnn-capacity: %s\n", e.what());
-    return 1;
-  }
+  return finish(o, fleet ? plan_fleet(o) : plan_capacity(o));
+}
+
+}  // namespace
+
+// Usage errors, runtime failures and successes all return through
+// report::run_tool, so a run that dies on a bad flag still writes its
+// VLACNN_TRACE file, and a failed artifact write exits 1.
+int main(int argc, char** argv) {
+  return report::run_tool("vlacnn-capacity", [&] { return run(argc, argv); });
 }

@@ -38,8 +38,9 @@
 //       mismatch exits 1.
 //
 // Exit codes (all subcommands): 0 success, 1 semantic failure (regression
-// over budget, no runs in a file, attribution mismatch, unreadable input),
-// 2 usage error (bad flag or subcommand; usage goes to stderr).
+// over budget, no runs in a file, attribution mismatch, unreadable input, a
+// failed artifact write), 2 usage error (bad flag or subcommand; usage goes
+// to stderr).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -48,8 +49,8 @@
 #include <vector>
 
 #include "common/env.h"
-#include "obs/metrics.h"
 #include "obs/timeline.h"
+#include "report/collector.h"
 #include "report/json.h"
 #include "report/report.h"
 #include "vpu/pmu.h"
@@ -747,14 +748,8 @@ Options parse_options(const std::string& cmd, int first, int argc,
   return o;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace vlacnn::report;
-  // Arm the obs exit hooks up front so VLACNN_TRACE/VLACNN_METRICS runs that
-  // die on a CLI error still flush their files (the tracer only writes if its
-  // singleton was constructed before exit).
-  vlacnn::obs::install_exit_report();
   const std::string cmd = argc > 1 ? argv[1] : "";
   const int files = cmd == "diff" ? 2 : 1;
   if ((cmd != "summarize" && cmd != "diff" && cmd != "timeline" &&
@@ -769,24 +764,29 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "vlacnn-report: %s\n", e.what());
     return usage(argv[0]);
   }
-  try {
-    if (cmd == "timeline") return render_timeline(argv[2], o.snapshots);
-    if (cmd == "requests") return render_requests(argv[2], o.top, o.waterfall);
-    if (cmd == "profile") return render_profile(argv[2], o.point, o.windows);
-    if (cmd == "summarize") {
-      std::fputs(summarize(load(argv[2])).c_str(), stdout);
-      return 0;
-    }
-    const RunReport base = load(argv[2]);
-    const RunReport cur = load(argv[3]);
-    const DiffResult d = diff_reports(base, cur, o.diff);
-    std::fputs(diff_to_string(d, o.diff).c_str(), stdout);
-    return d.ok() ? 0 : 1;
-  } catch (const std::exception& e) {
-    // Runtime failures (unreadable or malformed input) exit 1; only usage
-    // errors exit 2 — the contract scripts/test_cli_exit_codes.sh asserts
-    // for both tools.
-    std::fprintf(stderr, "vlacnn-report: %s\n", e.what());
-    return 1;
+  // A runtime failure (unreadable or malformed input) throws to run_tool,
+  // which exits 1; only usage errors exit 2 — the contract
+  // scripts/test_cli_exit_codes.sh asserts for both tools.
+  if (cmd == "timeline") return render_timeline(argv[2], o.snapshots);
+  if (cmd == "requests") return render_requests(argv[2], o.top, o.waterfall);
+  if (cmd == "profile") return render_profile(argv[2], o.point, o.windows);
+  if (cmd == "summarize") {
+    std::fputs(summarize(load(argv[2])).c_str(), stdout);
+    return 0;
   }
+  const RunReport base = load(argv[2]);
+  const RunReport cur = load(argv[3]);
+  const DiffResult d = diff_reports(base, cur, o.diff);
+  std::fputs(diff_to_string(d, o.diff).c_str(), stdout);
+  return d.ok() ? 0 : 1;
+}
+
+}  // namespace
+
+// Every path returns through report::run_tool, so a VLACNN_TRACE run that
+// dies on a bad flag still writes its trace, and a failed artifact write
+// exits 1.
+int main(int argc, char** argv) {
+  return vlacnn::report::run_tool("vlacnn-report",
+                                  [&] { return run(argc, argv); });
 }
